@@ -24,7 +24,7 @@ import json
 import sys
 
 from repro.bench.runner import SCENARIOS, SESSION_BENCH_FLAVORS
-from repro.errors import InvariantViolation
+from repro.errors import ConfigError, InvariantViolation
 from repro.registry import CONTROLLER_FLAVORS
 from repro.sim.policies import SCHEDULE_POLICIES
 
@@ -289,6 +289,11 @@ def main(argv=None) -> int:
     failure = None
     try:
         result = runner(**kwargs)
+    except ConfigError as error:
+        # Bad option values the parser cannot see (they are checked
+        # where the run is configured): report them as argparse does.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except InvariantViolation as error:
         # The grid runner attaches the full report to the failure so the
         # violation evidence survives (and CI can upload it).

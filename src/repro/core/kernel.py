@@ -141,6 +141,20 @@ class PermitLedger:
             self.trace.emit("create", level, need, dist)
         return package
 
+    def restore(self, package: MobilePackage) -> None:
+        """Return an undelivered package's permits to the root storage.
+
+        Interval-mode packages cannot come back: the ledger carves
+        serial intervals in sequence and has no way to reissue one.
+        """
+        if package.interval is not None:
+            raise ControllerError(
+                f"cannot restore a package carrying interval "
+                f"{package.interval}")
+        self.storage += package.size
+        if self.trace is not None:
+            self.trace.emit("restore", package.level, package.size)
+
     def take_interval(self, size: int) -> Optional[Tuple[int, int]]:
         """The next ``size`` serial numbers (interval mode only)."""
         if not self.track_intervals:

@@ -192,6 +192,11 @@ class DistributedController(TreeListener):
         self._uniform = (self.delays.hot_sampler()
                          if self._fast and type(self.delays) is UniformDelay
                          else None)
+        # Section 3.1 budgets static pools at U * phi <= W / 2, which
+        # holds only for W >= 2U; below that the max() forces phi = 1,
+        # so a pool must end as a grant leaves it, empty, and a package
+        # whose request lost its meaning goes back (_return_to_root).
+        self._return_moot = self.params.w < 2 * self.params.u
         tree.add_listener(self)
 
     # ------------------------------------------------------------------
@@ -530,11 +535,38 @@ class DistributedController(TreeListener):
                 f"package level {package.level} reached origin of {agent}"
             )
         origin = agent.path[0]
-        board = self.boards.get(origin)
-        kernel.absorb(board.store, package, node=origin, trace=self._trace)
         agent.package = None
         agent.splits = None
+        if (self._return_moot and package.interval is None
+                and agent.path[-1].is_root
+                and not self._still_meaningful(agent.request)):
+            self._return_to_root(agent, package)
+        else:
+            board = self.boards.get(origin)
+            kernel.absorb(board.store, package, node=origin,
+                          trace=self._trace)
         self._grant_from_static(agent)
+
+    def _return_to_root(self, agent: Agent, package: MobilePackage) -> None:
+        """The request lost its meaning while its package came down.
+
+        Absorbed, the package would strand its permits in the origin's
+        static pool, where the waste bound has no room for them when
+        ``W < 2U`` (a grant leaves the pool empty), so a few such
+        cancellations could push a rejecting run below ``M - W``.  The
+        agent carries the package back up the locked path it walks
+        anyway, to the root it came from, and the permits rejoin the
+        storage.  The root stays locked by this agent until then, so
+        crediting the storage now is indistinguishable from crediting
+        it on arrival.  The flow observer sees the permits leave every
+        node they entered.  (A package found at a filler below the root
+        is still absorbed: it cannot rejoin its filler without undoing
+        the splits.)
+        """
+        self._ledger.restore(package)
+        if self.permit_flow_observer is not None:
+            for node in agent.path:
+                self.permit_flow_observer(node, -package.size)
 
     def _grant_from_static(self, agent: Agent) -> None:
         """Grant at the origin, perform the event, start the return walk."""
@@ -543,7 +575,8 @@ class DistributedController(TreeListener):
         request = agent.request
         if not self._still_meaningful(request):
             # The event lost its meaning while the agent travelled
-            # (Section 4.2); the static permit stays for future requests.
+            # (Section 4.2); the static permit stays for future requests
+            # (when W < 2U, a package from the root went back there).
             agent.final_outcome = Outcome(OutcomeStatus.CANCELLED, request)
         else:
             board.store.static_permits -= 1

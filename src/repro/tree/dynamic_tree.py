@@ -264,10 +264,10 @@ class DynamicTree:
         parent.children[index] = node
         node.children.append(child)
         child.parent = node
-        # Re-wire ports: parent's old port to child now reaches node;
+        # Re-wire ports: the edge (parent, child) is unbound at both ends;
         # node gets fresh ports on both sides; child's parent port is new.
-        parent.detach_port_to(child)
-        child.detach_port_to(parent)
+        parent.detach_port(child.port_at_parent)
+        child.detach_port(child.port_to_parent)
         self._wire_edge(parent, node)
         self._wire_edge(node, child)
         self._alive.add(node)
@@ -286,7 +286,7 @@ class DynamicTree:
         self._record_change()
         parent = node.parent
         parent.children.remove(node)
-        parent.detach_port_to(node)
+        parent.detach_port(node.port_at_parent)
         node.alive = False
         node._anc_jumps = []
         node._anc_epoch = -1
@@ -314,10 +314,10 @@ class DynamicTree:
             self._anc_mark_stale(child)
         index = parent.children.index(node)
         parent.children[index:index + 1] = children
-        parent.detach_port_to(node)
+        parent.detach_port(node.port_at_parent)
         for child in children:
             child.parent = parent
-            child.detach_port_to(node)
+            child.detach_port(child.port_to_parent)
             self._wire_edge(parent, child)
         node.children.clear()
         node.alive = False
@@ -331,7 +331,10 @@ class DynamicTree:
     # Validation (tests call this after random mutation storms).
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural integrity; raises ``TopologyError`` on damage."""
+        """Check structure, ancestry caches and port tables.
+
+        Raises ``TopologyError`` on damage.
+        """
         seen: Set[TreeNode] = set()
         stack = [(self.root, 0)]
         while stack:
@@ -359,11 +362,30 @@ class DynamicTree:
                         raise TopologyError(
                             f"stale-but-fresh ancestry at {node}: cached "
                             f"depth {cached}, actual {hops}")
+            # Port tables: both ends of every tree edge bound to each
+            # other, and nothing else bound (the mutations unbind by the
+            # recorded numbers without scanning, so this is their oracle).
+            up = node.port_to_parent
+            if node.parent is not None and (
+                    up is None or node.neighbor_on(up) is not node.parent):
+                raise TopologyError(
+                    f"port_to_parent {up} of {node} does not lead to its "
+                    f"parent {node.parent}")
+            edges = len(node.children) + (node.parent is not None)
+            if len(node.ports_in_use()) != edges:
+                raise TopologyError(
+                    f"{node} binds {len(node.ports_in_use())} ports for "
+                    f"{edges} tree edges")
             for child in node.children:
                 if child.parent is not node:
                     raise TopologyError(
                         f"{child}.parent is {child.parent}, expected {node}"
                     )
+                down = child.port_at_parent
+                if down is None or node.neighbor_on(down) is not child:
+                    raise TopologyError(
+                        f"port_at_parent {down} of {child} does not lead "
+                        f"from {node} to it")
                 stack.append((child, hops + 1))
         if seen != self._alive:
             raise TopologyError(
@@ -466,6 +488,7 @@ class DynamicTree:
         child_port = self._port_assigner.next_port(child)
         child.attach_port(child_port, parent)
         child.port_to_parent = child_port
+        child.port_at_parent = parent_port
 
     def _record_change(self) -> None:
         self.size_history.append(self.size)

@@ -40,6 +40,7 @@ class TreeNode:
         "children",
         "alive",
         "port_to_parent",
+        "port_at_parent",
         "_ports",
         "_anc_jumps",
         "_anc_epoch",
@@ -54,8 +55,12 @@ class TreeNode:
         self.children: List["TreeNode"] = []
         self.alive = True
         # Port bookkeeping: every incident tree edge has a port number at
-        # each endpoint; each node knows the port leading to its parent.
+        # each endpoint; each node knows the port leading to its parent,
+        # and the parent's port leading back to it (``port_at_parent``),
+        # so the tree unbinds an edge with two keyed deletes instead of
+        # scanning a hub's table.
         self.port_to_parent: Optional[int] = None
+        self.port_at_parent: Optional[int] = None
         self._ports: Dict[int, "TreeNode"] = {}
         # Skip-pointer ancestry cache, owned by DynamicTree (see
         # ``DynamicTree.ancestor_at``): the jump table (``_anc_jumps[i]``
@@ -86,12 +91,22 @@ class TreeNode:
                 f"port {port} already in use at node {self.node_id}")
         self._ports[port] = neighbor
 
+    def detach_port(self, port: Optional[int]) -> None:
+        """Unbind ``port`` in O(1); it must be bound."""
+        if port is None or port not in self._ports:
+            raise TopologyError(
+                f"port {port} is not bound at node {self.node_id}")
+        del self._ports[port]
+
     def detach_port_to(self, neighbor: "TreeNode") -> None:
-        """Remove whichever port points at ``neighbor`` (if any)."""
-        for port, other in list(self._ports.items()):
-            if other is neighbor:
-                del self._ports[port]
-                return
+        """Remove whichever port points at ``neighbor`` (if any).
+
+        O(deg): a scan of the table.  The tree itself unbinds by port
+        number through :meth:`detach_port`.
+        """
+        port = self.port_of(neighbor)
+        if port is not None:
+            del self._ports[port]
 
     def port_of(self, neighbor: "TreeNode") -> Optional[int]:
         """Port number leading to ``neighbor``, or ``None``."""
@@ -128,8 +143,8 @@ class TreeNode:
         status = "" if self.alive else ",dead"
         return f"<Node {self.node_id}{status}>"
 
+    # Equality is object identity (the inherited ``object.__eq__``, which
+    # keeps ``children.index``/``remove`` in C); the hash is the id so set
+    # and dict behaviour never depends on memory addresses.
     def __hash__(self) -> int:
         return self.node_id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

@@ -9,6 +9,10 @@ output and for the designer-port memory variant discussed in 4.4.2.
 
 Both assigners treat the node's live port table as the source of truth,
 so numbers stay locally distinct through any sequence of edge rewirings.
+They also avoid ``port_to_parent``, which may be a just-unbound number
+while a splice rewires the node's parent edge.  Each candidate is tested
+against the live table in place (no copy), so a draw costs O(1) per
+candidate whatever the node's degree.
 """
 
 import random
@@ -28,11 +32,10 @@ class SequentialPortAssigner:
     """Ports numbered 0, 1, 2, ... per node (the designer-port model)."""
 
     def next_port(self, node: "TreeNode") -> int:
-        used = set(node.ports_in_use())
-        if node.port_to_parent is not None:
-            used.add(node.port_to_parent)
+        used = node.ports_in_use()
+        up = node.port_to_parent
         candidate = 0
-        while candidate in used:
+        while candidate in used or candidate == up:
             candidate += 1
         return candidate
 
@@ -49,10 +52,9 @@ class AdversarialPortAssigner:
         self._space = space
 
     def next_port(self, node: "TreeNode") -> int:
-        used = set(node.ports_in_use())
-        if node.port_to_parent is not None:
-            used.add(node.port_to_parent)
+        used = node.ports_in_use()
+        up = node.port_to_parent
         while True:
             candidate = self._rng.randrange(self._space)
-            if candidate not in used:
+            if candidate not in used and candidate != up:
                 return candidate

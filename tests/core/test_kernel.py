@@ -130,6 +130,20 @@ def test_ledger_create_package_draws_storage_and_intervals():
         ledger.create_package(params.max_level + 8, dist=0)
 
 
+def test_ledger_restore_returns_an_undelivered_package():
+    params = ControllerParams(m=64, w=8, u=16)
+    trace = kernel.KernelTrace()
+    ledger = kernel.PermitLedger(params=params, storage=64, trace=trace)
+    package = ledger.create_package(1, dist=0)
+    ledger.restore(package)
+    assert ledger.storage == 64
+    assert list(trace)[-1] == ("restore", 1, package.size)
+    carved = kernel.PermitLedger(params=params, storage=64,
+                                 track_intervals=True)
+    with pytest.raises(ControllerError):
+        carved.restore(carved.create_package(0, dist=0))
+
+
 def test_ledger_unused_counts_storage_plus_parked():
     params = ControllerParams(m=10, w=2, u=4)
     ledger = kernel.PermitLedger(params=params, storage=7)

@@ -11,9 +11,10 @@ conserved, and safety/liveness bounds honored.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import OutcomeStatus, Request, RequestKind
+from repro.core.kernel import KernelTrace
 from repro.distributed import DistributedController
 from repro.sim.delays import HeavyTailDelay, UniformDelay, UnitDelay
 from repro.workloads import NodePicker, build_path, build_random_tree, random_request
@@ -122,9 +123,14 @@ def test_concurrent_requests_at_same_node_fifo():
     assert controller.counters.agent_hops <= 4 * 2 * 60
 
 
+# The explicit examples are runs the random search once found below
+# M - W: requests that lost their meaning while their packages came
+# down stranded permits in static pools.
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 5000), m=st.integers(5, 200),
        w=st.integers(1, 40))
+@example(seed=67, m=30, w=1)
+@example(seed=3295, m=77, w=2)
 def test_concurrent_property_no_deadlock_and_safety(seed, m, w):
     tree = build_random_tree(20, seed=seed)
     controller = DistributedController(
@@ -136,3 +142,23 @@ def test_concurrent_property_no_deadlock_and_safety(seed, m, w):
     assert controller.granted <= m
     if controller.rejecting:
         assert controller.granted >= m - w
+
+
+def test_package_for_a_cancelled_request_returns_to_the_root():
+    """A request that loses its meaning while its package travels down
+    sends the package back to the root storage instead of stranding it
+    in the origin's static pool, so the waste bound holds even for
+    W = 1 (each package here is one permit, created at the root)."""
+    tree = build_random_tree(20, seed=67)
+    trace = KernelTrace()
+    controller = DistributedController(
+        tree, m=30, w=1, u=600, delays=HeavyTailDelay(seed=68),
+        kernel_trace=trace)
+    storm(tree, controller, requests=120, seed=69, spacing=0.3)
+    restored = [event for event in trace if event[0] == "restore"]
+    assert restored
+    assert controller.rejecting
+    assert controller.granted >= 30 - 1
+    assert controller.granted + controller.unused_permits() == 30
+    assert all(board.store.static_permits == 0
+               for _, board in controller.boards.items())

@@ -188,3 +188,12 @@ def test_cli_list_and_run(tmp_path):
     document = json.loads(out.read_text())
     assert document["scenario"] == "scenario"
     assert json.loads(run.stdout) == document
+
+
+def test_cli_reports_config_errors_like_argparse(capsys):
+    """A bad value the parser cannot check exits 2 with one line."""
+    from repro.bench.__main__ import main
+    assert main(["scenario", "--batch-size", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: batch_size must be >= 1, got 0\n"

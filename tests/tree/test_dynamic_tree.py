@@ -104,6 +104,41 @@ def test_remove_internal_rejects_leaves_and_root():
         tree.remove_internal(tree.root)
 
 
+@pytest.mark.parametrize("plant", ["extra", "parent_side", "child_side"])
+def test_validate_rejects_stale_port_bindings(plant):
+    tree = DynamicTree()
+    a = tree.add_leaf(tree.root)
+    b = tree.add_leaf(a)
+    gone = tree.add_leaf(a)
+    port = gone.port_at_parent
+    tree.remove_leaf(gone)
+    tree.validate()
+    if plant == "extra":
+        # The removed leaf's edge is still bound at its former parent.
+        a.attach_port(port, gone)
+    elif plant == "parent_side":
+        # The parent's port recorded on b leads elsewhere.
+        a.detach_port(b.port_at_parent)
+        a.attach_port(b.port_at_parent, gone)
+    else:
+        # b's own parent port leads elsewhere.
+        b.detach_port(b.port_to_parent)
+        b.attach_port(b.port_to_parent, gone)
+    with pytest.raises(TopologyError, match="port"):
+        tree.validate()
+
+
+def test_detach_port_rejects_unbound_numbers():
+    tree = DynamicTree()
+    a = tree.add_leaf(tree.root)
+    tree.root.detach_port(a.port_at_parent)
+    assert tree.root.neighbor_on(a.port_at_parent) is None
+    with pytest.raises(TopologyError, match="not bound"):
+        tree.root.detach_port(a.port_at_parent)
+    with pytest.raises(TopologyError, match="not bound"):
+        tree.root.detach_port(tree.root.port_to_parent)  # the root's None
+
+
 def test_operations_on_dead_nodes_rejected():
     tree = DynamicTree()
     a = tree.add_leaf(tree.root)

@@ -1,11 +1,14 @@
 """Property-based tests: random mutation storms keep the tree sound."""
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tree import DynamicTree
-from repro.tree.ports import SequentialPortAssigner
+from repro.tree.ports import AdversarialPortAssigner, SequentialPortAssigner
+from repro.workloads import build_random_tree
 
 
 def apply_random_mutations(tree, rng, steps):
@@ -83,3 +86,63 @@ def test_depths_consistent_with_parent_chain(seed, steps):
     for node in tree.nodes():
         if node.parent is not None:
             assert tree.depth(node) == tree.depth(node.parent) + 1
+
+
+def _port_digest(tree):
+    table = sorted((n.node_id, n.port_to_parent,
+                    tuple(sorted(n.ports_in_use()))) for n in tree.nodes())
+    return hashlib.sha1(repr(table).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("assigner, grown, stormed", [
+    (AdversarialPortAssigner, "96b5cb5fb1c1bdf01db0e2e32bfcbab57b7d3562",
+     "5088efb6dae0bb8b0d7ba59908c1e3d25c9971c9"),
+    (SequentialPortAssigner, "50db770c5e0402320c0fe7b1286497d9b6129b18",
+     "96e484b019073f91191fb3d230a13538bf904b86"),
+], ids=["adversarial", "sequential"])
+def test_port_numbers_are_pinned(assigner, grown, stormed):
+    """Every port an assigner draws, through growth and a storm.
+
+    Seeded runs replay these numbers, so a change to how the tree
+    unbinds edges or tests candidates must leave them bit-identical.
+    """
+    tree = build_random_tree(500, seed=3, port_assigner=assigner())
+    assert _port_digest(tree) == grown
+    apply_random_mutations(tree, random.Random(11), 2000)
+    assert (tree.size, tree.topology_changes) == (810, 1252)
+    assert _port_digest(tree) == stormed
+    tree.validate()
+
+
+@pytest.mark.parametrize("assigner", [
+    AdversarialPortAssigner,
+    # A crowded space: the hub's draws collide often and are redrawn.
+    lambda: AdversarialPortAssigner(space=4096),
+    SequentialPortAssigner,
+], ids=["adversarial", "crowded", "sequential"])
+def test_hub_rewiring_keeps_port_tables_exact(assigner):
+    """Splices and removals among the edges of a 2,000-child root."""
+    tree = DynamicTree(port_assigner=assigner())
+    hub = tree.root
+    for _ in range(2000):
+        tree.add_leaf(hub)
+    tree.validate()
+    rng = random.Random(5)
+    for _ in range(20):
+        mid = tree.add_internal(hub, rng.choice(hub.children))
+        tree.validate()
+        tree.add_leaf(mid)
+        tree.validate()
+        tree.remove_internal(mid)  # both children rejoin the hub
+        tree.validate()
+        tree.remove_leaf(rng.choice(hub.children))
+        tree.validate()
+    # A second hub dissolves into the first: 300 edges rewired at once.
+    sub = hub.children[1000]
+    for _ in range(300):
+        tree.add_leaf(sub)
+    tree.validate()
+    tree.remove_internal(sub)
+    tree.validate()
+    assert hub.child_degree == 2299
+    assert len(hub.ports_in_use()) == 2299
