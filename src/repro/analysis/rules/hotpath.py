@@ -1,10 +1,10 @@
 """Hot-path hygiene rules for the fast-path modules.
 
-The fast-path engine (PR 8) holds its speedup by keeping the per-event
-work allocation-free: ``__slots__`` classes (no per-instance dict), no
-closures or ``functools.partial`` objects built per call.  Those are
-conventions a profiler only re-discovers after they regress, so the
-fast-path modules are enforced statically:
+The scheduler and the agent hop loop hold their speed by keeping the
+per-event work allocation-free: ``__slots__`` classes (no per-instance
+dict), no closures or ``functools.partial`` objects built per call.
+Those are conventions a profiler only re-discovers after they regress,
+so the fast-path modules are enforced statically:
 
 * ``hotpath/slots`` — every class defined in a fast-path module
   declares ``__slots__`` (enums/exceptions are exempt: they are not
@@ -26,7 +26,7 @@ from repro.analysis.source import ModuleSource
 #: new module joins the per-event hot loop (and expect the rules to
 #: fire on day one).
 FAST_PATH_MODULES: FrozenSet[str] = frozenset({
-    "repro.sim.fastsched",
+    "repro.sim.scheduler",
     "repro.distributed.agent",
     "repro.distributed.whiteboard",
 })

@@ -8,8 +8,8 @@ One-liner reproduction of the perf trajectory::
     python -m repro.bench scenario --topology path --controller iterated --steps 1000
     python -m repro.bench distributed_batch --sizes 200
     python -m repro.bench kernel --out BENCH_kernel.json
-    python -m repro.bench profile --arms reference,fast
-    python -m repro.bench memory --fast-path
+    python -m repro.bench profile
+    python -m repro.bench memory
     python -m repro.bench session --out BENCH_session.json
     python -m repro.bench apps --out BENCH_apps.json
     python -m repro.bench gateway --out BENCH_gateway.json

@@ -14,8 +14,8 @@ Examples::
     python -m repro.bench apps --out BENCH_apps.json
     python -m repro.bench apps --apps name_assignment --policies adversary
     python -m repro.bench fleet --out BENCH_fleet.json
-    python -m repro.bench profile --scenario deep_burst --arms fast
-    python -m repro.bench memory --sizes 100,400 --fast-path
+    python -m repro.bench profile --scenario deep_burst
+    python -m repro.bench memory --sizes 100,400
 """
 
 import argparse
@@ -26,7 +26,7 @@ import sys
 from repro.bench.runner import SCENARIOS, SESSION_BENCH_FLAVORS
 from repro.errors import ConfigError, InvariantViolation
 from repro.registry import CONTROLLER_FLAVORS
-from repro.sim.policies import SCHEDULE_POLICIES
+from repro.sim.scheduler import SCHEDULE_POLICIES
 
 
 def _int_list(text: str):
@@ -100,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0,
                    help="grid mode: scale the catalogue specs (CI smoke "
                         "uses e.g. 0.2)")
-    p.add_argument("--fast-path", action="store_true", dest="fast_path",
-                   help="grid mode: re-run every distributed FIFO cell "
-                        "on the fast-path engine and assert "
-                        "trace-identical tallies/cost/clock")
     p.add_argument("--topology", default="random",
                    choices=["random", "path", "star", "caterpillar"])
     p.add_argument("--controller", default="iterated",
@@ -244,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("profile",
-                       help="cProfile the distributed replay per engine "
-                            "arm: hotspot tables + the scheduler-vs-"
-                            "protocol self-time split")
+                       help="cProfile the distributed replay: hotspot "
+                            "tables + the scheduler-vs-protocol self-time "
+                            "split")
     p.add_argument("--scenario", default="deep_burst",
                    help="catalogue scenario to profile (default: "
                         "deep_burst)")
@@ -254,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stagger", type=float, default=0.25)
     p.add_argument("--top", type=int, default=12,
                    help="hotspot rows per table")
-    p.add_argument("--arms", default="reference,fast",
-                   help="comma-separated engine arms (reference, fast)")
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("memory",
@@ -265,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, default=None,
                    help="tree sizes (default: 100,400,1600)")
     p.add_argument("--stagger", type=float, default=0.25)
-    p.add_argument("--fast-path", action="store_true", dest="fast_path",
-                   help="audit the fast-path engine instead of the "
-                        "reference scheduler")
     p.add_argument("--out", **common_out)
     return parser
 

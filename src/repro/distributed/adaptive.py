@@ -25,7 +25,6 @@ from repro.errors import ControllerError
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
-from repro.sim.fastsched import FastScheduler, warn_fast_path_fallback
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
 from repro.core.requests import (
@@ -48,22 +47,15 @@ class DistributedAdaptiveController:
     def __init__(self, tree: DynamicTree, m: int, w: int,
                  scheduler: Optional[Scheduler] = None,
                  delays: Optional[DelayModel] = None,
-                 counters: Optional[MessageCounters] = None,
-                 fast_path: bool = False) -> None:
+                 counters: Optional[MessageCounters] = None) -> None:
         if w < 1:
             raise ControllerError("the distributed adaptive wrapper "
                                   "needs W >= 1")
         self.tree = tree
         self.m = m
         self.w = w
-        # Both per-epoch controllers share this scheduler; a
-        # FastScheduler here puts every epoch on the fast hop path.
-        if scheduler is None:
-            scheduler = FastScheduler() if fast_path else Scheduler()
-        elif fast_path and not isinstance(scheduler, FastScheduler):
-            warn_fast_path_fallback(
-                "an externally-wired reference scheduler is attached")
-        self.scheduler = scheduler
+        # Both per-epoch controllers share this scheduler.
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.delays = delays if delays is not None else UniformDelay(seed=0)
         self.counters = counters if counters is not None else MessageCounters()
         self.granted = 0

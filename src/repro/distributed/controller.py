@@ -39,7 +39,6 @@ from repro.errors import ControllerError, ProtocolError
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
-from repro.sim.fastsched import FastScheduler, warn_fast_path_fallback
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Tracer
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
@@ -61,9 +60,8 @@ from repro.distributed.whiteboard import Whiteboard, WhiteboardMap
 
 # Hop phase codes: each in-flight message is (phase, agent); arrival
 # dispatches through a per-controller table of bound methods indexed by
-# these small ints (``_dispatch``), so the fast path schedules a hop
-# without allocating a closure per message.  The reference path uses
-# the same table (one closure per hop, as historically).
+# these small ints (``_dispatch``), so a hop is scheduled without
+# allocating a closure per message.
 _CLIMB = 0            # upward hop lands at path[-1].parent
 _DESCEND = 1          # distribution walk, next node down the path
 _RETURN = 2           # post-grant walk back up to the topmost lock
@@ -134,16 +132,10 @@ class DistributedController(TreeListener):
                  track_intervals: bool = False,
                  interval_base: int = 0,
                  permit_flow_observer: Optional[
-                     Callable[[TreeNode, int], None]] = None,
-                 fast_path: bool = False) -> None:
+                     Callable[[TreeNode, int], None]] = None) -> None:
         self.tree = tree
         self.params = ControllerParams(m=m, w=w, u=u)
-        if scheduler is None:
-            scheduler = FastScheduler() if fast_path else Scheduler()
-        elif fast_path and not isinstance(scheduler, FastScheduler):
-            warn_fast_path_fallback(
-                "an externally-wired reference scheduler is attached")
-        self.scheduler = scheduler
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.delays = delays if delays is not None else UniformDelay(seed=0)
         self.counters = counters if counters is not None else MessageCounters()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
@@ -171,27 +163,24 @@ class DistributedController(TreeListener):
         self._attached = True
         # Hop dispatch: phase code -> bound arrival method, bound once
         # (each ``self._method`` read allocates a fresh bound method, so
-        # the table is the only place that pays it).  ``_fast`` selects
-        # the allocation-free ``schedule_call`` path; hot collaborators
+        # the table is the only place that pays it).  Hops go through
+        # the allocation-free ``schedule_call``; hot collaborators
         # (delay sampling, board lookup) are bound once for the same
         # reason.
-        self._fast = isinstance(self.scheduler, FastScheduler)
         self._dispatch = (self._climb_arrive, self._descend_arrive,
                           self._return_arrive, self._unlock_arrive,
                           self._unlock_current, self._resume_handoff)
-        self._schedule_call = (self.scheduler.schedule_call
-                               if self._fast else None)
+        self._schedule_call = self.scheduler.schedule_call
         self._sample = self.delays.sample
         self._board_of = self.boards.get
         self._perturb = (self.faults.perturb_hop
                          if self.faults is not None else None)
-        # Uniform delays ignore the hop key, so the fast path may draw
-        # inline and skip the key extraction entirely (bit-identical
-        # draws — see UniformDelay.hot_sampler).  Exact-type check:
-        # a subclass may override sample() or start reading the key.
+        # Uniform delays ignore the hop key, so the hop may draw inline
+        # and skip the key extraction entirely (bit-identical draws —
+        # see UniformDelay.hot_sampler).  Exact-type check: a subclass
+        # may override sample() or start reading the key.
         self._uniform = (self.delays.hot_sampler()
-                         if self._fast and type(self.delays) is UniformDelay
-                         else None)
+                         if type(self.delays) is UniformDelay else None)
         # Section 3.1 budgets static pools at U * phi <= W / 2, which
         # holds only for W >= 2U; below that the max() forces phi = 1,
         # so a pool must end as a grant leaves it, empty, and a package
@@ -696,20 +685,15 @@ class DistributedController(TreeListener):
         perturb = self._perturb
         if perturb is not None:
             delay = perturb(self.scheduler.now, delay)
-        schedule_call = self._schedule_call
-        if schedule_call is not None:
-            schedule_call(delay, self._dispatch[phase], agent)
-        else:
-            arrive = self._dispatch[phase]
-            self.scheduler.schedule(delay, lambda: arrive(agent))
+        self._schedule_call(delay, self._dispatch[phase], agent)
 
     def _resume_handoff(self, agent: Agent) -> None:
         """Deferred lock hand-off: resume ``agent`` at ``resume_node``.
 
         The node travels in the agent's ``resume_node`` slot rather
-        than a closure so the fast path can carry the hand-off as a
-        plain ``(method, agent)`` pair (an agent has at most one
-        hand-off in flight, so the single slot cannot be clobbered).
+        than a closure so the hand-off is scheduled as a plain
+        ``(method, agent)`` pair (an agent has at most one hand-off in
+        flight, so the single slot cannot be clobbered).
         """
         node = agent.resume_node
         agent.resume_node = None
@@ -720,11 +704,7 @@ class DistributedController(TreeListener):
     def _schedule_resume(self, waiter: Agent, node: TreeNode) -> None:
         # Local computation takes zero time (Section 4.3.1).
         waiter.resume_node = node
-        schedule_call = self._schedule_call
-        if schedule_call is not None:
-            schedule_call(0.0, self._dispatch[_RESUME], waiter)
-        else:
-            self.scheduler.schedule(0.0, lambda: self._resume_handoff(waiter))
+        self._schedule_call(0.0, self._dispatch[_RESUME], waiter)
 
     # ------------------------------------------------------------------
     # Outcome bookkeeping.

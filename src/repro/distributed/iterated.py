@@ -21,7 +21,6 @@ from repro.errors import ControllerError
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
-from repro.sim.fastsched import FastScheduler, warn_fast_path_fallback
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
 from repro.core.requests import (
@@ -45,21 +44,13 @@ class DistributedIteratedController:
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
                  scheduler: Optional[Scheduler] = None,
                  delays: Optional[DelayModel] = None,
-                 counters: Optional[MessageCounters] = None,
-                 fast_path: bool = False) -> None:
+                 counters: Optional[MessageCounters] = None) -> None:
         self.tree = tree
         self.m = m
         self.w = w
         self.u = u
-        # Stage controllers share this scheduler, so making it a
-        # FastScheduler here is all the stages need: they detect the
-        # engine by type and switch to the allocation-free hop path.
-        if scheduler is None:
-            scheduler = FastScheduler() if fast_path else Scheduler()
-        elif fast_path and not isinstance(scheduler, FastScheduler):
-            warn_fast_path_fallback(
-                "an externally-wired reference scheduler is attached")
-        self.scheduler = scheduler
+        # Stage controllers share this scheduler.
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.delays = delays if delays is not None else UniformDelay(seed=0)
         self.counters = counters if counters is not None else MessageCounters()
         self.granted = 0

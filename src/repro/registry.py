@@ -23,6 +23,7 @@ Registered flavours:
 ========================  ====================================================
 """
 
+import inspect
 from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ConfigError
@@ -54,6 +55,14 @@ CONTROLLER_REGISTRY: Dict[str, _Factory] = {
 }
 
 CONTROLLER_FLAVORS: Tuple[str, ...] = tuple(CONTROLLER_REGISTRY)
+
+#: Per flavour, the constructor keywords beyond ``tree`` and the
+#: ``(m, w, u)`` contract that :func:`make_controller` fills in.
+CONTROLLER_OPTIONS: Dict[str, Tuple[str, ...]] = {
+    flavor: tuple(name for name in inspect.signature(factory).parameters
+                  if name not in ("tree", "m", "w", "u"))
+    for flavor, factory in CONTROLLER_REGISTRY.items()
+}
 
 
 def controller_flavors() -> Tuple[str, ...]:

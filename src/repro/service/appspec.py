@@ -29,7 +29,7 @@ from repro.distributed.faults import FaultPlan, parse_fault_spec
 from repro.errors import ConfigError
 from repro.service.config import ControllerSpec, SessionConfig
 from repro.sim.delays import DELAY_MODELS
-from repro.sim.policies import SCHEDULE_POLICIES
+from repro.sim.scheduler import SCHEDULE_POLICIES
 
 #: The registered Section 5 applications, by spec name.  The class
 #: registry lives in :mod:`repro.apps.registry` (which asserts it stays

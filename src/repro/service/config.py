@@ -25,9 +25,9 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.distributed.faults import FaultPlan, parse_fault_spec
 from repro.errors import ConfigError
-from repro.registry import resolve_flavor
+from repro.registry import CONTROLLER_OPTIONS, resolve_flavor
 from repro.sim.delays import DELAY_MODELS
-from repro.sim.policies import SCHEDULE_POLICIES
+from repro.sim.scheduler import SCHEDULE_POLICIES
 
 #: Flavours whose engine settles requests event-by-event on a scheduler
 #: (the session pumps the scheduler instead of calling ``handle``).
@@ -40,6 +40,11 @@ SCHEDULED_FLAVORS: Tuple[str, ...] = (
 #: Flavours whose constructor accepts a ``kernel_trace=`` log.
 TRACED_FLAVORS: Tuple[str, ...] = ("centralized", "distributed")
 
+#: Constructor keywords the session wires itself; passing them through
+#: ``ControllerSpec.options`` would silently fight the session's wiring.
+SESSION_OWNED_OPTIONS: Tuple[str, ...] = (
+    "scheduler", "delays", "faults", "kernel_trace")
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -48,7 +53,9 @@ class ControllerSpec:
     ``options`` passes flavour-specific constructor keywords through
     (``indexed_stores=``, ``track_intervals=``, ``variant=``, ...); the
     session layer adds its own wiring (scheduler, delays, faults) on
-    top for the flavours that take it.
+    top for the flavours that take it.  Option names are checked
+    against the flavour's constructor here, so a typo raises
+    :class:`ConfigError` naming the valid options.
     """
 
     flavor: str
@@ -62,6 +69,18 @@ class ControllerSpec:
         if self.m < 0 or self.w < 0:
             raise ConfigError(
                 f"invalid (M, W) = ({self.m}, {self.w}); both must be >= 0")
+        accepted = CONTROLLER_OPTIONS[self.flavor]
+        for key in self.options:
+            if key in SESSION_OWNED_OPTIONS:
+                raise ConfigError(
+                    f"option {key!r} is session-owned wiring; use the "
+                    "SessionConfig knobs instead of ControllerSpec.options")
+            if key not in accepted:
+                valid = [name for name in accepted
+                         if name not in SESSION_OWNED_OPTIONS]
+                raise ConfigError(
+                    f"unknown option {key!r} for flavor {self.flavor!r}; "
+                    f"valid options: {', '.join(valid)}")
 
     @property
     def event_driven(self) -> bool:
@@ -89,7 +108,7 @@ class SessionConfig:
     schedule_policy / delay_model / faults:
         Asynchrony knobs for the event-driven engine (ignored by the
         synchronous flavours, which have no scheduler to police):
-        a :mod:`repro.sim.policies` name, a :mod:`repro.sim.delays`
+        a :data:`repro.sim.SCHEDULE_POLICIES` name, a :mod:`repro.sim.delays`
         name, and an optional fault plan (a :class:`FaultPlan` or a
         ``"stall=0.05,storms=3"`` spec string).  A fault plan that
         needs a horizon must carry one explicitly — the session cannot

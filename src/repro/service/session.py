@@ -13,7 +13,7 @@ requests through one ingestion-shaped API:
   :class:`~repro.service.envelopes.OutcomeRecord` objects in
   **settlement order**, for both the synchronous flavours (the session
   batches pending requests through ``handle_batch``) and the
-  event-driven distributed engine (the session steps the scheduler and
+  event-driven distributed engine (the session pumps the scheduler and
   yields as agent callbacks land);
 * :meth:`settle_all` — ``list(drain())``.
 
@@ -41,7 +41,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.core.kernel import KernelTrace
@@ -66,14 +65,8 @@ from repro.service.envelopes import (
     verdict_of,
 )
 from repro.sim.delays import make_delay_model
-from repro.sim.fastsched import FastScheduler, warn_fast_path_fallback
-from repro.sim.policies import make_policy
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
-
-#: Constructor keywords the session wires itself; passing them through
-#: ``ControllerSpec.options`` would silently fight the session's wiring.
-_SESSION_OWNED_OPTIONS = ("scheduler", "delays", "faults", "kernel_trace")
 
 #: C-speed attribute extraction for the per-batch settlement loop.
 _status_of = operator.attrgetter("status")
@@ -96,40 +89,19 @@ class ControllerSession:
         self.config = config
         self.tree = tree if tree is not None else DynamicTree()
         spec = config.controller
-        for key in _SESSION_OWNED_OPTIONS:
-            if key in spec.options:
-                raise ConfigError(
-                    f"option {key!r} is session-owned wiring; use the "
-                    "SessionConfig knobs instead of ControllerSpec.options")
         if config.trace and spec.flavor not in TRACED_FLAVORS:
             raise ConfigError(
                 f"flavor {spec.flavor!r} does not take a kernel trace; "
                 f"traced flavours: {', '.join(TRACED_FLAVORS)}")
 
         kwargs: Dict[str, Any] = dict(spec.options)
-        # ``fast_path`` is session-interpreted (it decides which engine
-        # the session wires), so it is popped here rather than passed
-        # through to the controller constructor alongside a scheduler.
-        fast_path = bool(kwargs.pop("fast_path", False))
-        self.scheduler: Optional[Union[Scheduler, FastScheduler]] = None
+        self.scheduler: Optional[Scheduler] = None
         if spec.flavor in SCHEDULED_FLAVORS:
-            if fast_path and config.schedule_policy == "fifo":
-                self.scheduler = FastScheduler()
-            else:
-                if fast_path:
-                    warn_fast_path_fallback(
-                        f"schedule policy {config.schedule_policy!r} "
-                        "requires the reference engine")
-                self.scheduler = Scheduler(
-                    policy=make_policy(config.schedule_policy,
-                                       seed=config.seed))
+            self.scheduler = Scheduler(config.schedule_policy,
+                                       seed=config.seed)
             kwargs["scheduler"] = self.scheduler
             kwargs["delays"] = make_delay_model(config.delay_model,
                                                 seed=config.seed)
-        elif fast_path:
-            raise ConfigError(
-                f"option 'fast_path' applies to the scheduled flavours "
-                f"({', '.join(SCHEDULED_FLAVORS)}), not {spec.flavor!r}")
         if spec.flavor == "distributed" and not config.fault_plan.is_noop:
             kwargs["faults"] = FaultInjector(config.fault_plan)
         self.trace: Optional[KernelTrace] = None
@@ -150,7 +122,7 @@ class ControllerSession:
         # ``drain()`` callers (the gateway's client threads) can never
         # double-handle a pending batch or double-settle a ticket.
         # Reentrant because the event-driven pump fires settlement
-        # callbacks from inside ``scheduler.step()``.  Single-caller
+        # callbacks from inside ``scheduler.pump()``.  Single-caller
         # paths (``serve`` / ``serve_stream``) stay lock-free except
         # where they delegate to ``_pump``.
         self._lock = threading.RLock()
@@ -415,8 +387,9 @@ class ControllerSession:
 
         Synchronous flavours: serve the whole pending queue as one
         ``handle_batch`` (amortizing exactly as a direct batch call
-        would).  Event-driven engine: execute one scheduler event
-        (settlement callbacks fire from inside the step).  A closed
+        would).  Event-driven engine: execute one scheduler batch of up
+        to :data:`~repro.sim.scheduler.PUMP_BATCH` events (settlement
+        callbacks fire from inside it).  A closed
         session refuses to pump — in-flight tickets of a closed
         session never settle, they raise here instead.
 
@@ -431,9 +404,8 @@ class ControllerSession:
                 raise ControllerError("session is closed")
             if self._event_driven:
                 assert self.scheduler is not None
-                # One event per pump on the reference engine; the fast
-                # engine drains a batch per pump, amortizing this lock
-                # and the drain loop's frames across many events.
+                # A batch per pump amortizes this lock and the drain
+                # loop's frames across many events.
                 return self.scheduler.pump()
             if not self._pending:
                 return False

@@ -3,18 +3,13 @@
 The paper assumes the standard asynchronous point-to-point message-passing
 model (Section 2.1): messages incur arbitrary but finite delays.  This
 package provides a deterministic discrete-event simulator that realizes
-that model: events are (time, sequence) ordered, message delays are drawn
-from seeded delay models, and the whole execution is reproducible from the
+that model: events pop in the order of a schedule policy (chronological
+``(time, sequence)`` order by default), message delays are drawn from
+seeded delay models, and the whole execution is reproducible from the
 seed.
 """
 
-from repro.sim.scheduler import Event, Scheduler
-from repro.sim.fastsched import (
-    FastEvent,
-    FastPathFallbackWarning,
-    FastScheduler,
-    warn_fast_path_fallback,
-)
+from repro.sim.scheduler import SCHEDULE_POLICIES, Event, Scheduler
 from repro.sim.delays import (
     DELAY_MODELS,
     BurstStallDelay,
@@ -25,24 +20,11 @@ from repro.sim.delays import (
     UnitDelay,
     make_delay_model,
 )
-from repro.sim.policies import (
-    SCHEDULE_POLICIES,
-    AdversaryPolicy,
-    FifoPolicy,
-    LifoPolicy,
-    RandomPolicy,
-    SchedulePolicy,
-    make_policy,
-)
 from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Event",
     "Scheduler",
-    "FastEvent",
-    "FastPathFallbackWarning",
-    "FastScheduler",
-    "warn_fast_path_fallback",
     "DelayModel",
     "UnitDelay",
     "UniformDelay",
@@ -51,13 +33,7 @@ __all__ = [
     "BurstStallDelay",
     "DELAY_MODELS",
     "make_delay_model",
-    "SchedulePolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "LifoPolicy",
-    "AdversaryPolicy",
     "SCHEDULE_POLICIES",
-    "make_policy",
     "TraceEvent",
     "Tracer",
 ]

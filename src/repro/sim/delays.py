@@ -72,7 +72,7 @@ class UniformDelay(DelayModel):
     def hot_sampler(self) -> Tuple[float, float, Callable[[], float]]:
         """``(low, width, random)`` for call-free inline sampling.
 
-        Hot loops (the distributed fast path) compute
+        Hot loops (the distributed agent hop) compute
         ``low + width * random()`` themselves, which is exactly
         :meth:`sample`'s expression on the same generator — the draw
         sequence is bit-identical, minus one method call per message.

@@ -1,29 +1,30 @@
-"""Trace-identical equivalence of the fast-path engine.
+"""Trace-identical equivalence of the engine and its oracle.
 
-The fast path's contract (``repro.sim.fastsched``) is not "statistically
-similar" — it is *the same execution*: identical callback order means
-identical RNG consumption, so outcome tallies, message counters, the
-kernel trace's transition sequence, and the final simulated clock must
-all be bit-identical to the reference FIFO engine on any workload.
-These tests drive both engines over the adversarial catalogue and
-compare everything; the fallback tests pin the escape hatch (non-FIFO
-policies warn once and run on the reference scheduler, unchanged).
+The distributed engine runs on :class:`repro.sim.Scheduler`, the record
+queue; the reference scheduler it replaced survives as the oracle in
+``tests/sim/oracle.py``.  The contract is not "statistically similar" —
+it is *the same execution*: identical callback order means identical
+RNG consumption, so outcome tallies, message counters, the kernel
+trace's transition sequence, and the final simulated clock must all be
+bit-identical to an oracle-wired run, under every schedule policy.
+These tests drive both over the adversarial catalogue and the staged
+wrappers and compare everything.
 """
 
-import warnings
+import contextlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed import DistributedController
 from repro.distributed.adaptive import DistributedAdaptiveController
 from repro.distributed.iterated import DistributedIteratedController
 from repro.errors import ConfigError
 from repro.service import ControllerSession, ControllerSpec, SessionConfig
-from repro.sim import FastPathFallbackWarning, FastScheduler, Scheduler
+from repro.sim import SCHEDULE_POLICIES, Scheduler
 from repro.workloads import get_scenario
 from repro.workloads.catalogue import CATALOGUE
 from repro.workloads.scenarios import TreeMirror, request_spec
+from tests.sim.oracle import OracleScheduler, oracle_sessions
 
 
 def _materialize(spec, seed):
@@ -39,21 +40,16 @@ def _twin_requests(spec, seed, stream_specs):
     return tree, requests
 
 
-def _run_session_arm(spec, seed, stream_specs, *, fast, policy="fifo",
-                     expect_warning=False):
+def _run_session_arm(spec, seed, stream_specs, *, oracle, policy="fifo"):
     """One session-driven run; returns every behavioural artefact the
-    equivalence contract covers (plus the invariant audit verdict)."""
+    equivalence contract covers (plus the scheduler that ran it)."""
     tree, requests = _twin_requests(spec, seed, stream_specs)
     config = SessionConfig(
-        controller=ControllerSpec(
-            "distributed", m=spec.m, w=spec.w, u=spec.u,
-            options={"fast_path": fast}),
+        controller=ControllerSpec("distributed", m=spec.m, w=spec.w,
+                                  u=spec.u),
         schedule_policy=policy, seed=seed,
         max_in_flight=max(len(requests), 1), trace=True)
-    if expect_warning:
-        with pytest.warns(FastPathFallbackWarning):
-            session = ControllerSession(config, tree=tree)
-    else:
+    with oracle_sessions() if oracle else contextlib.nullcontext():
         session = ControllerSession(config, tree=tree)
     session.submit_many(requests, stagger=0.25)
     records = list(session.drain())
@@ -69,18 +65,21 @@ def _run_session_arm(spec, seed, stream_specs, *, fast, policy="fifo",
 
 
 @given(name=st.sampled_from(sorted(CATALOGUE)),
-       seed=st.integers(min_value=0, max_value=5))
-@settings(max_examples=10, deadline=None)
-def test_fast_path_is_trace_identical_on_the_catalogue(name, seed):
+       seed=st.integers(min_value=0, max_value=5),
+       policy=st.sampled_from(SCHEDULE_POLICIES))
+@settings(max_examples=16, deadline=None)
+def test_fast_path_is_trace_identical_on_the_catalogue(name, seed, policy):
     spec = get_scenario(name).scaled(0.25)
     stream_specs = _materialize(spec, seed)
-    reference = _run_session_arm(spec, seed, stream_specs, fast=False)
-    fast = _run_session_arm(spec, seed, stream_specs, fast=True)
-    assert isinstance(reference[4], Scheduler)
-    assert isinstance(fast[4], FastScheduler)
+    reference = _run_session_arm(spec, seed, stream_specs, oracle=True,
+                                 policy=policy)
+    engine = _run_session_arm(spec, seed, stream_specs, oracle=False,
+                              policy=policy)
+    assert isinstance(reference[4], OracleScheduler)
+    assert type(engine[4]) is Scheduler
     # Per-request verdict sequence, counters, the full kernel-trace
     # transition log, and the final simulated clock: all identical.
-    assert fast[:4] == reference[:4]
+    assert engine[:4] == reference[:4]
 
 
 def test_fast_path_kernel_trace_is_nonempty():
@@ -89,66 +88,23 @@ def test_fast_path_kernel_trace_is_nonempty():
     spec = get_scenario("deep_burst").scaled(0.2)
     stream_specs = _materialize(spec, 0)
     _verdicts, _counters, trace_events, _now, _sched = _run_session_arm(
-        spec, 0, stream_specs, fast=True)
+        spec, 0, stream_specs, oracle=False)
     assert len(trace_events) > 0
 
 
-# ----------------------------------------------------------------------
-# Fallback: non-FIFO policies stay on the reference engine, warned once.
-# ----------------------------------------------------------------------
-def test_non_fifo_policy_falls_back_with_warning():
-    spec = get_scenario("hot_spot").scaled(0.2)
-    stream_specs = _materialize(spec, 3)
-    plain = _run_session_arm(spec, 3, stream_specs, fast=False,
-                             policy="random")
-    fallback = _run_session_arm(spec, 3, stream_specs, fast=True,
-                                policy="random", expect_warning=True)
-    # The fallback session runs the reference scheduler and behaves
-    # exactly as if fast_path had never been requested.
-    assert isinstance(fallback[4], Scheduler)
-    assert not isinstance(fallback[4], FastScheduler)
-    assert fallback[:4] == plain[:4]
-
-
-def test_fallback_warns_once_per_location():
-    spec = get_scenario("hot_spot").scaled(0.1)
-    stream_specs = _materialize(spec, 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        for _ in range(3):
-            tree, requests = _twin_requests(spec, 0, stream_specs)
-            config = SessionConfig(
-                controller=ControllerSpec(
-                    "distributed", m=spec.m, w=spec.w, u=spec.u,
-                    options={"fast_path": True}),
-                schedule_policy="lifo", seed=0,
-                max_in_flight=max(len(requests), 1))
-            ControllerSession(config, tree=tree).close()
-    fallbacks = [w for w in caught
-                 if issubclass(w.category, FastPathFallbackWarning)]
-    assert len(fallbacks) == 1  # the default filter dedups by location
-
-
 def test_fast_path_rejected_for_synchronous_flavours():
+    """``fast_path`` is no option at all any more: naming it is an
+    unknown-option error, raised when the spec is built."""
     spec = get_scenario("hot_spot").scaled(0.1)
     tree = spec.build_tree(seed=0)
-    config = SessionConfig(
-        controller=ControllerSpec("iterated", m=spec.m, w=spec.w,
-                                  u=spec.u, options={"fast_path": True}))
     with pytest.raises(ConfigError, match="fast_path"):
-        ControllerSession(config, tree=tree)
-
-
-def test_externally_wired_reference_scheduler_warns():
-    spec = get_scenario("hot_spot").scaled(0.1)
-    tree = spec.build_tree(seed=0)
-    with pytest.warns(FastPathFallbackWarning):
-        DistributedController(tree, m=spec.m, w=spec.w, u=spec.u,
-                              scheduler=Scheduler(), fast_path=True)
+        ControllerSession(SessionConfig(controller=ControllerSpec(
+            "iterated", m=spec.m, w=spec.w, u=spec.u,
+            options={"fast_path": True})), tree=tree)
 
 
 # ----------------------------------------------------------------------
-# Staged wrappers: the shared scheduler puts every stage on the fast path.
+# Staged wrappers: every stage shares the wrapper's scheduler.
 # ----------------------------------------------------------------------
 def _drive_wrapper(make_controller, spec, seed, stream_specs):
     tree, requests = _twin_requests(spec, seed, stream_specs)
@@ -165,14 +121,15 @@ def test_iterated_wrapper_fast_path_is_equivalent(seed):
     stream_specs = _materialize(spec, seed)
     reference = _drive_wrapper(
         lambda tree: DistributedIteratedController(
+            tree, m=spec.m, w=spec.w, u=spec.u,
+            scheduler=OracleScheduler()),
+        spec, seed, stream_specs)
+    engine = _drive_wrapper(
+        lambda tree: DistributedIteratedController(
             tree, m=spec.m, w=spec.w, u=spec.u),
         spec, seed, stream_specs)
-    fast = _drive_wrapper(
-        lambda tree: DistributedIteratedController(
-            tree, m=spec.m, w=spec.w, u=spec.u, fast_path=True),
-        spec, seed, stream_specs)
-    assert reference[2] is Scheduler and fast[2] is FastScheduler
-    assert fast[:2] == reference[:2]
+    assert reference[2] is OracleScheduler and engine[2] is Scheduler
+    assert engine[:2] == reference[:2]
 
 
 @pytest.mark.parametrize("seed", [1])
@@ -181,11 +138,11 @@ def test_adaptive_wrapper_fast_path_is_equivalent(seed):
     stream_specs = _materialize(spec, seed)
     reference = _drive_wrapper(
         lambda tree: DistributedAdaptiveController(
+            tree, m=spec.m, w=spec.w, scheduler=OracleScheduler()),
+        spec, seed, stream_specs)
+    engine = _drive_wrapper(
+        lambda tree: DistributedAdaptiveController(
             tree, m=spec.m, w=spec.w),
         spec, seed, stream_specs)
-    fast = _drive_wrapper(
-        lambda tree: DistributedAdaptiveController(
-            tree, m=spec.m, w=spec.w, fast_path=True),
-        spec, seed, stream_specs)
-    assert reference[2] is Scheduler and fast[2] is FastScheduler
-    assert fast[:2] == reference[:2]
+    assert reference[2] is OracleScheduler and engine[2] is Scheduler
+    assert engine[:2] == reference[:2]

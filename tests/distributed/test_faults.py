@@ -20,7 +20,7 @@ from repro.distributed import (
     parse_fault_spec,
 )
 from repro.metrics import audit_controller
-from repro.sim import Scheduler, make_policy
+from repro.sim import Scheduler
 from repro.sim.delays import UnitDelay
 from repro.workloads import NodePicker, build_path, build_random_tree, random_request
 
@@ -116,7 +116,7 @@ def test_churn_storm_never_orphans_package_or_lock(policy_name):
         injector = FaultInjector(plan)
         controller = DistributedController(
             tree, m=900, w=220, u=4000,
-            scheduler=Scheduler(policy=make_policy(policy_name, seed=seed)),
+            scheduler=Scheduler(policy_name, seed=seed),
             faults=injector)
         rng = random.Random(seed)
         picker = NodePicker(tree)

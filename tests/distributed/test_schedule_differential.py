@@ -26,7 +26,7 @@ import pytest
 
 from repro.distributed import DistributedController
 from repro.metrics import audit_controller
-from repro.sim import Scheduler, make_policy
+from repro.sim import Scheduler
 from repro.workloads import get_scenario
 from repro.workloads.scenarios import TreeMirror, request_spec
 
@@ -57,7 +57,7 @@ def _replay(spec, seed, policy):
     mirror.detach()
     controller = DistributedController(
         twin, m=spec.m, w=spec.w, u=spec.u,
-        scheduler=Scheduler(policy=make_policy(policy, seed=seed)))
+        scheduler=Scheduler(policy, seed=seed))
     outcomes = controller.submit_batch(requests, stagger=0.25)
     report = audit_controller(controller)
     assert report.passed, report.violations[:3]

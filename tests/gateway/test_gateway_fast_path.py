@@ -1,22 +1,26 @@
-"""Property test: the gateway over the fast-path engine == reference.
+"""Property test: the gateway over the engine == over the oracle.
 
-``fast_path=True`` swaps the session's discrete-event scheduler for the
-record-heap :class:`~repro.sim.fastsched.FastScheduler`; its contract is
-the *same execution*, not a similar one.  That equivalence is already
-pinned at the session layer (``tests/distributed/test_fast_path.py``);
-this property closes the stack: with a :class:`Gateway` in front —
-admission queue, batching, drawn client interleavings — the fast-path
-run must still produce identical outcome tallies, identical per-request
-verdict sequences, and identical message counters to a gateway over the
-reference engine fed the same drawn schedule.
+A session's discrete-event scheduler is :class:`repro.sim.Scheduler`,
+whose contract against the reference scheduler kept in
+``tests/sim/oracle.py`` is the *same execution*, not a similar one.
+That equivalence is already pinned at the session layer
+(``tests/distributed/test_fast_path.py``); this property closes the
+stack: with a :class:`Gateway` in front — admission queue, batching,
+drawn client interleavings, every schedule policy — the engine's run
+must still produce identical outcome tallies, identical per-request
+verdict sequences, and identical message counters to a gateway over
+an oracle-wired session fed the same drawn schedule.
 """
+
+import contextlib
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ControllerSession, Gateway, GatewayConfig, SessionConfig
-from repro.sim import FastScheduler, Scheduler
+from repro.sim import SCHEDULE_POLICIES, Scheduler
 from repro.workloads import TreeMirror, get_scenario, request_spec
+from tests.sim.oracle import OracleScheduler, oracle_sessions
 
 _SCALE = 0.15
 _SPEC_CACHE = {}
@@ -31,7 +35,7 @@ def _materialized(name):
     return _SPEC_CACHE[name]
 
 
-def _run_arm(spec, stream_specs, drawn, *, fast):
+def _run_arm(spec, stream_specs, drawn, *, oracle, policy):
     """One gateway-fronted run; returns the behavioural artefacts the
     equivalence covers plus the scheduler type actually wired."""
     n_clients, ops, batch_size = drawn
@@ -41,8 +45,9 @@ def _run_arm(spec, stream_specs, drawn, *, fast):
     mirror.detach()
     config = SessionConfig.of(
         "distributed", m=spec.m, w=spec.w, u=spec.u, seed=7,
-        options={"fast_path": fast}, max_in_flight=1 << 20)
-    session = ControllerSession(config, tree=tree)
+        schedule_policy=policy, max_in_flight=1 << 20)
+    with oracle_sessions() if oracle else contextlib.nullcontext():
+        session = ControllerSession(config, tree=tree)
     gateway = Gateway(session, GatewayConfig(
         queue_capacity=len(requests) + 1, batch_size=batch_size))
     queues = [list(reversed(requests[i::n_clients]))
@@ -82,21 +87,25 @@ def interleavings():
 
 # Regression seeds: pump-heavy (empty batches interleave every submit)
 # and a starved-client draw.
-@example(scenario="hot_spot", drawn=(2, [2, 0, 2, 1, 2, 2, 0], 1))
-@example(scenario="near_exhaustion", drawn=(3, [0] * 20 + [3, 1, 2], 8))
-@settings(max_examples=15, deadline=None,
+@example(scenario="hot_spot", drawn=(2, [2, 0, 2, 1, 2, 2, 0], 1),
+         policy="fifo")
+@example(scenario="near_exhaustion", drawn=(3, [0] * 20 + [3, 1, 2], 8),
+         policy="random")
+@settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=st.sampled_from(["hot_spot", "near_exhaustion",
                                  "mixed_flood"]),
-       drawn=interleavings())
-def test_gateway_fast_path_matches_reference_engine(scenario, drawn):
+       drawn=interleavings(),
+       policy=st.sampled_from(SCHEDULE_POLICIES))
+def test_gateway_fast_path_matches_reference_engine(scenario, drawn,
+                                                    policy):
     n_clients, ops, batch_size = drawn
     drawn = (n_clients, [min(op, n_clients) for op in ops], batch_size)
     spec, stream = _materialized(scenario)
-    reference = _run_arm(spec, stream, drawn, fast=False)
-    fast = _run_arm(spec, stream, drawn, fast=True)
-    assert reference[3] is Scheduler
-    assert fast[3] is FastScheduler
+    reference = _run_arm(spec, stream, drawn, oracle=True, policy=policy)
+    engine = _run_arm(spec, stream, drawn, oracle=False, policy=policy)
+    assert reference[3] is OracleScheduler
+    assert engine[3] is Scheduler
     # Verdict sequence (admission order), tallies, message counters:
     # all identical — the gateway adds nothing the engine can observe.
-    assert fast[:3] == reference[:3]
+    assert engine[:3] == reference[:3]

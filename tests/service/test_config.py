@@ -6,7 +6,8 @@ import pytest
 
 from repro.distributed.faults import FaultPlan
 from repro.errors import ConfigError
-from repro.service import ControllerSpec, SessionConfig
+from repro.registry import CONTROLLER_FLAVORS
+from repro.service import ControllerSession, ControllerSpec, SessionConfig
 
 
 def test_spec_normalizes_dashes():
@@ -22,6 +23,30 @@ def test_spec_unknown_flavor_is_config_error():
 def test_spec_negative_budget_is_config_error():
     with pytest.raises(ConfigError, match=r"\(M, W\)"):
         ControllerSpec("centralized", m=-1)
+
+
+@pytest.mark.parametrize("flavor", CONTROLLER_FLAVORS)
+@pytest.mark.parametrize("options", [{"bogus": 1}, {"fast_path": True}])
+def test_unknown_options_are_config_errors(flavor, options):
+    """An option the flavour's constructor does not take fails when the
+    spec is built, naming the valid options (never a raw TypeError from
+    deep inside the session)."""
+    (name,) = options
+    with pytest.raises(ConfigError,
+                       match=f"unknown option.*'{name}'.*valid options: "
+                             ".*counters") as caught:
+        ControllerSession(SessionConfig(controller=ControllerSpec(
+            flavor, m=10, w=2, u=20, options=options)))
+    # Session-owned wiring is not offered as a valid option.
+    assert "scheduler" not in str(caught.value)
+
+
+def test_known_options_still_pass_through():
+    session = ControllerSession(SessionConfig.of(
+        "distributed", m=10, w=2, u=20,
+        options={"indexed_stores": False, "track_intervals": True}))
+    assert session.controller.track_intervals
+    session.close()
 
 
 @pytest.mark.parametrize("knobs, match", [

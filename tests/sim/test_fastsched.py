@@ -1,12 +1,15 @@
-"""Tests for the FIFO fast-path scheduler (``repro.sim.fastsched``).
+"""The scheduler's record queue: records, tombstones, batched draining.
 
-The contract under test: a :class:`FastScheduler` executes the identical
-callback sequence a FIFO-policy reference :class:`Scheduler` would —
-pop order, timestamps, tie-breaks, cancellation semantics — while
-exposing the same introspection surface.  The equivalence tests drive
-both engines through randomized workloads (including zero-delay chains
-scheduled from inside callbacks, the pattern the distributed lock
-hand-offs rely on) and compare the full execution logs.
+The contract under test: :class:`repro.sim.Scheduler` executes the
+identical callback sequence the reference engine in
+``tests/sim/oracle.py`` would — pop order, timestamps, tie-breaks,
+cancellation semantics — while exposing the same introspection
+surface plus the record-level entry points (``schedule_call``,
+``step_batch``).  The equivalence tests drive both engines through
+randomized FIFO workloads (including zero-delay chains scheduled from
+inside callbacks, the pattern the distributed lock hand-offs rely on)
+and compare the full execution logs; ``test_scheduler.py`` extends the
+comparison to every policy.
 """
 
 import random
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import FastScheduler, Scheduler
+from repro.sim import Scheduler
+from tests.sim.oracle import OracleScheduler
 
 
 def drive_workload(sched, delays, nested_every=5):
@@ -47,15 +51,15 @@ def test_pop_order_matches_reference_fifo(delays, nested_every):
     # Quantize so timestamp ties actually occur and exercise the
     # (time, seq) tie-break.
     delays = [round(d * 2) / 2 for d in delays]
-    reference = drive_workload(Scheduler(), delays, nested_every)
-    fast = drive_workload(FastScheduler(), delays, nested_every)
-    assert fast == reference
+    reference = drive_workload(OracleScheduler(), delays, nested_every)
+    engine = drive_workload(Scheduler(), delays, nested_every)
+    assert engine == reference
 
 
 def test_schedule_call_orders_like_schedule():
     """schedule_call records interleave with schedule handles in strict
     (time, seq) order — one global sequence covers both entry points."""
-    sched = FastScheduler()
+    sched = Scheduler()
     log = []
     sched.schedule(1.0, lambda: log.append("handle-1"))
     sched.schedule_call(1.0, log.append, "call-1")
@@ -69,7 +73,7 @@ def test_zero_delay_chain_runs_after_same_stamp_backlog():
     """A zero-delay event scheduled mid-drain gets a later seq, so it
     runs after already-queued events carrying the same stamp — exactly
     the reference FIFO behaviour."""
-    sched = FastScheduler()
+    sched = Scheduler()
     log = []
     sched.schedule(1.0, lambda: (log.append("first"),
                                  sched.schedule_call(0.0, log.append,
@@ -80,7 +84,7 @@ def test_zero_delay_chain_runs_after_same_stamp_backlog():
 
 
 def test_now_advances_and_negative_delay_rejected():
-    sched = FastScheduler()
+    sched = Scheduler()
     times = []
     sched.schedule(2.5, lambda: times.append(sched.now))
     sched.schedule_call(5.0, lambda _: times.append(sched.now), None)
@@ -94,7 +98,7 @@ def test_now_advances_and_negative_delay_rejected():
 
 
 def test_schedule_at_past_rejected():
-    sched = FastScheduler()
+    sched = Scheduler()
     sched.schedule(5.0, lambda: None)
     sched.run()
     with pytest.raises(SimulationError):
@@ -109,7 +113,7 @@ def test_schedule_at_past_rejected():
 # Tombstone cancellation.
 # ----------------------------------------------------------------------
 def test_cancelled_events_are_skipped_and_accounted():
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     events = [sched.schedule(1.0, lambda i=i: seen.append(i))
               for i in range(5)]
@@ -125,7 +129,7 @@ def test_cancelled_events_are_skipped_and_accounted():
 
 
 def test_cancel_after_execution_is_a_noop():
-    sched = FastScheduler()
+    sched = Scheduler()
     event = sched.schedule(1.0, lambda: None)
     sched.schedule(2.0, lambda: None)
     assert sched.step() is True  # runs ``event``
@@ -139,7 +143,7 @@ def test_cancel_after_execution_is_a_noop():
 def test_cancel_from_callback_before_pop():
     """Cancelling a later event from inside an earlier callback leaves
     a tombstone the drain loop skips without counting it."""
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     victim = sched.schedule(2.0, lambda: seen.append("victim"))
     sched.schedule(1.0, lambda: (seen.append("killer"), victim.cancel()))
@@ -154,7 +158,7 @@ def test_cancel_from_callback_before_pop():
 # Batched draining.
 # ----------------------------------------------------------------------
 def test_step_batch_respects_budget():
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     for i in range(10):
         sched.schedule(float(i), lambda i=i: seen.append(i))
@@ -166,7 +170,7 @@ def test_step_batch_respects_budget():
 
 
 def test_tombstones_do_not_consume_budget():
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     victims = [sched.schedule(1.0, lambda: seen.append("victim"))
                for _ in range(3)]
@@ -180,7 +184,7 @@ def test_tombstones_do_not_consume_budget():
 
 
 def test_pump_and_step_surface():
-    sched = FastScheduler()
+    sched = Scheduler()
     assert sched.step() is False
     assert sched.pump() is False
     sched.schedule(1.0, lambda: None)
@@ -191,7 +195,7 @@ def test_pump_and_step_surface():
 def test_batch_accounting_survives_raising_callback():
     """A callback that raises mid-batch must not corrupt the executed /
     pending counters: the remainder of the queue stays drainable."""
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     sched.schedule(1.0, lambda: seen.append("ok"))
 
@@ -210,7 +214,7 @@ def test_batch_accounting_survives_raising_callback():
 
 
 def test_event_budget_catches_livelock():
-    sched = FastScheduler(max_events=100)
+    sched = Scheduler(max_events=100)
 
     def loop():
         sched.schedule(1.0, loop)
@@ -224,7 +228,7 @@ def test_event_budget_catches_livelock():
 # Bounded runs.
 # ----------------------------------------------------------------------
 def test_run_until_stops_at_the_boundary():
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     sched.schedule(1.0, lambda: seen.append(1))
     sched.schedule(5.0, lambda: seen.append(5))  # exactly at the bound
@@ -240,7 +244,7 @@ def test_run_until_stops_at_the_boundary():
 def test_run_until_does_not_overshoot_from_nested_schedules():
     """Events scheduled during the bounded run that land past ``until``
     must stay queued, even when the queue head was in range."""
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
 
     def fire():
@@ -255,7 +259,7 @@ def test_run_until_does_not_overshoot_from_nested_schedules():
 
 
 def test_run_until_skips_head_tombstones():
-    sched = FastScheduler()
+    sched = Scheduler()
     seen = []
     victim = sched.schedule(1.0, lambda: seen.append("victim"))
     sched.schedule(2.0, lambda: seen.append("live"))
@@ -270,7 +274,7 @@ def test_run_until_matches_reference_scheduler():
     delays = [rng.uniform(0.0, 10.0) for _ in range(200)]
     cut = 5.0
     logs = []
-    for sched in (Scheduler(), FastScheduler()):
+    for sched in (OracleScheduler(), Scheduler()):
         log = []
         for label, delay in enumerate(delays):
             sched.schedule(delay, lambda l=label: log.append((l, sched.now)))
@@ -287,15 +291,15 @@ def test_pending_is_exact_inside_step_batch():
 
     The original implementation settled its live-event counter only at
     batch boundaries, so a same-thread reader mid-batch could see up to
-    PUMP_BATCH - 1 phantom events.  The fast and reference schedulers
-    must report the identical backlog at every execution point, also
+    PUMP_BATCH - 1 phantom events.  The engine and the oracle must
+    report the identical backlog at every execution point, also
     when a callback cancels a future event (the tombstone must leave
     the count immediately) and when it schedules new work.
     """
     rng = random.Random(13)
     delays = [round(rng.uniform(0.0, 4.0) * 2) / 2 for _ in range(120)]
     observed = []
-    for make_sched in (Scheduler, FastScheduler):
+    for make_sched in (OracleScheduler, Scheduler):
         sched = make_sched()
         log = []
         handles = {}
@@ -316,11 +320,11 @@ def test_pending_is_exact_inside_step_batch():
 
         for label, delay in enumerate(delays):
             handles[label] = sched.schedule(delay, lambda l=label: fire(l))
-        # Drain the fast path through step_batch in deliberately lumpy
+        # Drain the engine through step_batch in deliberately lumpy
         # batches so callbacks observe pending() mid-batch at many
-        # batch offsets; the reference (no step_batch) steps singly —
+        # batch offsets; the oracle (no step_batch) steps singly —
         # exactness means the logs agree anyway.
-        if isinstance(sched, FastScheduler):
+        if isinstance(sched, Scheduler):
             budget = 1
             while sched.step_batch(budget):
                 budget = budget % 17 + 1
@@ -333,7 +337,7 @@ def test_pending_is_exact_inside_step_batch():
 
 
 def test_pending_exact_after_cancel_between_batches():
-    sched = FastScheduler()
+    sched = Scheduler()
     keep = sched.schedule(1.0, lambda: None)
     victim = sched.schedule(2.0, lambda: None)
     assert sched.pending() == 2

@@ -1,22 +1,21 @@
-"""Schedule-policy semantics and the scheduler's policy plumbing."""
+"""Schedule-policy semantics: the pop rule behind each policy name.
+
+Each policy is one legal interleaving of the same workload (see
+``repro.sim.scheduler``); these tests pin what each rule means on
+small hand-built workloads, and where a rule draws (``random``) that
+the draws are the oracle's (``tests/sim/oracle.py``).
+"""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (
-    SCHEDULE_POLICIES,
-    AdversaryPolicy,
-    FifoPolicy,
-    LifoPolicy,
-    RandomPolicy,
-    Scheduler,
-    make_policy,
-)
+from repro.sim import SCHEDULE_POLICIES, Scheduler
+from tests.sim.oracle import OracleScheduler, RandomPolicy
+from tests.sim.oracle import Scheduler as ReferenceScheduler
 
 
-def _run_tagged(policy, delays):
+def _run_tagged(sched, delays):
     """Schedule one tagged event per delay; return execution order."""
-    sched = Scheduler(policy=policy)
     seen = []
     for tag, delay in enumerate(delays):
         sched.schedule(delay, lambda t=tag: seen.append(t))
@@ -26,24 +25,26 @@ def _run_tagged(policy, delays):
 
 def test_fifo_matches_default_scheduler():
     delays = [3.0, 1.0, 2.0, 1.0, 0.5]
-    assert _run_tagged(FifoPolicy(), delays) == _run_tagged(None, delays)
+    assert (_run_tagged(Scheduler("fifo"), delays)
+            == _run_tagged(Scheduler(), delays)
+            == [4, 1, 3, 2, 0])
 
 
 def test_adversary_reverses_fifo_order():
     delays = [3.0, 1.0, 2.0]
-    fifo = _run_tagged(FifoPolicy(), delays)
-    adversary = _run_tagged(AdversaryPolicy(), delays)
+    fifo = _run_tagged(Scheduler("fifo"), delays)
+    adversary = _run_tagged(Scheduler("adversary"), delays)
     assert adversary == list(reversed(fifo))
 
 
 def test_lifo_runs_newest_first():
-    assert _run_tagged(LifoPolicy(), [1.0, 1.0, 1.0]) == [2, 1, 0]
+    assert _run_tagged(Scheduler("lifo"), [1.0, 1.0, 1.0]) == [2, 1, 0]
 
 
 def test_lifo_depth_bias_follows_causal_chain():
     """LIFO drives one causal chain to completion before starting the
     next: a chain's freshly scheduled continuation is always newest."""
-    sched = Scheduler(policy=LifoPolicy())
+    sched = Scheduler("lifo")
     seen = []
 
     def chain(name, hops):
@@ -61,27 +62,38 @@ def test_lifo_depth_bias_follows_causal_chain():
 
 def test_random_policy_is_seed_deterministic():
     delays = [1.0] * 12
-    first = _run_tagged(RandomPolicy(seed=7), delays)
-    second = _run_tagged(RandomPolicy(seed=7), delays)
-    other = _run_tagged(RandomPolicy(seed=8), delays)
+    first = _run_tagged(Scheduler("random", seed=7), delays)
+    second = _run_tagged(Scheduler("random", seed=7), delays)
+    other = _run_tagged(Scheduler("random", seed=8), delays)
     assert first == second
     assert sorted(first) == list(range(12))
     assert first != other  # 1 in 12! chance of colliding
+    assert first == _run_tagged(OracleScheduler("random", seed=7), delays)
 
 
 def test_random_policy_peek_pop_agree():
+    """A bounded run that stops at the head pre-draws the random
+    victim; the next pop takes exactly that event — the one the
+    oracle's ``peek`` names."""
     policy = RandomPolicy(seed=3)
-    sched = Scheduler(policy=policy)
-    for _ in range(8):
-        sched.schedule(1.0, lambda: None)
+    oracle = ReferenceScheduler(policy=policy)
+    sched = Scheduler("random", seed=3)
+    seen = []
+    for tag in range(8):
+        oracle.schedule(1.0 + tag, lambda: None)
+        sched.schedule(1.0 + tag, lambda t=tag: seen.append(t))
     for _ in range(8):
         head = policy.peek()
+        sched.run(until=0.5)  # nothing is due: pre-draw only
+        assert sched.step()
         assert policy.pop() is head
+        assert seen[-1] == head.seq
     assert policy.peek() is None
+    assert sched.pending() == 0
 
 
 def test_now_stays_monotone_under_reordering():
-    sched = Scheduler(policy=AdversaryPolicy())
+    sched = Scheduler("adversary")
     times = []
     for delay in (5.0, 1.0, 3.0):
         sched.schedule(delay, lambda: times.append(sched.now))
@@ -93,13 +105,15 @@ def test_now_stays_monotone_under_reordering():
 def test_every_policy_drains_and_preserves_the_event_set():
     delays = [2.0, 1.0, 3.0, 1.0, 2.5, 0.5]
     for name in SCHEDULE_POLICIES:
-        order = _run_tagged(make_policy(name, seed=11), delays)
+        order = _run_tagged(Scheduler(name, seed=11), delays)
         assert sorted(order) == list(range(len(delays))), name
+        assert order == _run_tagged(OracleScheduler(name, seed=11),
+                                    delays), name
 
 
 def test_cancelled_events_skipped_under_every_policy():
     for name in SCHEDULE_POLICIES:
-        sched = Scheduler(policy=make_policy(name, seed=5))
+        sched = Scheduler(name, seed=5)
         seen = []
         events = [sched.schedule(1.0, lambda t=tag: seen.append(t))
                   for tag in range(6)]
@@ -110,12 +124,12 @@ def test_cancelled_events_skipped_under_every_policy():
 
 
 def test_make_policy_rejects_unknown_name():
-    with pytest.raises(SimulationError):
-        make_policy("chaos-monkey")
+    with pytest.raises(SimulationError, match="known: fifo"):
+        Scheduler("chaos-monkey")
 
 
 def test_run_until_with_nonfifo_policy():
-    sched = Scheduler(policy=AdversaryPolicy())
+    sched = Scheduler("adversary")
     seen = []
     sched.schedule(1.0, lambda: seen.append(1))
     sched.schedule(10.0, lambda: seen.append(10))

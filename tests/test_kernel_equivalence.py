@@ -22,7 +22,7 @@ from repro.core.centralized import CentralizedController
 from repro.core.kernel import KernelTrace
 from repro.distributed import DistributedController
 from repro.metrics import tally_outcomes
-from repro.sim import Scheduler, make_policy
+from repro.sim import Scheduler
 from repro.workloads import CATALOGUE, get_scenario
 from repro.workloads.scenarios import TreeMirror, request_spec
 
@@ -46,7 +46,7 @@ def _serialized_twin_run(spec, seed):
     mirror_d = TreeMirror(tree_d)
     distributed = DistributedController(
         tree_d, m=spec.m, w=spec.w, u=spec.u,
-        scheduler=Scheduler(policy=make_policy("fifo", seed=seed)),
+        scheduler=Scheduler("fifo", seed=seed),
         kernel_trace=trace_d)
     outcomes_d = [distributed.submit_and_run(mirror_d.request(s))
                   for s in stream_specs]
@@ -103,7 +103,7 @@ def test_deep_path_traces_proc_splits_identically():
         else:
             controller = DistributedController(
                 tree, m=m, w=w, u=u,
-                scheduler=Scheduler(policy=make_policy("fifo", seed=0)),
+                scheduler=Scheduler("fifo", seed=0),
                 kernel_trace=trace)
             submit = controller.submit_and_run
         outcomes = [

@@ -21,7 +21,7 @@ from repro.bench.runner import run_scenario_grid
 from repro.core.centralized import CentralizedController
 from repro.distributed import DistributedController
 from repro.metrics import audit_controller
-from repro.sim import Scheduler, make_policy
+from repro.sim import Scheduler
 from repro.workloads import get_scenario
 from repro.workloads.scenarios import TreeMirror, request_spec
 
@@ -94,7 +94,7 @@ def test_distributed_matches_centralized_where_guaranteed(policy_name):
     mirror.detach()
     controller = DistributedController(
         twin, m=spec.m, w=spec.w, u=spec.u,
-        scheduler=Scheduler(policy=make_policy(policy_name, seed=3)))
+        scheduler=Scheduler(policy_name, seed=3))
     outcomes = controller.submit_batch(requests, stagger=0.2)
     assert audit_controller(controller).passed
     # Outcome-equivalence: the same multiset (here: every position) of
@@ -119,7 +119,7 @@ def test_every_policy_produces_a_legal_distinct_interleaving():
         mirror.detach()
         controller = DistributedController(
             twin, m=spec.m, w=spec.w, u=spec.u,
-            scheduler=Scheduler(policy=make_policy(policy_name, seed=0)))
+            scheduler=Scheduler(policy_name, seed=0))
         controller.submit_batch(requests, stagger=0.25)
         assert audit_controller(controller).passed
         times[policy_name] = controller.scheduler.now
