@@ -33,7 +33,7 @@ on identical scenarios — and, transition-for-transition, by the kernel
 trace equality of ``tests/test_kernel_equivalence.py``.
 """
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ControllerError, ProtocolError
 from repro.metrics.counters import MessageCounters
@@ -175,10 +175,12 @@ class DistributedController(TreeListener):
         self._board_of = self.boards.get
         self._perturb = (self.faults.perturb_hop
                          if self.faults is not None else None)
-        # Uniform delays ignore the hop key, so the hop may draw inline
-        # and skip the key extraction entirely (bit-identical draws —
-        # see UniformDelay.hot_sampler).  Exact-type check: a subclass
-        # may override sample() or start reading the key.
+        # The hop computes its departure-node key only for delay
+        # models that read it (DelayModel.reads_key); the others draw
+        # the same sequence without one.  Exactly UniformDelay also
+        # draws inline (bit-identical — see UniformDelay.hot_sampler);
+        # the exact-type check keeps a subclass's own sample().
+        self._keyed = self.delays.reads_key
         self._uniform = (self.delays.hot_sampler()
                          if type(self.delays) is UniformDelay else None)
         # Section 3.1 budgets static pools at U * phi <= W / 2, which
@@ -223,9 +225,10 @@ class DistributedController(TreeListener):
         """Schedule a request's arrival ``delay`` time units from now."""
         if not self._attached:
             raise ControllerError("controller has been detached")
-        self.scheduler.schedule(
-            delay, lambda: self._on_request_arrival(request, callback)
-        )
+        # A plain record, not a cancellable Event: nothing cancels an
+        # arrival.
+        self._schedule_call(delay, self._on_request_arrival,
+                            (request, callback))
 
     def run(self) -> None:
         """Drain the event queue (all in-flight agents complete)."""
@@ -302,9 +305,11 @@ class DistributedController(TreeListener):
     # ------------------------------------------------------------------
     # Request arrival (algorithm item 1).
     # ------------------------------------------------------------------
-    def _on_request_arrival(self, request: Request,
-                            callback: Optional[Callable[[Outcome], None]]
-                            ) -> None:
+    def _on_request_arrival(
+            self, arrival: Tuple[Request,
+                                 Optional[Callable[[Outcome], None]]]
+    ) -> None:
+        request, callback = arrival
         node = request.node
         # A request whose event is already meaningless is cancelled at
         # arrival (every meaningfulness condition of Section 4.2 is
@@ -670,7 +675,7 @@ class DistributedController(TreeListener):
         uni = self._uniform
         if uni is not None:
             delay = uni[0] + uni[1] * uni[2]()
-        else:
+        elif self._keyed:
             # The delay key identifies the hop's departure node, so
             # keyed delay models (per-edge jitter) can make specific
             # links slow.
@@ -682,6 +687,8 @@ class DistributedController(TreeListener):
             else:
                 key = agent.origin.node_id
             delay = self._sample(key)
+        else:
+            delay = self._sample()
         perturb = self._perturb
         if perturb is not None:
             delay = perturb(self.scheduler.now, delay)

@@ -3,12 +3,12 @@
 A thin adapter over the threaded :class:`~repro.gateway.gateway.
 Gateway`: admission stays the gateway's own non-blocking ``submit``
 (safe straight from the event loop), settlement waits ride
-``asyncio.wrap_future`` over each ticket's future, and the pump runs on
-the gateway's worker thread.  That split is deliberate — the engine
-(controller, scheduler, fault injector) is synchronous Python, so the
-event loop must never run it inline; the worker thread *is* the
-thread-pool fallback the gateway ships with, and asyncio merely awaits
-its settlements.
+``asyncio.wrap_future`` over the waiter a ticket builds when it is
+first awaited while open, and the pump runs on the gateway's worker
+thread.  That split is deliberate — the engine (controller, scheduler,
+fault injector) is synchronous Python, so the event loop must never
+run it inline; the worker thread *is* the thread-pool fallback the
+gateway ships with, and asyncio merely awaits its settlements.
 
 Usage::
 

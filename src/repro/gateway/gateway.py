@@ -49,7 +49,7 @@ from typing import (
 
 from repro.clock import monotonic
 from repro.core.requests import Request
-from repro.errors import ConfigError, GatewayError, ReproError
+from repro.errors import ConfigError, GatewayError
 from repro.gateway.breaker import ADMIT, PROBE, BreakerState, CircuitBreaker
 from repro.gateway.config import GatewayConfig
 from repro.gateway.health import HealthReport
@@ -164,13 +164,24 @@ class GatewayTicket:
     when the gateway aborts.  :meth:`result` blocks (thread clients),
     :meth:`aresult` awaits (asyncio clients); both are idempotent
     reads after settlement.
+
+    Settlement is a flag, not a future: the gateway records the
+    verdict (or the error) and sets ``done`` under its own lock.  A
+    waiter — one ``concurrent.futures.Future`` shared by every thread
+    and coroutine waiting on this ticket — is built only when a client
+    waits on a still-open ticket, under that same lock, so a
+    settlement either sees the waiter and wakes it or happened before
+    it and the client never waits.  Inline-pumped runs that read
+    ``verdict`` after the pump never build one.
     """
 
     __slots__ = ("seq", "request", "client", "probe", "submit_wall",
-                 "settle_wall", "verdict", "record", "_future")
+                 "settle_wall", "verdict", "record", "_done", "_error",
+                 "_waiter", "_lock")
 
     def __init__(self, seq: int, request: Request,
-                 client: Optional[str], submit_wall: float) -> None:
+                 client: Optional[str], submit_wall: float,
+                 lock: "threading.RLock") -> None:
         self.seq = seq
         self.request = request
         self.client = client
@@ -181,11 +192,16 @@ class GatewayTicket:
         self.settle_wall: Optional[float] = None
         self.verdict: Optional[SessionVerdict] = None
         self.record: Optional[OutcomeRecord] = None
-        self._future: "Future[GatewayTicket]" = Future()
+        self._done = False
+        self._error: Optional[BaseException] = None
+        self._waiter: "Optional[Future[GatewayTicket]]" = None
+        #: The gateway's lock: it guards ``_done``, ``_error`` and
+        #: ``_waiter`` together.
+        self._lock = lock
 
     @property
     def done(self) -> bool:
-        return self._future.done()
+        return self._done
 
     @property
     def latency_wall(self) -> Optional[float]:
@@ -196,39 +212,75 @@ class GatewayTicket:
 
     def _settle(self, verdict: SessionVerdict,
                 record: Optional[OutcomeRecord], wall: float) -> bool:
-        """Resolve the ticket; False when it was already resolved."""
-        if self._future.done():
+        """Resolve the ticket (caller holds the gateway lock); False
+        when it was already resolved."""
+        if self._done:
             return False
         self.verdict = verdict
         self.record = record
         self.settle_wall = wall
-        self._future.set_result(self)
+        self._done = True
+        waiter = self._waiter
+        if waiter is not None:
+            waiter.set_result(self)
         return True
 
     def _abort(self, error: BaseException) -> bool:
-        if self._future.done():
+        """Resolve the ticket with ``error`` (caller holds the gateway
+        lock); False when it was already resolved."""
+        if self._done:
             return False
-        self._future.set_exception(error)
+        self._error = error
+        self._done = True
+        waiter = self._waiter
+        if waiter is not None:
+            waiter.set_exception(error)
         return True
+
+    def _open_waiter(self) -> "Optional[Future[GatewayTicket]]":
+        """The shared waiter while the ticket is open, else ``None``."""
+        with self._lock:
+            if self._done:
+                return None
+            if self._waiter is None:
+                waiter: "Future[GatewayTicket]" = Future()
+                # A running future refuses cancel(): an awaiter that
+                # times out (asyncio.wrap_future cancels its source)
+                # must not cancel the waiter other clients share.
+                waiter.set_running_or_notify_cancel()
+                self._waiter = waiter
+            return self._waiter
+
+    def _outcome(self) -> "GatewayTicket":
+        if self._error is not None:
+            raise self._error
+        return self
 
     def result(self, timeout: Optional[float] = None) -> "GatewayTicket":
         """Block until settled (or ``timeout`` seconds); returns self.
 
         Raises :class:`~repro.errors.GatewayError` if the gateway
         aborted this request (shutdown, engine failure)."""
-        self._future.result(timeout)
-        return self
+        waiter = self._open_waiter()
+        if waiter is not None:
+            waiter.result(timeout)
+        return self._outcome()
 
     async def aresult(self) -> "GatewayTicket":
-        """Awaitable :meth:`result` for asyncio clients."""
-        import asyncio
+        """Awaitable :meth:`result` for asyncio clients.
 
-        await asyncio.wrap_future(self._future)
-        return self
+        Cancelling the await (``asyncio.wait_for`` timing out) leaves
+        the ticket and every other client waiting on it untouched."""
+        waiter = self._open_waiter()
+        if waiter is not None:
+            import asyncio
+
+            await asyncio.wrap_future(waiter)
+        return self._outcome()
 
     def __repr__(self) -> str:
         state = self.verdict.value if self.verdict is not None else (
-            "aborted" if self.done else "in-flight")
+            "aborted" if self._done else "in-flight")
         return f"GatewayTicket(seq={self.seq}, {state})"
 
 
@@ -396,7 +448,8 @@ class Gateway:
                     "gateway is closed" if self._failure is None
                     else f"gateway aborted: {self._failure}")
             now = self._clock()
-            ticket = GatewayTicket(self._seq, request, client, now)
+            ticket = GatewayTicket(self._seq, request, client, now,
+                                   self._lock)
             self._seq += 1
             self._stats.submitted += 1
             decision = self._breaker.admit()
@@ -420,7 +473,11 @@ class Gateway:
             depth = len(self._queue)
             if depth > self._stats.max_queue_depth:
                 self._stats.max_queue_depth = depth
-            self._work.set()
+            # Setting an already-set Event still takes its condition;
+            # the worker clears the flag before each pump, so a set
+            # flag already promises a pump that will see this ticket.
+            if not self._work.is_set():
+                self._work.set()
             return ticket
 
     def submit_many(self, requests: Iterable[Request],
@@ -475,7 +532,10 @@ class Gateway:
                 if isinstance(event, IterationRecord):
                     with self._lock:
                         self._stats.iterations += 1
-        except ReproError as error:
+        except Exception as error:
+            # Any backend failure, not only a ReproError: the engine's
+            # state is unknown, so every open ticket aborts rather
+            # than being dropped with the batch below.
             self._abort(error)
             raise
         finally:
@@ -536,15 +596,20 @@ class Gateway:
             return self
 
     def _worker_loop(self) -> None:
+        work = self._work
         while not self._stop_flag.is_set():
+            # Clear before the pump, not after an empty one: a submit
+            # that lands after the pump's empty check re-sets the flag,
+            # so the wait below returns at once instead of sleeping on
+            # a lost wake-up.
+            work.clear()
             try:
                 if self.pump() == 0:
-                    self._work.clear()
                     # Idle heartbeat cadence: wake periodically even
                     # without submissions so the health probe's
                     # heartbeat age stays bounded.
-                    self._work.wait(timeout=0.005)
-            except ReproError:
+                    work.wait(timeout=0.005)
+            except Exception:
                 return  # _abort already settled every open ticket
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:

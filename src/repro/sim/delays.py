@@ -14,6 +14,11 @@ persistently slow — the "one bad cable" regime — and
 :class:`BurstStallDelay` models network-wide stall windows where every
 in-flight message slows down at once.  Both wrap any base model, so the
 adversarial regimes compose with the base distributions.
+
+Each model class states whether its ``sample`` reads the key
+(:attr:`DelayModel.reads_key`).  Computing the key costs the hop a few
+attribute reads, so the engine computes it only for models that read
+it; a model that ignores the key draws the same sequence either way.
 """
 
 import random
@@ -25,6 +30,18 @@ from repro.errors import SimulationError
 
 class DelayModel:
     """Base class: maps each message send to a positive finite delay."""
+
+    #: Whether :meth:`sample` reads its ``key``: a fact of the model,
+    #: fixed when it is built, not a setting.  Defaults to yes, and a
+    #: subclass that overrides ``sample`` without restating it is
+    #: assumed to read the key, so an unknown model always gets one.
+    #: A wrapper (:class:`BurstStallDelay`) copies its base's answer.
+    reads_key: bool = True
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "sample" in vars(cls) and "reads_key" not in vars(cls):
+            cls.reads_key = True
 
     def sample(self, key: Optional[Hashable] = None) -> float:
         raise NotImplementedError
@@ -41,6 +58,8 @@ class UnitDelay(DelayModel):
     round-based schedule.
     """
 
+    reads_key = False
+
     def sample(self, key: Optional[Hashable] = None) -> float:
         return 1.0
 
@@ -50,6 +69,8 @@ class UnitDelay(DelayModel):
 
 class UniformDelay(DelayModel):
     """Delays drawn uniformly from ``[low, high]``."""
+
+    reads_key = False
 
     def __init__(self, seed: int = 0, low: float = 0.5,
                  high: float = 1.5) -> None:
@@ -91,6 +112,8 @@ class HeavyTailDelay(DelayModel):
     ``cap`` keeps delays finite as the model requires.
     """
 
+    reads_key = False
+
     def __init__(self, seed: int = 0, shape: float = 1.5,
                  cap: float = 50.0) -> None:
         if shape <= 0 or cap <= 0:
@@ -119,6 +142,8 @@ class PerEdgeJitterDelay(DelayModel):
     slow for the whole execution — persistent asymmetry that FIFO-ish
     schedules never produce on their own.
     """
+
+    reads_key = True
 
     def __init__(self, base: Optional[DelayModel] = None, seed: int = 0,
                  slow_fraction: float = 0.1, slow_factor: float = 10.0,
@@ -183,6 +208,8 @@ class BurstStallDelay(DelayModel):
         self._burst = burst
         self._factor = factor
         self._count = 0
+        # The stall window ignores the key; the base decides.
+        self.reads_key = self._base.reads_key
 
     def sample(self, key: Optional[Hashable] = None) -> float:
         value = self._base.sample(key)

@@ -276,3 +276,62 @@ def test_context_manager_closes():
     assert gateway.closed
     with pytest.raises(GatewayError):
         gateway.start()
+
+
+def _failing_backend(session):
+    """``session`` whose ``submit_many`` fails with a non-``ReproError``."""
+
+    def submit_many(requests):
+        raise RuntimeError("backend exploded")
+
+    session.submit_many = submit_many
+    return session
+
+
+def test_non_repro_backend_error_aborts_the_batch_and_reraises():
+    session = _failing_backend(_session())
+    gateway = Gateway(session, GatewayConfig(batch_size=8))
+    tickets = gateway.submit_many(_requests(session, 3))
+    with pytest.raises(RuntimeError, match="backend exploded"):
+        gateway.pump()
+    for ticket in tickets:
+        assert ticket.done
+        with pytest.raises(GatewayError, match="backend exploded"):
+            ticket.result(timeout=1)
+    stats = gateway.stats
+    assert (stats.accepted, stats.settled, stats.aborted) == (3, 0, 3)
+    assert gateway.open_requests == 0 and gateway.closed
+    report = audit_gateway(gateway)
+    assert report.passed, [v.to_json() for v in report.violations]
+    with pytest.raises(GatewayError, match="backend exploded"):
+        gateway.submit(_requests(session, 1)[0])
+
+
+def test_worker_exits_after_a_non_repro_backend_error():
+    session = _failing_backend(_session())
+    # The worker must return after the abort, not die of the error.
+    uncaught = []
+    previous = threading.excepthook
+    threading.excepthook = uncaught.append
+    try:
+        gateway = Gateway(session, GatewayConfig(batch_size=8))
+        # Queued before the worker starts, so its first batch holds all
+        # three and no submit races the abort.
+        tickets = gateway.submit_many(_requests(session, 3))
+        gateway.start()
+        for ticket in tickets:
+            with pytest.raises(GatewayError, match="backend exploded"):
+                ticket.result(timeout=10)
+        assert gateway.join(timeout=10)
+        worker = gateway._worker
+        assert worker is not None
+        worker.join(timeout=10)
+    finally:
+        threading.excepthook = previous
+    assert not uncaught, uncaught
+    assert not gateway.running and gateway.closed
+    assert gateway.stats.aborted == 3
+    assert audit_gateway(gateway).passed
+    with pytest.raises(GatewayError):
+        gateway.submit(_requests(session, 1)[0])
+    gateway.close()
