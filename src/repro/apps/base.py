@@ -38,7 +38,7 @@ estimate refreshes, relabels — chained via ``super()``), and
 equivalence of the two paths is property-tested.
 """
 
-from collections import Counter, deque
+from collections import deque
 from typing import (
     Any,
     Callable,
@@ -62,20 +62,15 @@ from repro.service.appspec import AppSpec
 from repro.service.envelopes import (
     IterationRecord,
     OutcomeRecord,
-    RequestEnvelope,
     SessionVerdict,
     Ticket,
-    build_records,
-    verdict_of,
 )
+from repro.service.outbox import Outbox, StreamRecord
 from repro.service.session import ControllerSession
 from repro.tree.dynamic_tree import DynamicTree
 
 #: One iteration's controller contract: (m, w, u, extra options).
 IterationContract = Tuple[int, int, int, Dict[str, Any]]
-
-#: What the app-layer drain stream yields.
-AppRecord = Union[OutcomeRecord, IterationRecord]
 
 
 class AppSession:
@@ -124,12 +119,10 @@ class AppSession:
         #: :attr:`fault_stats` for the full-run view).
         self._banked_fault_stats: Dict[str, int] = {}
         self.session: Optional[ControllerSession] = None
-        self._next_envelope = 0
-        self._clock = 0
-        self._pending: Deque[Tuple[RequestEnvelope, Ticket]] = deque()
-        self._ready: Deque[Tuple[AppRecord, Optional[Ticket]]] = deque()
+        self._outbox = Outbox()
+        self._pending: Deque[Ticket] = deque()
         self._closed = False
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
+        self.verdicts: Dict[str, int] = self._outbox.verdicts
         self._sync = not spec.event_driven
         self._fast_handle: Callable[[Request], Any]
         self._start_iteration()
@@ -168,10 +161,11 @@ class AppSession:
         # overhead budget pays for exactly one wrapping).
         self._fast_handle = self.session.controller.handle
         self._on_iteration_start(n_i)
-        self._clock += 1
-        self._ready.append((IterationRecord(
+        outbox = self._outbox
+        outbox.clock += 1
+        outbox.push(IterationRecord(
             index=self.iterations_run, size=n_i, m=m, w=w, u=u,
-            tick=float(self._clock)), None))
+            tick=outbox.now))
 
     def _roll_iteration(self) -> None:
         session = self.session
@@ -205,7 +199,7 @@ class AppSession:
     @property
     def in_flight(self) -> int:
         """Requests admitted but not yet settled at the app boundary."""
-        return len(self._pending)
+        return self._outbox.open
 
     @property
     def fault_stats(self) -> Dict[str, int]:
@@ -261,11 +255,12 @@ class AppSession:
         """
         if self._closed:
             raise ControllerError("app session is closed")
-        envelope, ticket = self._make_ticket(request)
-        if len(self._pending) >= self.spec.max_in_flight:
-            self._settle(envelope, ticket, None, SessionVerdict.BACKPRESSURE)
+        outbox = self._outbox
+        ticket = outbox.ticket(request, self._pump)
+        if outbox.open > self.spec.max_in_flight:
+            outbox.settle(ticket, None)
             return ticket
-        self._pending.append((envelope, ticket))
+        self._pending.append(ticket)
         return ticket
 
     def submit_many(self, requests: Iterable[Request]) -> List[Ticket]:
@@ -287,10 +282,7 @@ class AppSession:
             raise ControllerError("app session is closed")
         while self._pending:
             self._pump()
-        envelope_id = self._next_envelope
-        self._next_envelope = envelope_id + 1
-        submit_tick = float(self._clock)
-        self._clock += 1
+        envelope_id, submit_tick = self._outbox.stamp()
         while True:
             if self._sync:
                 # Hot path: one controller call, one record (below).
@@ -307,10 +299,8 @@ class AppSession:
             if granted_now == 0:
                 self._require_progress()
         self._after_outcome(outcome)
-        self._clock += 1
-        self.verdicts[outcome.status.value] += 1
-        return OutcomeRecord((request, envelope_id, submit_tick, outcome,
-                              float(self._clock), None))
+        return self._outbox.record(request, envelope_id, submit_tick,
+                                   outcome)
 
     def serve_stream(self, requests: Iterable[Request]
                      ) -> List[OutcomeRecord]:
@@ -340,11 +330,9 @@ class AppSession:
         if not self._sync:
             # Served, not submitted: enqueue past the admission window
             # (going through submit() would backpressure the tail).
-            tickets = []
-            for request in requests:
-                envelope, ticket = self._make_ticket(request)
-                self._pending.append((envelope, ticket))
-                tickets.append(ticket)
+            tickets = [self._outbox.ticket(request, self._pump)
+                       for request in requests]
+            self._pending.extend(tickets)
             return [ticket.result() for ticket in tickets]
         # Only dispatch the per-outcome hook when a subclass actually
         # overrides it (the base hook is a no-op).
@@ -367,40 +355,11 @@ class AppSession:
             if after is not None:
                 after(outcome)
             append(outcome)
-        count = len(outcomes)
-        envelope_id = self._next_envelope
-        clock = self._clock
-        records = build_records(outcomes, envelope_id, clock, None)
-        self._next_envelope = envelope_id + count
-        self._clock = clock + 2 * count
-        for status, value in Counter(
-                outcome.status for outcome in outcomes).items():
-            self.verdicts[status.value] += value
-        return records
-
-    def _make_ticket(self, request: Request
-                     ) -> Tuple[RequestEnvelope, Ticket]:
-        envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                   request=request,
-                                   submit_tick=float(self._clock))
-        self._next_envelope += 1
-        self._clock += 1
-        return envelope, Ticket(envelope, pump=self._pump)
+        return self._outbox.served_batch(outcomes)
 
     # ------------------------------------------------------------------
     # Settlement.
     # ------------------------------------------------------------------
-    def _settle(self, envelope: RequestEnvelope, ticket: Ticket,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome,
-                                float(self._clock), None))
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        self._ready.append((record, ticket))
-
     def _pump(self) -> bool:
         """One round of progress: push the queued requests through the
         live iteration, roll on PENDING, requeue the survivors.
@@ -417,32 +376,31 @@ class AppSession:
         # Never outgrow the inner session's admission window (the app
         # enforces its own window; the engine session must not answer
         # backpressure): oversized queues drain in window-sized rounds.
-        assert self.session is not None
-        window = self.session.config.max_in_flight
-        if len(self._pending) > window:
-            batch = [self._pending.popleft() for _ in range(window)]
-        else:
-            batch = list(self._pending)
-            self._pending.clear()
-        by_id = {envelope.request.request_id: (envelope, ticket)
-                 for envelope, ticket in batch}
         session = self.session
         assert session is not None
-        session.submit_many([envelope.request for envelope, _ in batch])
-        still_pending: List[Tuple[RequestEnvelope, Ticket]] = []
+        pending = self._pending
+        batch = [pending.popleft() for _ in
+                 range(min(len(pending), session.config.max_in_flight))]
+        # Pair by the inner session's envelope ids, not by request: one
+        # Request object may be queued more than once.
+        by_envelope = {
+            inner.envelope_id: ticket for inner, ticket in zip(
+                session.submit_many([ticket.request for ticket in batch]),
+                batch)}
+        still_pending: List[Ticket] = []
         settled = 0
         for record in session.drain():
             outcome = record.outcome
             assert outcome is not None  # inner window is wide open
-            pair = by_id.pop(outcome.request.request_id, None)
-            if pair is None:
+            ticket = by_envelope.pop(record.envelope_id, None)
+            if ticket is None:
                 raise ProtocolError(
                     "engine settled a request the app never queued")
             if outcome.status is OutcomeStatus.PENDING:
-                still_pending.append(pair)
+                still_pending.append(ticket)
                 continue
             self._after_outcome(outcome)
-            self._settle(pair[0], pair[1], outcome, verdict_of(outcome))
+            self._outbox.settle(ticket, outcome)
             settled += 1
         if still_pending:
             granted_now = self._live_granted()
@@ -463,7 +421,7 @@ class AppSession:
             "closed without settling or granting anything; the "
             "iteration contract cannot make progress")
 
-    def drain(self) -> Iterator[AppRecord]:
+    def drain(self) -> Iterator[StreamRecord]:
         """Pump the engine, yielding outcome records in settlement
         order interleaved with :class:`IterationRecord` boundary
         events (in stream position: a boundary precedes every record
@@ -475,17 +433,17 @@ class AppSession:
         :meth:`ControllerSession.drain`; boundary events are yielded
         once, to whichever drain reaches them first.
         """
+        pop = self._outbox.pop
         while True:
-            while self._ready:
-                record, ticket = self._ready.popleft()
-                if ticket is not None and ticket.claimed:
-                    continue
+            record = pop()
+            if record is not None:
                 yield record
-            if not self._pending:
+            elif self._pending:
+                self._pump()
+            else:
                 return
-            self._pump()
 
-    def settle_all(self) -> List[AppRecord]:
+    def settle_all(self) -> List[StreamRecord]:
         """Drain to quiescence; the full record-plus-boundary stream."""
         return list(self.drain())
 

@@ -33,7 +33,7 @@ on identical scenarios — and, transition-for-transition, by the kernel
 trace equality of ``tests/test_kernel_equivalence.py``.
 """
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, cast
 
 from repro.errors import ControllerError, ProtocolError
 from repro.metrics.counters import MessageCounters
@@ -252,7 +252,8 @@ class DistributedController(TreeListener):
         the tree under the Section 4.3.1 locking discipline, and the
         scheduler runs to quiescence.  Outcomes are returned in
         *submission order* (agents resolve in whatever order the
-        asynchrony produces; the mapping back is by request identity).
+        asynchrony produces; the mapping back is by input position, so
+        one request submitted twice gets both of its outcomes).
 
         This is the distributed twin of the centralized controllers'
         ``handle_batch``: instead of amortizing ancestry repairs it
@@ -261,19 +262,16 @@ class DistributedController(TreeListener):
         simulated time units than sequential ``submit_and_run`` calls.
         """
         requests = list(requests)
-        resolved: Dict[int, Outcome] = {}
-
-        def settle(outcome: Outcome) -> None:
-            resolved[outcome.request.request_id] = outcome
-
+        resolved: List[Optional[Outcome]] = [None] * len(requests)
         for position, request in enumerate(requests):
-            self.submit(request, delay=position * stagger, callback=settle)
+            self.submit(request, delay=position * stagger,
+                        callback=lambda outcome, p=position:
+                        resolved.__setitem__(p, outcome))
         self.run()
-        missing = [r for r in requests if r.request_id not in resolved]
+        missing = resolved.count(None)
         if missing:
-            raise ProtocolError(
-                f"{len(missing)} batch requests never resolved")
-        return [resolved[r.request_id] for r in requests]
+            raise ProtocolError(f"{missing} batch requests never resolved")
+        return cast(List[Outcome], resolved)
 
     def handle(self, request: Request) -> Outcome:
         """Protocol form of :meth:`submit_and_run`: one request, run to

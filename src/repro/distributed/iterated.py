@@ -15,7 +15,7 @@ in-flight work of a stage completes before the next begins, so driving
 the stage boundary from the harness is faithful to the protocol.
 """
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple, cast
 
 from repro.errors import ControllerError
 from repro.metrics.counters import MessageCounters
@@ -38,7 +38,8 @@ class DistributedIteratedController:
     Use :meth:`process` to feed a batch of requests: it submits them to
     the current stage, runs the simulator to quiescence, rolls stages
     over while requests come back PENDING, and returns every request's
-    final outcome (in completion order).
+    final outcome by input position (``callback`` sees them in
+    completion order).
     """
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
@@ -67,36 +68,37 @@ class DistributedIteratedController:
                 callback: Optional[Callable[[Outcome], None]] = None
                 ) -> List[Outcome]:
         """Serve a batch of requests to completion across stages."""
-        batch = list(requests)
-        resolved: List[Outcome] = []
+        batch = list(enumerate(requests))
+        resolved: List[Optional[Outcome]] = [None] * len(batch)
         while batch:
-            pending_next: List[Request] = []
             if self._trivial_active:
-                for request in batch:
+                for position, request in batch:
                     outcome = self._handle_trivial(request)
-                    resolved.append(outcome)
+                    resolved[position] = outcome
                     if callback is not None:
                         callback(outcome)
-                return resolved
+                break
             stage = self._stage
-            outcomes: List[Outcome] = []
-            for request in batch:
-                stage.submit(request, callback=outcomes.append)
+            settled: List[Tuple[int, Outcome]] = []
+            for position, request in batch:
+                stage.submit(request, callback=lambda outcome, p=position:
+                             settled.append((p, outcome)))
             stage.run()
-            for outcome in outcomes:
+            # PENDINGs resubmit to the next stage in settlement order.
+            batch = []
+            for position, outcome in settled:
                 if outcome.status is OutcomeStatus.PENDING:
-                    pending_next.append(outcome.request)
-                else:
-                    if outcome.status is OutcomeStatus.REJECTED:
-                        self.rejected += 1
-                        self.rejecting = True
-                    resolved.append(outcome)
-                    if callback is not None:
-                        callback(outcome)
-            batch = pending_next
+                    batch.append((position, outcome.request))
+                    continue
+                if outcome.status is OutcomeStatus.REJECTED:
+                    self.rejected += 1
+                    self.rejecting = True
+                resolved[position] = outcome
+                if callback is not None:
+                    callback(outcome)
             if batch:
                 self._rollover()
-        return resolved
+        return cast(List[Outcome], resolved)
 
     def handle(self, request: Request) -> Outcome:
         """Protocol form: one request served to completion."""

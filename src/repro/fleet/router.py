@@ -38,7 +38,7 @@ import threading
 from bisect import bisect_left
 from collections import deque
 from typing import (Any, Deque, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, cast)
 from zlib import crc32
 
 from repro.core.requests import Outcome, OutcomeStatus, Request
@@ -49,8 +49,8 @@ from repro.metrics.counters import MoveCounters
 from repro.metrics.invariants import InvariantReport, audit_fleet
 from repro.protocol import BudgetSplit
 from repro.service.config import ControllerSpec, SessionConfig
-from repro.service.envelopes import (OutcomeRecord, RequestEnvelope,
-                                     SessionVerdict, Ticket, verdict_of)
+from repro.service.envelopes import OutcomeRecord, SessionVerdict, Ticket
+from repro.service.outbox import Outbox
 from repro.service.session import ControllerSession
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
@@ -282,16 +282,14 @@ class FleetRouter:
             shard.tree.add_listener(listener)
             self._listeners.append(listener)
 
-        # Envelope machinery (mirrors the synchronous session).
-        self._next_envelope = 0
-        self._clock = 0
+        # Settlement: one lock over admission, serving and the outbox.
         self._lock = threading.RLock()
-        self._pending: Deque[Tuple[RequestEnvelope, Ticket, int]] = deque()
-        self._ready: Deque[Tuple[OutcomeRecord, Optional[Ticket]]] = deque()
-        self._compact_limit = 64
+        self._outbox = Outbox()
+        #: Queued tickets with their target shard index.
+        self._pending: Deque[Tuple[Ticket, int]] = deque()
         self._closed = False
         self._reject_wave = False
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
+        self.verdicts: Dict[str, int] = self._outbox.verdicts
 
     # ------------------------------------------------------------------
     # Placement.
@@ -456,13 +454,11 @@ class FleetRouter:
     @property
     def now(self) -> float:
         """The fleet clock: a submit/settle operation counter."""
-        return float(self._clock)
+        return self._outbox.now
 
     @property
     def in_flight(self) -> int:
-        # Every shard flavour is synchronous, so admitted-but-unsettled
-        # is exactly the pending queue (no event-driven callback leg).
-        return len(self._pending)
+        return self._outbox.open
 
     @property
     def backpressured(self) -> int:
@@ -470,8 +466,7 @@ class FleetRouter:
 
     @property
     def undelivered(self) -> int:
-        return sum(1 for _record, ticket in self._ready
-                   if ticket is None or not ticket.claimed)
+        return self._outbox.undelivered
 
     @property
     def reject_wave(self) -> bool:
@@ -517,17 +512,12 @@ class FleetRouter:
             if self._closed:
                 raise ControllerError("fleet is closed")
             index = self._route(request, origin)
-            tick = float(self._clock)
-            envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                       request=request, submit_tick=tick)
-            self._next_envelope += 1
-            self._clock += 1
-            ticket = Ticket(envelope, pump=self._pump)
-            if len(self._pending) >= self.config.max_in_flight:
-                self._settle(ticket, envelope, None,
-                             SessionVerdict.BACKPRESSURE)
+            outbox = self._outbox
+            ticket = outbox.ticket(request, self._pump)
+            if outbox.open > self.config.max_in_flight:
+                outbox.settle(ticket, None)
                 return ticket
-            self._pending.append((envelope, ticket, index))
+            self._pending.append((ticket, index))
             return ticket
 
     def submit_many(self, requests: Iterable[Request],
@@ -550,14 +540,8 @@ class FleetRouter:
             index = self._route(request, origin)
             if self._pending:
                 self._pump()  # keep settlement order = submission order
-            clock = self._clock
-            envelope_id = self._next_envelope
-            self._next_envelope = envelope_id + 1
-            outcome = self._serve_on(index, request)
-            self._clock = clock + 2
-            self.verdicts[outcome.status.value] += 1
-            return OutcomeRecord((request, envelope_id, float(clock),
-                                  outcome, float(clock + 1), None))
+            return self._outbox.served(request,
+                                       self._serve_on(index, request))
 
     def serve_stream(self, requests: Iterable[Request],
                      origin: Optional[Any] = None) -> List[OutcomeRecord]:
@@ -566,31 +550,8 @@ class FleetRouter:
         return [self.serve(request, origin=origin) for request in requests]
 
     # ------------------------------------------------------------------
-    # Settlement (mirrors the synchronous session).
+    # Settlement.
     # ------------------------------------------------------------------
-    def _settle(self, ticket: Ticket, envelope: RequestEnvelope,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome, self.now,
-                                None))
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        ready = self._ready
-        while ready:
-            head_ticket = ready[0][1]
-            if head_ticket is None or not head_ticket.claimed:
-                break
-            ready.popleft()
-        ready.append((record, ticket))
-        if len(ready) >= self._compact_limit:
-            retained = [pair for pair in ready
-                        if pair[1] is None or not pair[1].claimed]
-            ready.clear()
-            ready.extend(retained)
-            self._compact_limit = max(64, 2 * len(retained))
-
     def _pump(self) -> bool:
         """Serve the whole pending queue; False when idle."""
         with self._lock:
@@ -600,24 +561,18 @@ class FleetRouter:
                 return False
             batch = list(self._pending)
             self._pending.clear()
-            for envelope, ticket, index in batch:
-                outcome = self._serve_on(index, envelope.request)
-                self._settle(ticket, envelope, outcome, verdict_of(outcome))
+            settle = self._outbox.settle
+            for ticket, index in batch:
+                settle(ticket, self._serve_on(index, ticket.request))
             return True
 
     def drain(self) -> Iterator[OutcomeRecord]:
         """Pump, yielding records in settlement order (exactly-once)."""
+        pop = self._outbox.pop
         while True:
             with self._lock:
-                record_ticket: Optional[
-                    Tuple[OutcomeRecord, Optional[Ticket]]] = None
-                while self._ready:
-                    head, ticket = self._ready.popleft()
-                    if ticket is not None and ticket.claimed:
-                        continue
-                    record_ticket = (head, ticket)
-                    break
-                if record_ticket is None:
+                record = pop()
+                if record is None:
                     if self.in_flight == 0:
                         return
                     if not self._pump():
@@ -625,7 +580,8 @@ class FleetRouter:
                             f"{self.in_flight} requests in flight but "
                             "the fleet is idle")
                     continue
-            yield record_ticket[0]
+            # Fleet entries are settled tickets only.
+            yield cast(OutcomeRecord, record)
 
     def settle_all(self) -> List[OutcomeRecord]:
         """Drain to quiescence and return the settled records."""

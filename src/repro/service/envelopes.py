@@ -4,15 +4,18 @@ Every request submitted to a :class:`~repro.service.session.ControllerSession`
 becomes a first-class, traceable object instead of a loop variable:
 
 * :class:`RequestEnvelope` — the admitted request plus its session
-  identity (monotone envelope id, submit tick);
+  identity (monotone envelope id, submit tick), materialized on demand
+  from a ticket or a record;
 * :class:`OutcomeRecord` — the settled result: a :class:`SessionVerdict`,
   the raw controller :class:`~repro.core.requests.Outcome` (absent for
   ``BACKPRESSURE``, which never reached the controller), submit/settle
   ticks, the granted permit's interval serial when the engine tracks
   intervals, and a :class:`TraceHandle` into the kernel transition log
   when tracing is on;
-* :class:`Ticket` — the non-blocking handle ``submit()`` returns;
-  :meth:`Ticket.result` pumps the session until this request settles;
+* :class:`Ticket` — the non-blocking handle ``submit()`` returns, and
+  the one object a request owns while in flight (see
+  :mod:`repro.service.outbox`); :meth:`Ticket.result` pumps the
+  session until this request settles;
 * :class:`IterationRecord` — an application iteration boundary
   (:mod:`repro.apps`): the app-layer drain stream interleaves these
   with its outcome records so rollovers are observable events.
@@ -30,14 +33,11 @@ on ``BACKPRESSURE`` or ``SHED`` lose nothing; callers that retry on
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Any, Callable, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.kernel import KernelTrace, TraceEvent
 from repro.core.requests import Outcome, OutcomeStatus, Request
 from repro.errors import ProtocolError
-
-_request_of = operator.attrgetter("request")
 
 
 class SessionVerdict(Enum):
@@ -81,10 +81,10 @@ class RequestEnvelope:
     scheduler time for the event-driven engine, the operation counter
     for synchronous engines.
 
-    A ``__slots__`` value class (not a dataclass): envelopes are built
-    once per request on the ingestion hot path, where the session's
-    <= 5% overhead budget rules out ``frozen=True`` constructors.
-    Treat instances as immutable.
+    A ``__slots__`` value class, built on demand by
+    :attr:`Ticket.envelope` and :attr:`OutcomeRecord.envelope` (the
+    ticket and the record carry the three fields themselves).  Treat
+    instances as immutable.
     """
 
     __slots__ = ("envelope_id", "request", "submit_tick")
@@ -239,34 +239,6 @@ class OutcomeRecord(Tuple[Any, ...]):
         return tick
 
 
-def build_records(outcomes: Sequence[Outcome], envelope_id: int,
-                  clock: int, handle: Optional[TraceHandle]
-                  ) -> List[OutcomeRecord]:
-    """Build one :class:`OutcomeRecord` per settled outcome, in C.
-
-    The shared batched-settlement constructor used by both
-    ``ControllerSession.serve_stream`` and ``AppSession.serve_stream``
-    (one definition keeps the tuple layout in lockstep with
-    :class:`OutcomeRecord`): ``zip`` assembles each record's 6-field
-    tuple from C iterators — the outcome's request, consecutive
-    envelope ids from ``envelope_id``, consecutive submit ticks from
-    ``clock``, the outcome, consecutive settle ticks, and the shared
-    trace ``handle`` — and ``tuple.__new__`` wraps it without a Python
-    ``__init__`` frame.  The caller advances its envelope counter by
-    ``len(outcomes)`` and its clock by ``2 * len(outcomes)``.
-    """
-    count = len(outcomes)
-    settle_base = clock + count
-    return cast(List[OutcomeRecord], list(map(
-        tuple.__new__, repeat(OutcomeRecord),
-        zip(map(_request_of, outcomes),
-            range(envelope_id, envelope_id + count),
-            range(clock, clock + count),
-            outcomes,
-            range(settle_base, settle_base + count),
-            repeat(handle)))))
-
-
 class Ticket:
     """Non-blocking handle for one submitted request.
 
@@ -277,13 +249,21 @@ class Ticket:
     yielded again by ``drain()``; a record already yielded by
     ``drain()`` can still be read back through :meth:`result`, which is
     an idempotent lookup.
+
+    The ticket is the request's only per-request object while it is in
+    flight: it carries the request and its session identity itself,
+    and :attr:`envelope` is built on demand.  Tickets are issued and
+    settled by the surface's :class:`~repro.service.outbox.Outbox`.
     """
 
-    __slots__ = ("envelope", "claimed", "_record", "_pump")
+    __slots__ = ("request", "envelope_id", "submit_tick", "claimed",
+                 "_record", "_pump")
 
-    def __init__(self, envelope: RequestEnvelope,
-                 pump: Callable[[], bool]) -> None:
-        self.envelope = envelope
+    def __init__(self, request: Request, envelope_id: int,
+                 submit_tick: float, pump: Callable[[], bool]) -> None:
+        self.request = request
+        self.envelope_id = envelope_id
+        self.submit_tick = submit_tick
         #: True once :meth:`result` delivered the record (``drain``
         #: then skips it).
         self.claimed = False
@@ -291,11 +271,13 @@ class Ticket:
         self._pump = pump
 
     @property
+    def envelope(self) -> RequestEnvelope:
+        return RequestEnvelope(self.envelope_id, self.request,
+                               self.submit_tick)
+
+    @property
     def done(self) -> bool:
         return self._record is not None
-
-    def _settle(self, record: OutcomeRecord) -> None:
-        self._record = record
 
     def result(self) -> OutcomeRecord:
         """The settled record, pumping the session until it exists."""
@@ -309,8 +291,8 @@ class Ticket:
             record = self._record
             if record is None and not progressed:
                 raise ProtocolError(
-                    f"request {self.envelope.request.request_id} "
-                    f"(envelope {self.envelope.envelope_id}) never "
+                    f"request {self.request.request_id} "
+                    f"(envelope {self.envelope_id}) never "
                     "settled and the engine is idle")
         self.claimed = True
         return record
@@ -318,5 +300,5 @@ class Ticket:
     def __repr__(self) -> str:
         state = (self._record.verdict.value if self._record is not None
                  else "in-flight")
-        return (f"Ticket(envelope={self.envelope.envelope_id}, "
-                f"request={self.envelope.request.request_id}, {state})")
+        return (f"Ticket(envelope={self.envelope_id}, "
+                f"request={self.request.request_id}, {state})")

@@ -29,22 +29,12 @@ accepts a session wherever it accepts a controller (:meth:`audit` is
 the shorthand).
 """
 
-import operator
 import threading
-from collections import Counter, deque
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, cast
 
 from repro.core.kernel import KernelTrace
-from repro.core.requests import Outcome, Request
+from repro.core.requests import Request
 from repro.distributed.faults import FaultInjector
 from repro.errors import ConfigError, ControllerError, ProtocolError
 from repro.metrics.invariants import InvariantReport, audit_controller
@@ -55,21 +45,11 @@ from repro.service.config import (
     TRACED_FLAVORS,
     SessionConfig,
 )
-from repro.service.envelopes import (
-    OutcomeRecord,
-    RequestEnvelope,
-    SessionVerdict,
-    Ticket,
-    TraceHandle,
-    build_records,
-    verdict_of,
-)
+from repro.service.envelopes import OutcomeRecord, SessionVerdict, Ticket
+from repro.service.outbox import Outbox
 from repro.sim.delays import make_delay_model
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
-
-#: C-speed attribute extraction for the per-batch settlement loop.
-_status_of = operator.attrgetter("status")
 
 
 class ControllerSession:
@@ -115,8 +95,6 @@ class ControllerSession:
         self._handle = self.controller.handle
         self._handle_batch = self.controller.handle_batch
 
-        self._next_envelope = 0
-        self._clock = 0
         # One reentrant lock serializes admission, pumping, and the
         # drain-side pops, so concurrent ``Ticket.result()`` /
         # ``drain()`` callers (the gateway's client threads) can never
@@ -126,14 +104,14 @@ class ControllerSession:
         # paths (``serve`` / ``serve_stream``) stay lock-free except
         # where they delegate to ``_pump``.
         self._lock = threading.RLock()
-        self._in_flight: Dict[int, Ticket] = {}
-        self._pending: Deque[Tuple[RequestEnvelope, Ticket]] = deque()
-        self._ready: Deque[Tuple[OutcomeRecord, Optional[Ticket]]] = deque()
-        self._compact_limit = 64
+        self._outbox = Outbox(
+            scheduler=self.scheduler if self._event_driven else None,
+            trace=self.trace)
+        self._pending: Deque[Ticket] = deque()
         self._closed = False
         #: Verdict tallies over every settled record (including
         #: backpressure, which the controller never sees).
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
+        self.verdicts: Dict[str, int] = self._outbox.verdicts
 
     # ------------------------------------------------------------------
     # Clock and introspection.
@@ -148,14 +126,12 @@ class ControllerSession:
         inside ``handle_batch`` — their ticks use the operation counter
         so submit and settle ticks stay on one scale.
         """
-        if self._event_driven and self.scheduler is not None:
-            return self.scheduler.now
-        return float(self._clock)
+        return self._outbox.now
 
     @property
     def in_flight(self) -> int:
         """Requests admitted but not yet settled."""
-        return len(self._in_flight) + len(self._pending)
+        return self._outbox.open
 
     @property
     def backpressured(self) -> int:
@@ -166,8 +142,7 @@ class ControllerSession:
     def undelivered(self) -> int:
         """Settled records a future :meth:`drain` would still yield
         (settled but neither drained nor claimed via a ticket)."""
-        return sum(1 for _record, ticket in self._ready
-                   if ticket is None or not ticket.claimed)
+        return self._outbox.undelivered
 
     def introspect(self) -> ControllerView:
         """Delegates to the engine, so the protocol-based auditor
@@ -200,38 +175,24 @@ class ControllerSession:
         with self._lock:
             if self._closed:
                 raise ControllerError("session is closed")
-            envelope, ticket = self._make_ticket(request)
-            if (len(self._in_flight) + len(self._pending)
-                    >= self.config.max_in_flight):
-                self._settle(ticket, envelope, None,
-                             SessionVerdict.BACKPRESSURE)
+            outbox = self._outbox
+            ticket = outbox.ticket(request, self._pump)
+            if outbox.open > self.config.max_in_flight:
+                outbox.settle(ticket, None)
                 return ticket
-            self._dispatch(envelope, ticket, delay)
+            self._dispatch(ticket, delay)
             return ticket
 
-    def _make_ticket(self, request: Request
-                     ) -> Tuple[RequestEnvelope, Ticket]:
-        scheduler = self.scheduler
-        tick = (scheduler.now if self._event_driven
-                and scheduler is not None else float(self._clock))
-        envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                   request=request, submit_tick=tick)
-        self._next_envelope += 1
-        self._clock += 1
-        return envelope, Ticket(envelope, pump=self._pump)
-
-    def _dispatch(self, envelope: RequestEnvelope, ticket: Ticket,
-                  delay: Optional[float]) -> None:
+    def _dispatch(self, ticket: Ticket, delay: Optional[float]) -> None:
         """Hand an admitted request to the engine (no window check)."""
         if self._event_driven:
-            self._in_flight[envelope.envelope_id] = ticket
+            settle = self._outbox.settle
             submit = getattr(self.controller, "submit")
-            submit(envelope.request,
+            submit(ticket.request,
                    delay=delay if delay is not None else 0.0,
-                   callback=lambda outcome, t=ticket, e=envelope:
-                   self._settle(t, e, outcome, verdict_of(outcome)))
+                   callback=lambda outcome, t=ticket: settle(t, outcome))
         else:
-            self._pending.append((envelope, ticket))
+            self._pending.append(ticket)
 
     def submit_many(self, requests: Iterable[Request],
                     stagger: Optional[float] = None) -> List[Ticket]:
@@ -257,8 +218,8 @@ class ControllerSession:
         if self._closed:
             raise ControllerError("session is closed")
         if self._event_driven:
-            envelope, ticket = self._make_ticket(request)
-            self._dispatch(envelope, ticket, None)
+            ticket = self._outbox.ticket(request, self._pump)
+            self._dispatch(ticket, None)
             record = ticket.result()
             # Match submit_and_run: each serve runs to quiescence, so
             # consecutive serves never interleave with prior cleanup.
@@ -266,17 +227,7 @@ class ControllerSession:
             return record
         if self._pending:
             self._pump()
-        clock = self._clock
-        envelope_id = self._next_envelope
-        self._next_envelope = envelope_id + 1
-        outcome = self._handle(request)
-        trace = self.trace
-        handle = (TraceHandle(trace=trace, upto=len(trace))
-                  if trace is not None else None)
-        self._clock = clock + 2
-        self.verdicts[outcome.status.value] += 1
-        return OutcomeRecord((request, envelope_id, clock, outcome,
-                              clock + 1, handle))
+        return self._outbox.served(request, self._handle(request))
 
     def serve_stream(self, requests: Iterable[Request]
                      ) -> List[OutcomeRecord]:
@@ -309,8 +260,8 @@ class ControllerSession:
             step = self.config.stagger
             tickets: List[Ticket] = []
             for position, request in enumerate(requests):
-                envelope, ticket = self._make_ticket(request)
-                self._dispatch(envelope, ticket, position * step)
+                ticket = self._outbox.ticket(request, self._pump)
+                self._dispatch(ticket, position * step)
                 tickets.append(ticket)
             records = [ticket.result() for ticket in tickets]
             self._quiesce()
@@ -319,69 +270,12 @@ class ControllerSession:
             self._pump()  # keep settlement order = submission order
         # The stream goes straight to ``handle_batch`` — nothing is
         # collected up front (that is what keeps resolver laziness
-        # intact), and each record reads its request back from the
-        # outcome, which carries it by contract.  The loop below runs
-        # once per request inside the <= 5% session-overhead budget
-        # (the ``session`` bench enforces it): one record allocation,
-        # hoisted locals, tallies merged per batch at C speed.
-        outcomes = self._handle_batch(requests)
-        trace = self.trace
-        # The whole batch settled inside one handle_batch call, so every
-        # record shares one trace cursor (the log length at return).
-        handle = (TraceHandle(trace=trace, upto=len(trace))
-                  if trace is not None else None)
-        clock = self._clock
-        envelope_id = self._next_envelope
-        count = len(outcomes)
-        # The whole construction loop runs in C (the shared batched
-        # constructor in repro.service.envelopes).
-        records = build_records(outcomes, envelope_id, clock, handle)
-        self._next_envelope = envelope_id + count
-        self._clock = clock + 2 * count
-        # OutcomeStatus values are a subset of SessionVerdict values by
-        # construction, so statuses tally straight into the verdicts.
-        for status, value in Counter(
-                map(_status_of, outcomes)).items():
-            self.verdicts[status.value] += value
-        return records
+        # intact) — and its records are built in one C loop.
+        return self._outbox.served_batch(self._handle_batch(requests))
 
     # ------------------------------------------------------------------
     # Settlement.
     # ------------------------------------------------------------------
-    def _settle(self, ticket: Ticket, envelope: RequestEnvelope,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        handle: Optional[TraceHandle] = None
-        if self.trace is not None:
-            handle = TraceHandle(trace=self.trace, upto=len(self.trace))
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome, self.now,
-                                handle))
-        self._in_flight.pop(envelope.envelope_id, None)
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        ready = self._ready
-        # Ticket-only consumers never drain: purge the already-claimed
-        # head so the queue stays O(unclaimed) instead of O(all-time).
-        while ready:
-            head_ticket = ready[0][1]
-            if head_ticket is None or not head_ticket.claimed:
-                break
-            ready.popleft()
-        ready.append((record, ticket))
-        # An abandoned unclaimed ticket at the head blocks the cheap
-        # purge above; compact occasionally (amortized O(1) per settle)
-        # so claimed records behind it cannot accumulate forever.
-        # Unclaimed records are retained by design — they are the
-        # not-yet-drained outcome stream.
-        if len(ready) >= self._compact_limit:
-            retained = [pair for pair in ready
-                        if pair[1] is None or not pair[1].claimed]
-            ready.clear()
-            ready.extend(retained)
-            self._compact_limit = max(64, 2 * len(retained))
-
     def _pump(self) -> bool:
         """Advance the engine one unit; False when it is idle.
 
@@ -412,9 +306,10 @@ class ControllerSession:
             batch = list(self._pending)
             self._pending.clear()
             outcomes = self._handle_batch(
-                [envelope.request for envelope, _ in batch])
-            for (envelope, ticket), outcome in zip(batch, outcomes):
-                self._settle(ticket, envelope, outcome, verdict_of(outcome))
+                [ticket.request for ticket in batch])
+            settle = self._outbox.settle
+            for ticket, outcome in zip(batch, outcomes):
+                settle(ticket, outcome)
             return True
 
     def drain(self) -> Iterator[OutcomeRecord]:
@@ -430,17 +325,11 @@ class ControllerSession:
         pumpers re-checks the queue instead of mistaking their progress
         for a stuck engine.
         """
+        pop = self._outbox.pop
         while True:
             with self._lock:
-                record_ticket: Optional[
-                    Tuple[OutcomeRecord, Optional[Ticket]]] = None
-                while self._ready:
-                    head, ticket = self._ready.popleft()
-                    if ticket is not None and ticket.claimed:
-                        continue
-                    record_ticket = (head, ticket)
-                    break
-                if record_ticket is None:
+                record = pop()
+                if record is None:
                     if self.in_flight == 0:
                         self._quiesce()
                         return
@@ -452,7 +341,8 @@ class ControllerSession:
                             f"{self.in_flight} requests in flight but "
                             "the engine is idle (agent lost?)")
                     continue
-            yield record_ticket[0]
+            # Session entries are settled tickets only.
+            yield cast(OutcomeRecord, record)
 
     def settle_all(self) -> List[OutcomeRecord]:
         """Drain to quiescence and return the settled records."""
@@ -486,7 +376,7 @@ class ControllerSession:
         with self._lock:
             if not self._closed:
                 self._closed = True
-                if not self._in_flight and not self._pending:
+                if not self._outbox.open:
                     self._quiesce()  # settled work still owed its cleanup
                 self.controller.detach()
 

@@ -98,16 +98,6 @@ class TreeNode:
                 f"port {port} is not bound at node {self.node_id}")
         del self._ports[port]
 
-    def detach_port_to(self, neighbor: "TreeNode") -> None:
-        """Remove whichever port points at ``neighbor`` (if any).
-
-        O(deg): a scan of the table.  The tree itself unbinds by port
-        number through :meth:`detach_port`.
-        """
-        port = self.port_of(neighbor)
-        if port is not None:
-            del self._ports[port]
-
     def port_of(self, neighbor: "TreeNode") -> Optional[int]:
         """Port number leading to ``neighbor``, or ``None``."""
         for port, other in self._ports.items():

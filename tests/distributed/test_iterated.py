@@ -64,3 +64,20 @@ def test_stage_resets_are_charged():
     # 3(n-1) per rollover; with n == 1 that is 0, so instead verify the
     # stage count implies terminations happened.
     assert controller.granted >= 99
+
+
+def test_process_returns_outcomes_by_input_position():
+    """Rolled-over requests settle last, but each outcome comes back at
+    its request's position (sessions pair tickets by position)."""
+    tree = build_random_tree(60, seed=3)
+    controller = DistributedIteratedController(tree, m=12, w=3, u=120)
+    rng = random.Random(1)
+    nodes = list(tree.nodes())
+    requests = [Request(RequestKind.PLAIN, rng.choice(nodes))
+                for _ in range(25)]
+    completed = []
+    outcomes = controller.process(requests, callback=completed.append)
+    assert [o.request for o in outcomes] == requests
+    assert all(o.request is r for o, r in zip(outcomes, requests))
+    assert sorted(map(id, completed)) == sorted(map(id, outcomes))
+    assert controller.stages_run > 1

@@ -4,6 +4,7 @@ import random
 
 from repro.distributed.controller import DistributedController
 from repro.core.requests import Request, RequestKind
+from repro.tree import DynamicTree
 from repro.workloads import build_random_tree
 
 
@@ -65,3 +66,14 @@ def test_batch_with_topological_requests():
     assert granted == 40
     assert tree.size == 100
     tree.validate()
+
+
+def test_one_request_submitted_twice_gets_both_outcomes():
+    """Outcomes map back by input position, not request id: at m=1 one
+    of the two submissions of the same request is granted."""
+    tree = DynamicTree()
+    controller = DistributedController(tree, m=1, w=1, u=10)
+    request = Request(RequestKind.PLAIN, tree.root)
+    outcomes = controller.submit_batch([request, request])
+    assert sorted(o.status.value for o in outcomes) \
+        == ["granted", "rejected"]

@@ -221,7 +221,7 @@ def test_ticket_only_consumption_does_not_leak_ready_queue():
     session = _session()
     for _ in range(50):
         session.submit(_plain(session)).result()
-    assert len(session._ready) <= 1
+    assert len(session._outbox._ready) <= 1
 
 
 def test_abandoned_ticket_does_not_block_ready_compaction():
@@ -233,7 +233,7 @@ def test_abandoned_ticket_does_not_block_ready_compaction():
     session._pump()                  # settles it, unclaimed, at head
     for _ in range(300):
         session.submit(_plain(session)).result()
-    assert len(session._ready) < 70  # compacted, not 301
+    assert len(session._outbox._ready) < 70  # compacted, not 301
     assert session.undelivered == 1  # the abandoned record survives
 
 

@@ -21,14 +21,6 @@ def test_duplicate_port_rejected():
         a.attach_port(5, c)
 
 
-def test_detach_port_to():
-    a, b = TreeNode(1), TreeNode(2)
-    a.attach_port(5, b)
-    a.detach_port_to(b)
-    assert a.port_of(b) is None
-    a.detach_port_to(b)  # idempotent
-
-
 def test_degree_and_flags():
     tree = DynamicTree()
     assert tree.root.is_root and tree.root.is_leaf
