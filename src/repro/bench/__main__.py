@@ -3,14 +3,10 @@
 Examples::
 
     python -m repro.bench list
-    python -m repro.bench ancestry --out BENCH_request_engine.json
     python -m repro.bench move_complexity --sizes 200,400,800
-    python -m repro.bench batch --steps 2000 --batch-size 64
     python -m repro.bench scenario --topology star --controller terminating
     python -m repro.bench scenario --name all --policy fifo,random,adversary \\
         --seeds 0,1,2,3,4 --faults "stall=0.05,storms=3" --out grid.json
-    python -m repro.bench distributed_batch --sizes 100,200
-    python -m repro.bench session --out BENCH_session.json
     python -m repro.bench apps --out BENCH_apps.json
     python -m repro.bench apps --apps name_assignment --policies adversary
     python -m repro.bench fleet --out BENCH_fleet.json
@@ -23,7 +19,7 @@ import inspect
 import json
 import sys
 
-from repro.bench.runner import SCENARIOS, SESSION_BENCH_FLAVORS
+from repro.bench.runner import SCENARIOS
 from repro.errors import ConfigError, InvariantViolation
 from repro.registry import CONTROLLER_FLAVORS
 from repro.sim.scheduler import SCHEDULE_POLICIES
@@ -44,32 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common_out = dict(help="write the JSON document to this path as well")
 
-    p = sub.add_parser("ancestry",
-                       help="deep-path engine vs legacy wall clock")
-    p.add_argument("--sizes", type=_int_list, default=None,
-                   help="comma-separated path lengths (default: "
-                        "200,400,800,1600,3200)")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-per-node", type=int, default=2,
-                   dest="steps_per_node")
-    p.add_argument("--out", **common_out)
-
     p = sub.add_parser("move_complexity",
-                       help="Observation 3.4 sweep (bench_e02 shape)")
+                       help="Observation 3.4 move-complexity sweep on "
+                            "deep paths")
     p.add_argument("--sizes", type=_int_list, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", **common_out)
-
-    p = sub.add_parser("batch",
-                       help="handle_batch equivalence + throughput")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--topology", default="random",
-                   choices=["random", "path", "star", "caterpillar"])
-    p.add_argument("--mix", default="default",
-                   choices=["default", "grow", "plain"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", **common_out)
 
@@ -110,56 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-skip", action="store_false", dest="skip_ancestry",
-                   help="disable the request engine (legacy data paths)")
-    p.add_argument("--out", **common_out)
-
-    p = sub.add_parser("distributed_batch",
-                       help="concurrent batch through the distributed "
-                            "engine")
-    p.add_argument("--sizes", type=_int_list, default=None)
-    p.add_argument("--requests-per-node", type=float, default=0.5,
-                   dest="requests_per_node")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", **common_out)
-
-    p = sub.add_parser("session",
-                       help="session-layer overhead vs direct "
-                            "handle_batch (equivalence-checked; "
-                            "target <= 5%% amortized)")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--topology", default="random",
-                   choices=["random", "path", "star", "caterpillar"])
-    p.add_argument("--mix", default="default",
-                   choices=["default", "grow", "plain"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--flavor", default="iterated",
-                   choices=list(SESSION_BENCH_FLAVORS),
-                   help="synchronous flavours only: the bench replays "
-                        "its recorded stream lazily, which the "
-                        "distributed engines cannot consume")
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("apps",
-                       help="Section 5 application layer: serve vs "
-                            "serve_stream overhead (<= 5%% target), "
-                            "msgs/change polylog fits, event-driven "
-                            "policy x fault grid (invariant-audited)")
+                       help="Section 5 application layer: msgs/change "
+                            "polylog fits and the event-driven policy x "
+                            "fault grid (invariant-audited)")
     p.add_argument("--apps", default="all",
                    help="app name(s), comma-separated, or 'all'")
     p.add_argument("--sizes", type=_int_list, default=None,
                    help="complexity sweep sizes (default: 100,200,400)")
     p.add_argument("--steps-per-node", type=int, default=3,
                    dest="steps_per_node")
-    p.add_argument("--overhead-n", type=int, default=200,
-                   dest="overhead_n")
-    p.add_argument("--overhead-steps", type=int, default=600,
-                   dest="overhead_steps")
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policies", default="fifo,random,adversary",
                    help="grid: schedule policies for the event-driven "
@@ -225,18 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--scale", type=float, default=0.25,
                    help="catalogue scale for the equivalence cell")
-    p.add_argument("--out", **common_out)
-
-    p = sub.add_parser("kernel",
-                       help="distributed filler lookup: kernel level "
-                            "index vs legacy board scan "
-                            "(equivalence-checked)")
-    p.add_argument("--scenario", default="deep_burst",
-                   help="catalogue scenario to replay (default: "
-                        "deep_burst)")
-    p.add_argument("--seeds", default="0,1")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--stagger", type=float, default=0.25)
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("profile",

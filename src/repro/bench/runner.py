@@ -1,22 +1,19 @@
 """Benchmark scenario implementations for ``python -m repro.bench``.
 
-Each ``run_*`` function is pure measurement: it builds its workload,
-runs it, and returns a JSON-serializable dict.  Wall-clock numbers are
-the **minimum over ``repeats`` runs** (the standard way to suppress
-scheduler noise); correctness-sensitive quantities (move counters,
-outcome tallies) are additionally cross-checked between the engine and
-legacy configurations, so a benchmark run doubles as an equivalence
-check.
+Each ``run_*`` function builds its workload, runs it, and returns a
+JSON-serializable dict.  The grid, apps, gateway, fleet and memory
+runs audit every cell with the invariant checker and raise
+``InvariantViolation`` (with the document attached) on any violation,
+so a bench run doubles as a correctness gate.  Wall-clock numbers are
+reported for reference; the repo's speed yardstick is ``stackbench/``.
 
 Every entry point constructs its engine through the session layer
 (``SessionConfig``/``ControllerSession`` — see ``repro.service`` and
-docs §7); the ``session`` scenario additionally measures the session
-layer's own tax against direct protocol calls.
+docs §7).
 """
 
 import cProfile
 import dataclasses
-import gc
 import math
 import pstats
 import random
@@ -25,12 +22,14 @@ import time
 import zlib
 from typing import Any, Dict, List, Optional
 
-from repro.core import kernel as controller_kernel
-from repro.core.packages import MobilePackage, NodeStore
-from repro.core.params import ControllerParams
 from repro.core.requests import Request, RequestKind
-from repro.distributed.faults import parse_fault_spec
-from repro.errors import ConfigError, InvariantViolation, ProtocolError
+from repro.distributed.faults import FaultPlan, parse_fault_spec
+from repro.errors import (
+    ConfigError,
+    InvariantViolation,
+    ProtocolError,
+    SimulationError,
+)
 from repro.metrics.fitting import log_log_slope, observation_3_4_bound
 from repro.gateway import Gateway, GatewayConfig
 from repro.metrics.counters import MemoryAudit
@@ -40,7 +39,7 @@ from repro.metrics.invariants import (
     audit_gateway,
     tally_outcomes,
 )
-from repro.registry import CONTROLLER_FLAVORS, make_controller
+from repro.registry import CONTROLLER_FLAVORS
 from repro.service import (
     ControllerSession,
     ControllerSpec,
@@ -63,7 +62,7 @@ from repro.workloads.scenarios import (
     request_spec,
 )
 
-DEFAULT_SIZES = [200, 400, 800, 1600, 3200]  # the bench_e02 sweep
+DEFAULT_SIZES = [200, 400, 800, 1600, 3200]  # path lengths of the sweep
 
 _TOPOLOGIES = {
     "path": build_path,
@@ -79,14 +78,41 @@ _MIXES = {
 }
 
 
-def _build(topology: str, n: int, seed: int, skip_ancestry: bool):
+def _build(topology: str, n: int, seed: int):
     builder = _TOPOLOGIES[topology]
     if builder is build_random_tree:
-        tree = builder(n, seed=seed)
-    else:
-        tree = builder(n)
-    tree.skip_ancestry = skip_ancestry
-    return tree
+        return builder(n, seed=seed)
+    return builder(n)
+
+
+def _int_csv(text: object, name: str) -> List[int]:
+    """``"0,1,2"`` as integers.  A non-integer item, or no item at all
+    (a sweep over nothing would pass vacuously), is a ConfigError
+    naming the valid form."""
+    try:
+        values = [int(part) for part in str(text).split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(
+            f"{name} must be one or more comma-separated integers, "
+            f"e.g. '0,1,2'; got {text!r}")
+    return values
+
+
+def _at_least_one(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+def _fault_plan(faults: Optional[str]) -> FaultPlan:
+    """:func:`parse_fault_spec`, with a malformed spec reported as the
+    ConfigError a bad option value is."""
+    try:
+        return parse_fault_spec(faults)
+    except SimulationError as error:
+        raise ConfigError(f"bad faults spec {faults!r}: {error}") from None
 
 
 def _session(kind: str, tree, m: int, w: int, u: int, *,
@@ -100,94 +126,15 @@ def _session(kind: str, tree, m: int, w: int, u: int, *,
 
 
 # ----------------------------------------------------------------------
-# ancestry — the acceptance benchmark of the request engine.
-# ----------------------------------------------------------------------
-def run_ancestry(sizes: Optional[List[int]] = None, repeats: int = 3,
-                 seed: int = 0, steps_per_node: int = 2) -> Dict:
-    """Deep-path request serving: engine vs legacy wall clock.
-
-    A path of ``n`` nodes receives ``n * steps_per_node`` PLAIN requests
-    at uniformly random nodes (a pre-generated stream — PLAIN requests
-    leave the topology untouched, so the identical stream is replayed
-    in both modes and only the controller is timed):
-
-    * **legacy** — ``skip_ancestry=False``: the seed's data paths
-      (naive parent-pointer walks, dict store probes, full filler
-      climbs), driven one request at a time (``session.serve``);
-    * **engine** — ``skip_ancestry=True``: skip-pointer jump tables,
-      slot-pinned stores, the indexed filler scan, driven as one
-      batch (``session.serve_stream``).
-
-    Both modes run behind a :class:`ControllerSession`; move counters
-    and grant tallies are asserted identical between them, and the
-    headline is the wall-clock ratio on the deepest path.
-    """
-    sizes = sizes or DEFAULT_SIZES
-    rows = []
-    for n in sizes:
-        steps = n * steps_per_node
-        timings = {}
-        checks = {}
-        for label, skip in (("legacy", False), ("engine", True)):
-            best = None
-            for _ in range(max(repeats, 1)):
-                tree = _build("path", n, seed, skip)
-                nodes = list(tree.nodes())
-                rng = random.Random(seed + n)
-                requests = [
-                    Request(RequestKind.PLAIN,
-                            nodes[rng.randrange(len(nodes))])
-                    for _ in range(steps)
-                ]
-                session = _session("iterated", tree,
-                                   m=4 * n, w=n // 4, u=2 * n)
-                start = time.perf_counter()
-                if skip:
-                    records = session.serve_stream(requests)
-                else:
-                    records = [session.serve(request)
-                               for request in requests]
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-                checks[label] = (
-                    session.controller.counters.total,
-                    sum(1 for r in records if r.granted),
-                )
-            timings[label] = best
-        if checks["legacy"] != checks["engine"]:
-            raise InvariantViolation(
-                f"engine diverged from legacy at n={n}: "
-                f"{checks['engine']} != {checks['legacy']}"
-            )
-        rows.append({
-            "n": n,
-            "steps": steps,
-            "legacy_ms": round(timings["legacy"] * 1000, 3),
-            "engine_ms": round(timings["engine"] * 1000, 3),
-            "speedup": round(timings["legacy"] / timings["engine"], 3),
-            "moves": checks["engine"][0],
-            "granted": checks["engine"][1],
-        })
-    return {
-        "scenario": "ancestry",
-        "params": {"sizes": sizes, "repeats": repeats, "seed": seed,
-                   "steps_per_node": steps_per_node},
-        "rows": rows,
-        "deep_path_speedup": rows[-1]["speedup"],
-        "max_speedup": max(r["speedup"] for r in rows),
-    }
-
-
-# ----------------------------------------------------------------------
-# move_complexity — the bench_e02 sweep as a CLI one-liner.
+# move_complexity — the Observation 3.4 sweep on deep paths.
 # ----------------------------------------------------------------------
 def run_move_complexity(sizes: Optional[List[int]] = None,
                         seed: int = 0) -> Dict:
     """Observation 3.4 on deep paths: moves vs ``O(U log^2 U log(M/W))``.
 
-    Mirrors ``benchmarks/bench_e02_move_complexity.py``: sweep the path
-    length under the default churn mix and report measured/bound ratios
-    plus the log-log slope (near-linear growth expected).
+    Sweep the path length under the default churn mix and report
+    measured/bound ratios plus the log-log slope (near-linear growth
+    expected; ``tests/test_paper_claims.py`` gates both).
     """
     sizes = sizes or DEFAULT_SIZES
     rows = []
@@ -221,96 +168,14 @@ def run_move_complexity(sizes: Optional[List[int]] = None,
 
 
 # ----------------------------------------------------------------------
-# batch — handle_batch equivalence + throughput on a twin tree.
-# ----------------------------------------------------------------------
-def run_batch(n: int = 600, steps: int = 2000, batch_size: int = 64,
-              topology: str = "random", mix: str = "default",
-              seed: int = 0) -> Dict:
-    """Sequential vs batched handling of the *same* request stream.
-
-    Session A is driven one request at a time while the stream is
-    recorded as tree-independent specs; session B (on a twin tree built
-    identically) replays the stream in ``batch_size`` chunks through
-    ``serve_stream`` via a lazily-resolved :class:`TreeMirror`.
-    Outcomes, grant tallies and move counters must match exactly — that
-    equality is the batch-semantics contract — and both wall clocks are
-    reported.
-    """
-    mix_map = _MIXES[mix]()
-    tree_a = _build(topology, n, seed, True)
-    tree_b = _build(topology, n, seed, True)
-    u, m, w = 4 * n, 4 * n, max(n // 4, 1)
-    session_a = _session("iterated", tree_a, m=m, w=w, u=u)
-    session_b = _session("iterated", tree_b, m=m, w=w, u=u)
-
-    rng = random.Random(seed)
-    picker = NodePicker(tree_a)
-    mirror = TreeMirror(tree_b)
-    records_a = []
-    specs = []
-    start = time.perf_counter()
-    sequential_time = 0.0
-    for _ in range(steps):
-        request = random_request(tree_a, rng, mix=mix_map, picker=picker)
-        specs.append(request_spec(request))
-        t0 = time.perf_counter()
-        records_a.append(session_a.serve(request))
-        sequential_time += time.perf_counter() - t0
-    generation_time = time.perf_counter() - start - sequential_time
-    picker.detach()
-
-    records_b = []
-    start = time.perf_counter()
-    for base in range(0, len(specs), batch_size):
-        chunk = specs[base:base + batch_size]
-        records_b.extend(session_b.serve_stream(mirror.requests(chunk)))
-    batched_time = time.perf_counter() - start
-    mirror.detach()
-
-    status_a = [r.verdict.value for r in records_a]
-    status_b = [r.verdict.value for r in records_b]
-    if status_a != status_b:
-        first = next(i for i, (a, b) in enumerate(zip(status_a, status_b))
-                     if a != b)
-        raise InvariantViolation(
-            f"batched outcome diverged at step {first}: "
-            f"{status_a[first]} != {status_b[first]}"
-        )
-    counters_a = session_a.controller.counters
-    counters_b = session_b.controller.counters
-    if counters_a.snapshot() != counters_b.snapshot():
-        raise InvariantViolation(
-            f"batched counters diverged: {counters_b.snapshot()} "
-            f"!= {counters_a.snapshot()}"
-        )
-    tally = session_a.tally()
-    return {
-        "scenario": "batch",
-        "params": {"n": n, "steps": steps, "batch_size": batch_size,
-                   "topology": topology, "mix": mix, "seed": seed},
-        "sequential_ms": round(sequential_time * 1000, 3),
-        "batched_ms": round(batched_time * 1000, 3),
-        "generation_ms": round(generation_time * 1000, 3),
-        "granted": tally["granted"],
-        "rejected": tally["rejected"],
-        "moves": counters_a.total,
-        "outcomes_identical": True,
-        "counters_identical": True,
-        "requests_per_sec_batched": round(
-            steps / batched_time if batched_time > 0 else float("inf"), 1),
-    }
-
-
-# ----------------------------------------------------------------------
 # scenario — the generic knob-driven run.
 # ----------------------------------------------------------------------
 def run_scenario_bench(topology: str = "random", controller: str = "iterated",
                        mix: str = "default", n: int = 500, steps: int = 1000,
                        batch_size: int = 1, seed: int = 0,
-                       skip_ancestry: bool = True,
                        m_factor: int = 4, w_divisor: int = 4) -> Dict:
     """Run one controller/topology/mix combination at a given scale."""
-    tree = _build(topology, n, seed, skip_ancestry)
+    tree = _build(topology, n, seed)
     u = 4 * n
     m = m_factor * n
     w = max(n // w_divisor, 1)
@@ -325,7 +190,7 @@ def run_scenario_bench(topology: str = "random", controller: str = "iterated",
         "params": {"topology": topology, "controller": controller,
                    "mix": mix, "n": n, "steps": steps,
                    "batch_size": batch_size, "seed": seed,
-                   "skip_ancestry": skip_ancestry, "m": m, "w": w, "u": u},
+                   "m": m, "w": w, "u": u},
         "granted": result.granted,
         "rejected": result.rejected,
         "cancelled": result.cancelled,
@@ -335,53 +200,6 @@ def run_scenario_bench(topology: str = "random", controller: str = "iterated",
         "wall_ms": round(elapsed * 1000, 3),
         "requests_per_sec": round(
             steps / elapsed if elapsed > 0 else float("inf"), 1),
-    }
-
-
-# ----------------------------------------------------------------------
-# distributed_batch — the request queue of the distributed engine.
-# ----------------------------------------------------------------------
-def run_distributed_batch(sizes: Optional[List[int]] = None,
-                          requests_per_node: float = 0.5,
-                          seed: int = 0) -> Dict:
-    """Pipeline a concurrent batch through the distributed engine.
-
-    All requests are injected up front (``submit_many`` on a
-    distributed :class:`ControllerSession`); agents interleave under
-    the locking discipline and the session drains the scheduler to
-    quiescence.  Reported: grant tallies, message counters, and the
-    simulated-time compression vs serving the batch one request at a
-    time (sequential lower bound: the sum of per-request round trips).
-    """
-    sizes = sizes or [200, 400]
-    rows = []
-    for n in sizes:
-        tree = build_random_tree(n, seed=seed)
-        rng = random.Random(seed + n)
-        nodes = list(tree.nodes())
-        count = max(int(n * requests_per_node), 1)
-        requests = [
-            Request(RequestKind.PLAIN, nodes[rng.randrange(len(nodes))])
-            for _ in range(count)
-        ]
-        session = _session("distributed", tree, m=4 * n, w=n, u=2 * n)
-        start = time.perf_counter()
-        records = replay_stream(session, requests)
-        elapsed = time.perf_counter() - start
-        rows.append({
-            "n": n,
-            "requests": count,
-            "granted": sum(1 for r in records if r.granted),
-            "rejected": session.controller.rejected,
-            "messages": session.controller.counters.total,
-            "simulated_time": round(session.now, 3),
-            "wall_ms": round(elapsed * 1000, 3),
-        })
-    return {
-        "scenario": "distributed_batch",
-        "params": {"sizes": sizes, "requests_per_node": requests_per_node,
-                   "seed": seed},
-        "rows": rows,
     }
 
 
@@ -445,30 +263,45 @@ def run_scenario_grid(name: str = "all",
     invocation doubles as a correctness gate — and the JSON document
     records the full per-cell evidence.
     """
+    # Validation is eager — before any cell runs — so a typo fails in
+    # milliseconds, not mid-grid, and an option that selects nothing
+    # fails instead of passing an empty grid.
     names = list(CATALOGUE) if name == "all" else [
         part.strip() for part in name.split(",") if part.strip()]
+    if not names:
+        raise ConfigError(
+            f"name must list one or more catalogue scenarios (or 'all'); "
+            f"known: {', '.join(CATALOGUE)}")
     for scenario_name in names:
-        get_scenario(scenario_name)  # fail fast on typos, before any cell
-    policies = [part.strip() for part in policy.split(",") if part.strip()]
-    for pol in policies:
-        if pol not in SCHEDULE_POLICIES:
-            raise ConfigError(
-                f"unknown policy {pol!r}; known: {', '.join(SCHEDULE_POLICIES)}")
-    seed_list = [int(part) for part in str(seeds).split(",") if part != ""]
+        get_scenario(scenario_name)
+    seed_list = _int_csv(seeds, "seeds")
     # Engines resolve against the public controller registry; ``all``
-    # sweeps every registered flavour.  Validation is eager — before any
-    # cell runs — so a typo fails in milliseconds, not mid-grid.
+    # sweeps every registered flavour.
     if engines.strip() == "all":
         engine_list = list(CONTROLLER_FLAVORS)
     else:
         engine_list = [part.strip().replace("-", "_")
                        for part in engines.split(",") if part.strip()]
+    if not engine_list:
+        raise ConfigError(
+            f"engines must list one or more registered controller "
+            f"flavors (or 'all'): {', '.join(CONTROLLER_FLAVORS)}")
     for engine in engine_list:
         if engine not in CONTROLLER_FLAVORS:
             raise ConfigError(
                 f"unknown engine {engine!r}; registered controller "
                 f"flavors: {', '.join(CONTROLLER_FLAVORS)} (or 'all')")
-    fault_plan = parse_fault_spec(faults)
+    policies = [part.strip() for part in policy.split(",") if part.strip()]
+    if not policies and "distributed" in engine_list:
+        raise ConfigError(
+            f"policy must list one or more schedule policies for the "
+            f"distributed engine: {', '.join(SCHEDULE_POLICIES)}")
+    for pol in policies:
+        if pol not in SCHEDULE_POLICIES:
+            raise ConfigError(
+                f"unknown policy {pol!r}; known: "
+                f"{', '.join(SCHEDULE_POLICIES)}")
+    fault_plan = _fault_plan(faults)
 
     cells: List[Dict] = []
     grid_report = InvariantReport()
@@ -643,122 +476,6 @@ def _cross_check(cell: Dict, spec, reference: Optional[Dict],
 
 
 # ----------------------------------------------------------------------
-# kernel — distributed filler lookup, before/after the level index.
-# ----------------------------------------------------------------------
-#: The kernel bench's arms: the legacy linear board scan and the
-#: kernel's level index.
-KERNEL_ARMS = (
-    ("scan", {"indexed_stores": False}),
-    ("indexed", {"indexed_stores": True}),
-)
-
-
-def run_kernel(scenario: str = "deep_burst", seeds: str = "0,1",
-               repeats: int = 3, stagger: float = 0.25) -> Dict:
-    """The distributed filler lookup, two ways: scan / indexed.
-
-    Two measurements, both on the named catalogue scenario (deep_burst
-    by default — deep paths, so agents climb far and whiteboards near
-    the root accumulate parked packages):
-
-    * **end-to-end**: the identical pre-generated stream is pushed
-      through ``submit_batch`` twice per seed — the legacy linear
-      board scan (``scan``) and the kernel's level-windowed lookup
-      (``indexed``); outcome tallies and message counters are asserted
-      identical across the arms — the index is a pure constant-factor
-      change — and the wall clocks (min over ``repeats``) are
-      compared;
-    * **lookup microbench**: a store parked with one package per level
-      answers a sweep of window queries through both lookup paths,
-      which isolates the per-lookup cost from scheduler overhead.
-    """
-    spec = get_scenario(scenario)
-    seed_list = [int(part) for part in str(seeds).split(",") if part != ""]
-    cells: List[Dict] = []
-    for seed in seed_list:
-        stream_specs = _materialize(spec, seed)
-        timings: Dict[str, float] = {}
-        checks: Dict[str, object] = {}
-        for label, options in KERNEL_ARMS:
-            best: Optional[float] = None
-            for _ in range(max(repeats, 1)):
-                tree, requests = _replay_requests(spec, seed, stream_specs)
-                session = _session(
-                    "distributed", tree, m=spec.m, w=spec.w, u=spec.u,
-                    options=dict(options))
-                start = time.perf_counter()
-                records = replay_stream(session, requests,
-                                        stagger=stagger)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-                checks[label] = (
-                    tuple(sorted(
-                        _tally(r.outcome for r in records).items())),
-                    session.controller.counters.total)
-                session.close()
-            timings[label] = best or 0.0
-        for label, _options in KERNEL_ARMS[1:]:
-            if checks[label] != checks["scan"]:
-                raise InvariantViolation(
-                    f"{label} arm diverged from the scan at seed={seed}: "
-                    f"{checks[label]} != {checks['scan']}")
-        tally, messages = checks["indexed"]
-        cells.append({
-            "scenario": spec.name, "seed": seed,
-            "scan_ms": round(timings["scan"] * 1000, 3),
-            "indexed_ms": round(timings["indexed"] * 1000, 3),
-            "speedup": round(timings["scan"] / timings["indexed"], 3)
-            if timings["indexed"] > 0 else float("inf"),
-            "messages": messages, "tally": dict(tally),
-        })
-
-    # Lookup microbench: every level parked, every window queried.
-    params = ControllerParams(m=spec.m, w=spec.w, u=spec.u)
-    store = NodeStore()
-    for level in range(params.max_level + 1):
-        controller_kernel.park(
-            store, MobilePackage(level=level,
-                                 size=params.mobile_size(level)))
-    dists = []
-    for level in range(params.max_level + 1):
-        low = (1 << level) * params.psi
-        dists.extend([low // 2 + 1, low + 1, 2 * low])
-    rounds = max(50_000 // len(dists), 1)
-    lookup = {}
-    for label, fn in (("scan", controller_kernel.scan_filler),
-                      ("indexed", controller_kernel.peek_filler)):
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for dist in dists:
-                fn(store, dist, params)
-        lookup[label] = time.perf_counter() - start
-    queries = rounds * len(dists)
-    for dist in dists:  # the two paths must agree query-for-query
-        if (controller_kernel.scan_filler(store, dist, params)
-                is not controller_kernel.peek_filler(store, dist, params)):
-            raise InvariantViolation(f"lookup paths disagree at dist={dist}")
-
-    return {
-        "scenario": "kernel",
-        "params": {"scenario": scenario, "seeds": seed_list,
-                   "repeats": repeats, "stagger": stagger,
-                   "m": spec.m, "w": spec.w, "u": spec.u, "n": spec.n},
-        "cells": cells,
-        "run_speedup_min": min(c["speedup"] for c in cells),
-        "run_speedup_max": max(c["speedup"] for c in cells),
-        "lookup": {
-            "queries": queries,
-            "parked_levels": params.max_level + 1,
-            "scan_ms": round(lookup["scan"] * 1000, 3),
-            "indexed_ms": round(lookup["indexed"] * 1000, 3),
-            "speedup": round(lookup["scan"] / lookup["indexed"], 3)
-            if lookup["indexed"] > 0 else float("inf"),
-        },
-        "equivalent": True,
-    }
-
-
-# ----------------------------------------------------------------------
 # profile — where the wall clock goes on the distributed hot path.
 # ----------------------------------------------------------------------
 #: Self-time in these is "scheduler machinery" for the profile split:
@@ -794,8 +511,9 @@ def run_profile(scenario: str = "deep_burst", seed: int = 0,
     primitives).  On deep_burst the ``top_self`` entry should be
     protocol work (the hop/lock handlers), not event dispatch.
 
-    Profiled numbers are for *attribution only* — the tracer inflates
-    every call, so wall-clock comparisons belong to ``run_kernel``.
+    Profiled numbers are for *attribution only* — the profiler
+    inflates every call, so wall-clock comparisons belong to
+    ``stackbench/``.
     """
     spec = get_scenario(scenario)
     stream_specs = _materialize(spec, seed)
@@ -849,7 +567,7 @@ def run_profile(scenario: str = "deep_burst", seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# memory — Claim 4.8 node-state audit (the bench_e08 sweep).
+# memory — Claim 4.8 node-state audit.
 # ----------------------------------------------------------------------
 def _encoded_bits(board, log_n: float, log_u: float) -> float:
     """Bits to encode one whiteboard per the Claim 4.8 representation:
@@ -945,194 +663,10 @@ def run_memory(sizes: Optional[List[int]] = None,
 
 
 # ----------------------------------------------------------------------
-# session — the session layer's own overhead, measured honestly.
-# ----------------------------------------------------------------------
-#: Flavours whose handle_batch consumes its input lazily (required by
-#: the bench's TreeMirror replay; see run_session_overhead).
-SESSION_BENCH_FLAVORS = ("centralized", "iterated", "adaptive",
-                         "terminating", "trivial")
-
-
-def run_session_overhead(n: int = 600, steps: int = 2000,
-                         batch_size: int = 64, topology: str = "random",
-                         mix: str = "default", seed: int = 0,
-                         repeats: int = 3,
-                         flavor: str = "iterated") -> Dict:
-    """Session layer vs direct protocol calls on the batch workload.
-
-    One request stream is recorded once (tree-independent specs), then
-    replayed through two *paired* comparisons on identically-built twin
-    trees:
-
-    * **batch** — ``handle_batch`` (direct ``make_controller`` product)
-      vs ``ControllerSession.serve_stream``, chunk by chunk;
-    * **seq** — ``handle`` vs ``ControllerSession.serve``, block by
-      block.
-
-    The pairing is chunk-interleaved with alternating order (direct
-    first on even chunks, session first on odd ones), so slow clock
-    drift (CPU frequency, noisy CI neighbours) and warm-cache ordering
-    bias hit both arms of a pair equally.  Both engines of a pair
-    advance over the same stream in lockstep and must produce identical
-    outcome sequences and move counters (asserted).  Because the
-    replays are deterministic, chunk ``i`` does identical work in every
-    repeat; each arm's wall clock is therefore the **sum of per-chunk
-    minima** over ``repeats`` (the lower-envelope estimate, which
-    converges far faster than min-of-totals under bursty noise).  The
-    headline is ``overhead_batch_pct`` — the amortized session tax on
-    the batched path, targeted at <= 5%.
-    """
-    if flavor not in SESSION_BENCH_FLAVORS:
-        # The replay resolves each recorded spec lazily against a twin
-        # tree, which needs a handle_batch that consumes its input
-        # incrementally; the distributed engine and the wrappers
-        # materialize batches up front, so specs that target mid-chunk
-        # creations cannot resolve there.
-        raise ConfigError(
-            f"the session bench replays lazily and supports only the "
-            f"synchronous flavours ({', '.join(SESSION_BENCH_FLAVORS)}); "
-            f"got {flavor!r}")
-    mix_map = _MIXES[mix]()
-    u, m, w = 4 * n, 4 * n, max(n // 4, 1)
-
-    # Record the stream once, sequentially, against a scratch engine.
-    scratch = _build(topology, n, seed, True)
-    recorder = _session(flavor, scratch, m=m, w=w, u=u)
-    rng = random.Random(seed)
-    picker = NodePicker(scratch)
-    specs = []
-    for _ in range(steps):
-        request = random_request(scratch, rng, mix=mix_map, picker=picker)
-        specs.append(request_spec(request))
-        recorder.serve(request)
-    picker.detach()
-
-    def paired_replay(batched: bool):
-        """One repeat: direct vs session over the same stream, timed
-        chunk-against-chunk in alternating order.  Returns per-chunk
-        time lists and the per-arm evidence (statuses + counters) for
-        the equivalence assert."""
-        tree_d = _build(topology, n, seed, True)
-        tree_s = _build(topology, n, seed, True)
-        mirror_d = TreeMirror(tree_d)
-        mirror_s = TreeMirror(tree_s)
-        controller = make_controller(flavor, tree_d, m=m, w=w, u=u)
-        session = _session(flavor, tree_s, m=m, w=w, u=u)
-        statuses_d: List[str] = []
-        statuses_s: List[str] = []
-        chunk_times_d: List[float] = []
-        chunk_times_s: List[float] = []
-
-        def run_direct(chunk) -> float:
-            t0 = time.perf_counter()
-            if batched:
-                outcomes = controller.handle_batch(mirror_d.requests(chunk))
-            else:
-                outcomes = [controller.handle(mirror_d.request(spec))
-                            for spec in chunk]
-            elapsed = time.perf_counter() - t0
-            statuses_d.extend(o.status.value for o in outcomes)
-            return elapsed
-
-        def run_session(chunk) -> float:
-            t0 = time.perf_counter()
-            if batched:
-                records = session.serve_stream(mirror_s.requests(chunk))
-            else:
-                records = [session.serve(mirror_s.request(spec))
-                           for spec in chunk]
-            elapsed = time.perf_counter() - t0
-            # Status read through the record's raw outcome — the same
-            # enum access the direct arm pays, so the diff isolates
-            # the session layer itself.
-            statuses_s.extend(r.outcome.status.value for r in records)
-            return elapsed
-
-        for index, base in enumerate(range(0, len(specs), batch_size)):
-            chunk = specs[base:base + batch_size]
-            if index % 2 == 0:
-                chunk_times_d.append(run_direct(chunk))
-                chunk_times_s.append(run_session(chunk))
-            else:
-                chunk_times_s.append(run_session(chunk))
-                chunk_times_d.append(run_direct(chunk))
-        mirror_d.detach()
-        mirror_s.detach()
-        return (chunk_times_d, chunk_times_s,
-                (statuses_d, tuple(sorted(
-                    controller.counters.snapshot().items()))),
-                (statuses_s, tuple(sorted(
-                    session.controller.counters.snapshot().items()))))
-
-    arm_chunks: Dict[str, List[float]] = {}
-    evidence: Dict[str, object] = {}
-    gc_was_enabled = gc.isenabled()
-    try:
-        gc.disable()
-        for _ in range(max(repeats, 1)):
-            for batched in (True, False):
-                gc.collect()
-                times_d, times_s, proof_d, proof_s = paired_replay(batched)
-                kind = "batch" if batched else "seq"
-                for label, times in ((f"direct_{kind}", times_d),
-                                     (f"session_{kind}", times_s)):
-                    if label in arm_chunks:
-                        arm_chunks[label] = [
-                            min(old, new) for old, new in
-                            zip(arm_chunks[label], times)]
-                    else:
-                        arm_chunks[label] = times
-                evidence[f"direct_{kind}"] = proof_d
-                evidence[f"session_{kind}"] = proof_s
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    timings = {label: sum(times) for label, times in arm_chunks.items()}
-    baseline = evidence["direct_batch"]
-    for label in ("session_batch", "direct_seq", "session_seq"):
-        if evidence[label] != baseline:
-            raise InvariantViolation(
-                f"arm {label} diverged from direct_batch "
-                "(outcomes or counters differ)")
-
-    def overhead(direct: float, session: float) -> float:
-        return round((session - direct) / direct * 100, 2) if direct else 0.0
-
-    overhead_batch = overhead(timings["direct_batch"],
-                              timings["session_batch"])
-    tally = _tally_statuses(baseline[0])
-    return {
-        "scenario": "session",
-        "params": {"n": n, "steps": steps, "batch_size": batch_size,
-                   "topology": topology, "mix": mix, "seed": seed,
-                   "repeats": repeats, "flavor": flavor,
-                   "m": m, "w": w, "u": u},
-        "direct_batch_ms": round(timings["direct_batch"] * 1000, 3),
-        "session_batch_ms": round(timings["session_batch"] * 1000, 3),
-        "direct_seq_ms": round(timings["direct_seq"] * 1000, 3),
-        "session_seq_ms": round(timings["session_seq"] * 1000, 3),
-        "overhead_batch_pct": overhead_batch,
-        "overhead_seq_pct": overhead(timings["direct_seq"],
-                                     timings["session_seq"]),
-        "target_pct": 5.0,
-        "within_target": overhead_batch <= 5.0,
-        "equivalent": True,
-        **tally,
-    }
-
-
-def _tally_statuses(statuses: List[str]) -> Dict[str, int]:
-    tally = {"granted": 0, "rejected": 0, "cancelled": 0, "pending": 0}
-    for status in statuses:
-        tally[status] += 1
-    return tally
-
-
-# ----------------------------------------------------------------------
 # apps — the Section 5 application layer, measured honestly.
 # ----------------------------------------------------------------------
-#: The churn mix the estimator benches have always used (bench_e05..e07):
-#: topological requests only, additions slightly outweighing removals.
+#: The churn mix of the estimator sweeps: topological requests only,
+#: additions slightly outweighing removals.
 APP_BENCH_MIX = {
     RequestKind.ADD_LEAF: 0.35,
     RequestKind.ADD_INTERNAL: 0.15,
@@ -1150,149 +684,13 @@ def _app_spec_for(name: str, **knobs: Any):
     return AppSpec(name, params=params, **knobs)
 
 
-def _app_state(name: str, app: Any, tree) -> Any:
-    """The app-level state the old/new equivalence compares: estimates,
-    ids, mu pointers — whatever the app's theorem is about."""
-    if name == "size_estimation":
-        return ("estimate", app.estimate, app.iterations_run)
-    if name == "name_assignment":
-        return ("ids", tuple(sorted(app.ids[node]
-                                    for node in tree.nodes())))
-    if name == "subtree_estimator":
-        probe = app.estimate_of if hasattr(app, "estimate_of") else app.estimate
-        return ("sw", tuple(sorted(probe(node) for node in tree.nodes())))
-    if name == "heavy_child":
-        return ("mu", tuple(sorted(
-            (k.node_id, v.node_id) for k, v in app._mu.items())))
-    return ()
-
-
-def _drive_app_overhead(name: str, n: int, steps: int, batch_size: int,
-                        seed: int, repeats: int) -> Dict:
-    """Per-request ``serve`` vs chunked ``serve_stream`` on identical
-    churn, chunk-paired.
-
-    The stream is recorded once (tree-independent specs) against a
-    scratch run of the app, then replayed through two twin trees —
-    the per-request path and the chunked streaming path — chunk
-    against chunk in alternating order, exactly the
-    ``run_session_overhead`` pairing discipline (per-chunk minima over
-    ``repeats``).  Outcome sequences and the app-level state
-    (estimates / ids / mu pointers) must match; the headline is the
-    amortized per-request tax the streaming path removes.
-    """
-    from repro.apps import make_app
-
-    # Record the stream once against a scratch run of the app itself.
-    scratch = build_random_tree(n, seed=seed)
-    recorder = make_app(_app_spec_for(name), tree=scratch)
-    rng = random.Random(seed + 1)
-    picker = NodePicker(scratch)
-    specs = []
-    for _ in range(steps):
-        request = random_request(scratch, rng, mix=APP_BENCH_MIX,
-                                 picker=picker)
-        specs.append(request_spec(request))
-        recorder.serve(request)
-    picker.detach()
-    recorder.close()
-
-    def paired_replay():
-        """Two arms on twin trees, timed chunk-against-chunk in
-        alternating order: the app's per-request ``serve`` (baseline)
-        and the app's chunked ``serve_stream`` (the <= 5% target arm,
-        mirroring the session bench's batched comparison)."""
-        trees = [build_random_tree(n, seed=seed) for _ in range(2)]
-        mirrors = [TreeMirror(tree) for tree in trees]
-        app_seq = make_app(_app_spec_for(name), tree=trees[0])
-        app_batch = make_app(_app_spec_for(name), tree=trees[1])
-        statuses: Dict[str, List[str]] = {"seq": [], "batch": []}
-        chunk_times: Dict[str, List[float]] = {"seq": [], "batch": []}
-
-        def run_seq(chunk) -> float:
-            mirror = mirrors[0]
-            t0 = time.perf_counter()
-            records = [app_seq.serve(mirror.request(spec))
-                       for spec in chunk]
-            elapsed = time.perf_counter() - t0
-            statuses["seq"].extend(
-                r.outcome.status.value for r in records)
-            return elapsed
-
-        def run_batch(chunk) -> float:
-            mirror = mirrors[1]
-            t0 = time.perf_counter()
-            records = app_batch.serve_stream(mirror.requests(chunk))
-            elapsed = time.perf_counter() - t0
-            statuses["batch"].extend(
-                r.outcome.status.value for r in records)
-            return elapsed
-
-        arms = (("seq", run_seq), ("batch", run_batch))
-        for index, base in enumerate(range(0, len(specs), batch_size)):
-            chunk = specs[base:base + batch_size]
-            for offset in range(2):  # alternate the arm order per chunk
-                label, runner = arms[(index + offset) % 2]
-                chunk_times[label].append(runner(chunk))
-        for mirror in mirrors:
-            mirror.detach()
-        for app in (app_seq, app_batch):
-            report = app.audit()
-            if not report.passed:
-                raise InvariantViolation(
-                    f"app {name}: invariant audit failed in overhead "
-                    f"bench: {report.violations[0].message}")
-        evidence = {
-            "seq": (statuses["seq"], _app_state(name, app_seq, trees[0])),
-            "batch": (statuses["batch"],
-                      _app_state(name, app_batch, trees[1])),
-        }
-        app_seq.close()
-        app_batch.close()
-        return chunk_times, evidence
-
-    best: Dict[str, List[float]] = {}
-    evidence: Dict[str, object] = {}
-    gc_was_enabled = gc.isenabled()
-    try:
-        gc.disable()
-        for _ in range(max(repeats, 1)):
-            gc.collect()
-            chunk_times, evidence = paired_replay()
-            for label, times in chunk_times.items():
-                best[label] = ([min(a, b) for a, b in
-                                zip(best[label], times)]
-                               if label in best else times)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if evidence["batch"] != evidence["seq"]:
-        raise InvariantViolation(
-            f"app {name}: batch path diverged from seq "
-            "(outcomes or app state differ)")
-    timings = {label: sum(times) for label, times in best.items()}
-    baseline = timings["seq"]
-    overhead_batch = (round((timings["batch"] - baseline) / baseline
-                            * 100, 2) if baseline else 0.0)
-
-    return {
-        "app": name,
-        "app_seq_ms": round(timings["seq"] * 1000, 3),
-        "app_batch_ms": round(timings["batch"] * 1000, 3),
-        "overhead_batch_pct": overhead_batch,
-        "equivalent": True,
-        **_tally_statuses(list(evidence["seq"][0])),
-    }
-
-
-
 def _drive_app_complexity(name: str, sizes: List[int],
                           steps_per_node: int, seed: int) -> Dict:
-    """Messages-per-change sweep for one app on the new path: the
-    bench_e05/e06/e07 measurement, CLI-shaped.  Reports the amortized
-    cost per topological change, the ``12 log^2 n`` envelope ratio, a
-    log-log slope of total messages against n (near 1 = near-linear
-    totals = polylog amortized), and the app's guarantee statistic."""
+    """Messages-per-change sweep for one app (the Theorem 5.1, 5.2 and
+    5.4 cost claims).  Reports the amortized cost per topological
+    change, the ``12 log^2 n`` envelope ratio, a log-log slope of total
+    messages against n (near 1 = near-linear totals = polylog
+    amortized), and the app's guarantee statistic."""
     import math as _math
 
     from repro.apps import make_app
@@ -1406,24 +804,17 @@ def _drive_app_grid_cell(name: str, policy: str, faults: Optional[str],
 
 
 def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
-             steps_per_node: int = 3, overhead_n: int = 200,
-             overhead_steps: int = 600, batch_size: int = 64,
-             repeats: int = 3, seed: int = 0,
+             steps_per_node: int = 3, seed: int = 0,
              policies: str = "fifo,random,adversary",
              faults: str = "stall=0.05",
              grid_n: int = 40, grid_steps: int = 120) -> Dict:
-    """The application-layer bench: overhead + complexity + grid.
+    """The application-layer bench: complexity + grid.
 
-    Three sections, one JSON document (``BENCH_apps.json``):
+    Two sections, one JSON document (``BENCH_apps.json``):
 
-    * **overhead** — the app's chunked ``serve_stream`` path vs its
-      per-request ``serve`` path on identical churn (chunk-paired,
-      per-chunk minima, equivalence-asserted); target <= 5% amortized
-      across the apps;
-    * **complexity** — the bench_e05/e06/e07 sweeps on the new path:
-      messages per topological change against the ``12 log^2 n``
-      polylog envelope, plus log-log fits of the totals
-      (:mod:`repro.metrics.fitting`);
+    * **complexity** — one sweep per app: messages per topological
+      change against the ``12 log^2 n`` polylog envelope, plus log-log
+      fits of the totals (:mod:`repro.metrics.fitting`);
     * **grid** — every app event-driven on the distributed engine,
       per schedule policy, without and with a fault plan, audited by
       :func:`repro.metrics.invariants.audit_app`; the run **raises**
@@ -1439,22 +830,22 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
         # ConfigError — a ValueError — naming the registry.
         names = [resolve_app(part)
                  for part in apps.split(",") if part.strip()]
+    if not names:
+        raise ConfigError(
+            f"apps must list one or more app names (or 'all'): "
+            f"{', '.join(APP_NAMES)}")
     sizes = sizes or [100, 200, 400]
     policy_list = [p.strip() for p in policies.split(",") if p.strip()]
+    if not policy_list:
+        raise ConfigError(
+            f"policies must list one or more schedule policies: "
+            f"{', '.join(SCHEDULE_POLICIES)}")
     for policy in policy_list:
         if policy not in SCHEDULE_POLICIES:
             raise ConfigError(
                 f"unknown policy {policy!r}; known: "
                 f"{', '.join(SCHEDULE_POLICIES)}")
-
-    overhead_rows = [
-        _drive_app_overhead(name, overhead_n, overhead_steps, batch_size,
-                            seed, repeats)
-        for name in names]
-    seq_total = sum(r["app_seq_ms"] for r in overhead_rows)
-    batch_total = sum(r["app_batch_ms"] for r in overhead_rows)
-    amortized = (round((batch_total - seq_total) / seq_total * 100, 2)
-                 if seq_total else 0.0)
+    _fault_plan(faults)  # fail before the sweeps, not at the grid
 
     complexity = [_drive_app_complexity(name, sizes, steps_per_node, seed)
                   for name in names]
@@ -1472,17 +863,9 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
         "scenario": "apps",
         "params": {
             "apps": names, "sizes": sizes,
-            "steps_per_node": steps_per_node,
-            "overhead_n": overhead_n, "overhead_steps": overhead_steps,
-            "batch_size": batch_size, "repeats": repeats, "seed": seed,
+            "steps_per_node": steps_per_node, "seed": seed,
             "policies": policy_list, "faults": faults,
             "grid_n": grid_n, "grid_steps": grid_steps,
-        },
-        "overhead": {
-            "rows": overhead_rows,
-            "amortized_pct": amortized,
-            "target_pct": 5.0,
-            "within_target": amortized <= 5.0,
         },
         "complexity": complexity,
         "grid": {
@@ -1551,8 +934,9 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
     spec = get_scenario(scenario)
     if scale != 1.0:
         spec = spec.scaled(scale)
-    seed_list = [int(part) for part in str(seeds).split(",") if part != ""]
-    fault_plan = parse_fault_spec(faults)
+    seed_list = _int_csv(seeds, "seeds")
+    _at_least_one(clients=clients, wave=wave)
+    fault_plan = _fault_plan(faults)
     gateway_config = GatewayConfig(
         queue_capacity=queue_capacity, batch_size=batch_size,
         breaker_latency=breaker_latency,
@@ -1784,8 +1168,8 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
     """
     from repro.fleet import FleetConfig, FleetRouter
 
-    shard_counts = [int(part) for part in str(shards).split(",")
-                    if part != ""]
+    shard_counts = _int_csv(shards, "shards")
+    _at_least_one(steps=steps, clients=clients)
     grid_report = InvariantReport()
     cells = [_drive_fleet_cell(count, steps, clients, seed, grid_report)
              for count in shard_counts]
@@ -1925,16 +1309,11 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
 
 
 SCENARIOS = {
-    "ancestry": run_ancestry,
     "move_complexity": run_move_complexity,
-    "batch": run_batch,
     "scenario": run_scenario_bench,
     "scenario_grid": run_scenario_grid,
-    "distributed_batch": run_distributed_batch,
-    "kernel": run_kernel,
     "profile": run_profile,
     "memory": run_memory,
-    "session": run_session_overhead,
     "apps": run_apps,
     "gateway": run_gateway,
     "fleet": run_fleet,

@@ -17,7 +17,7 @@ start at the root; requests trigger ``GrantOrReject``:
    recurses with the other half; the final level-0 package becomes the
    requester's static pool.
 
-The permit/package *mechanics* — the ledger, the level-indexed filler
+The permit/package *mechanics* — the ledger, the level-windowed filler
 lookup, the ``Proc`` split schedule, the reject wave — live in the
 shared :mod:`repro.core.kernel`; this class is the synchronous
 executor: it resolves each kernel plan step against the ancestry
@@ -108,7 +108,7 @@ class CentralizedController(TreeListener):
         # Request-engine fast path: claim the tree's per-node store
         # slots if nobody holds them (single claimant per tree; extra
         # concurrent controllers transparently use dict lookups).
-        self._fast = bool(tree.skip_ancestry) and tree.store_slot_owner is None
+        self._fast = tree.store_slot_owner is None
         if self._fast:
             tree.store_slot_owner = self
         self.stores = StoreMap(slot_owner=self if self._fast else None)
@@ -218,12 +218,11 @@ class CentralizedController(TreeListener):
     def handle_batch(self, requests: Iterable[Request]) -> List[Outcome]:
         """Run ``GrantOrReject`` for a batch of requests.
 
-        Requests are served in order with *exactly* the per-request
-        outcomes and move-counter accounting of calling :meth:`handle`
-        on each (the equivalence is property-tested); the batch form
-        amortizes the skip-pointer ancestry repairs and the mobile-host
-        index across the whole batch, which is where the throughput
-        comes from on deep trees.
+        A per-request loop over :meth:`handle`: outcomes and
+        move-counter accounting are exactly those of calling
+        :meth:`handle` on each request in order (property-tested in
+        ``tests/core/test_handle_batch.py``).  The batch form exists
+        for the :class:`repro.protocol.ControllerProtocol` surface.
         """
         return [self.handle(request) for request in requests]
 
@@ -314,8 +313,8 @@ class CentralizedController(TreeListener):
 
         With the fast path claimed, each hop is two slot loads; without
         it, a dict probe per hop.  The per-store window check is the
-        kernel's level-windowed lookup (one dict probe), equivalent to
-        scanning every parked package.
+        kernel's level-windowed lookup: the one level that can fill at
+        this distance, matched against the (short) parked list.
         """
         params = self.params
         trace = self._trace

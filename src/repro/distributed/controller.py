@@ -91,11 +91,6 @@ class DistributedController(TreeListener):
         are scheduled on this controller's scheduler.  All injected
         faults are legal under the asynchronous model, so every
         controller guarantee must hold unchanged.
-    indexed_stores:
-        Use the kernel's level-windowed (indexed) filler lookup at each
-        whiteboard (default).  ``False`` restores the legacy linear
-        board scan — kept only so the ``kernel`` bench can measure the
-        before/after; results are identical either way.
     kernel_trace:
         Optional :class:`repro.core.kernel.KernelTrace` recording every
         kernel transition (take/create/park/absorb/grant/reject-wave);
@@ -127,7 +122,6 @@ class DistributedController(TreeListener):
                  terminate_on_exhaustion: bool = False,
                  apply_topology: bool = True,
                  faults: Optional[FaultInjector] = None,
-                 indexed_stores: bool = True,
                  kernel_trace: Optional[KernelTrace] = None,
                  track_intervals: bool = False,
                  interval_base: int = 0,
@@ -147,7 +141,6 @@ class DistributedController(TreeListener):
 
         self.boards = WhiteboardMap()
         self._trace = kernel_trace
-        self._indexed_stores = indexed_stores
         self.track_intervals = track_intervals
         self.permit_flow_observer = permit_flow_observer
         self._ledger = PermitLedger(params=self.params, storage=m,
@@ -256,10 +249,11 @@ class DistributedController(TreeListener):
         one request submitted twice gets both of its outcomes).
 
         This is the distributed twin of the centralized controllers'
-        ``handle_batch``: instead of amortizing ancestry repairs it
-        amortizes network latency — agents on disjoint root-path
-        segments climb concurrently, so a batch completes in far fewer
-        simulated time units than sequential ``submit_and_run`` calls.
+        ``handle_batch``, which serves a batch one request at a time;
+        here the batch amortizes network latency — agents on disjoint
+        root-path segments climb concurrently, so a batch completes in
+        far fewer simulated time units than sequential
+        ``submit_and_run`` calls.
         """
         requests = list(requests)
         resolved: List[Optional[Outcome]] = [None] * len(requests)
@@ -356,7 +350,9 @@ class DistributedController(TreeListener):
             return
 
         # Item 3a: filler check at the current distance.
-        package = self._take_filler(board, agent.distance, node)
+        package = kernel.take_filler(board.store, agent.distance,
+                                     self.params, node=node,
+                                     trace=self._trace)
         if package is not None:
             self.tracer.emit(self.scheduler.now, "filler_found",
                              agent=agent.agent_id, node=node.node_id,
@@ -371,25 +367,6 @@ class DistributedController(TreeListener):
 
         # Keep climbing.
         self._hop(agent, _CLIMB)
-
-    def _take_filler(self, board: Whiteboard, dist: int,
-                     node: Optional[TreeNode] = None
-                     ) -> Optional[MobilePackage]:
-        """Item 3a's whiteboard check, via the kernel.
-
-        The default is the kernel's level-windowed lookup (one window
-        computation plus one dict probe); ``indexed_stores=False``
-        falls back to the legacy linear board scan, which the ``kernel``
-        bench uses as its before/after baseline.
-        """
-        if self._indexed_stores:
-            return kernel.take_filler(board.store, dist, self.params,
-                                      node=node, trace=self._trace)
-        chosen = kernel.scan_filler(board.store, dist, self.params)
-        if chosen is not None:
-            kernel.take_package(board.store, chosen, node=node, dist=dist,
-                                trace=self._trace)
-        return chosen
 
     def _climb_arrive(self, agent: Agent) -> None:
         """The agent's upward hop lands at ``path[-1].parent``.

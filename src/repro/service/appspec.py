@@ -105,7 +105,7 @@ class AppSpec:
     options:
         Extra controller constructor options forwarded to every
         iteration's :class:`~repro.service.config.ControllerSpec`
-        (``indexed_stores=``, ...).
+        (``permit_flow_observer=``, ...).
     """
 
     app: str

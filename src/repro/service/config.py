@@ -51,7 +51,7 @@ class ControllerSpec:
     """Which controller to build: flavour + (M, W, U) + extra options.
 
     ``options`` passes flavour-specific constructor keywords through
-    (``indexed_stores=``, ``track_intervals=``, ``variant=``, ...); the
+    (``track_intervals=``, ``apply_topology=``, ``variant=``, ...); the
     session layer adds its own wiring (scheduler, delays, faults) on
     top for the flavours that take it.  Option names are checked
     against the flavour's constructor here, so a typo raises

@@ -7,8 +7,9 @@ the same stream through sequential ``handle`` calls.  Verified here by
 driving twin trees (identical construction => identical node ids) with
 a recorded stream, across every initial topology of
 ``workloads/scenarios.py``, every request mix, and all four controller
-flavours — plus the engine-off configuration, so the skip-pointer /
-slot fast paths are proven behaviour-preserving too.
+flavours — plus a second controller on an already-claimed tree (dict
+store lookups and parent-pointer walks), so the slot fast path and the
+skip-pointer queries are proven behaviour-preserving too.
 """
 
 import random
@@ -41,11 +42,14 @@ TOPOLOGIES = {
 
 
 def drive_twins(make_controller, build, n, steps, batch_size, mix, seed,
-                skip_b=True):
-    """Run a stream sequentially on tree A, batched (or re-configured)
-    on twin tree B; return both (controller, outcomes, tree) triples."""
+                decoy=None):
+    """Run a stream sequentially on tree A, batched on twin tree B;
+    return both (controller, outcomes, tree) triples.  ``decoy(tree)``,
+    if given, builds a controller on tree B before the one under test
+    (so the decoy holds B's store slots)."""
     tree_a, tree_b = build(n), build(n)
-    tree_b.skip_ancestry = skip_b
+    if decoy is not None:
+        decoy(tree_b)
     ctrl_a, submit_a = make_controller(tree_a)
     ctrl_b, _ = make_controller(tree_b)
 
@@ -122,15 +126,25 @@ def test_terminating_batch_equals_sequential():
 
 
 def test_engine_off_matches_engine_on():
-    """skip_ancestry=False must reproduce the engine's outcomes and
-    counters exactly (the fast paths are pure optimizations)."""
+    """A controller that finds the tree's store slots already claimed
+    runs dict lookups and parent-pointer walks; it must reproduce the
+    slot-holding run's outcomes and counters exactly (the fast paths
+    are pure optimizations)."""
+    decoys = []
+
+    def decoy(tree):
+        decoys.append(CentralizedController(tree, m=1, w=1, u=4 * 250))
+
     def make(tree):
         ctrl = IteratedController(tree, m=800, w=50, u=800)
         return ctrl, ctrl.handle
     a, b = drive_twins(make, TOPOLOGIES["path"], n=250, steps=500,
                        batch_size=32, mix=default_mix(), seed=13,
-                       skip_b=False)
+                       decoy=decoy)
     assert_equivalent(a, b)
+    assert a[0]._inner._fast
+    assert not b[0]._inner._fast and not b[0]._inner._tables_on
+    assert b[2].store_slot_owner is decoys[0]
 
 
 def test_exhaustion_and_reject_wave_through_batches():

@@ -44,8 +44,9 @@ def test_unknown_options_are_config_errors(flavor, options):
 def test_known_options_still_pass_through():
     session = ControllerSession(SessionConfig.of(
         "distributed", m=10, w=2, u=20,
-        options={"indexed_stores": False, "track_intervals": True}))
+        options={"apply_topology": False, "track_intervals": True}))
     assert session.controller.track_intervals
+    assert not session.controller._apply_topology
     session.close()
 
 
@@ -93,6 +94,6 @@ def test_with_window_copies():
 def test_snapshot_is_json_serializable():
     config = SessionConfig.of(
         "distributed", m=10, w=1, u=64, faults="stall=0.1", seed=3,
-        options={"indexed_stores": False})
+        options={"apply_topology": False})
     document = json.dumps(config.snapshot())
-    assert "indexed_stores" in document and '"seed": 3' in document
+    assert "apply_topology" in document and '"seed": 3' in document

@@ -7,37 +7,14 @@ import sys
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    run_ancestry,
-    run_batch,
-    run_distributed_batch,
-    run_scenario_bench,
-)
+from repro.bench import SCENARIOS, run_scenario_bench
+from repro.bench.__main__ import main
 
 
 def test_registry_names():
-    assert set(SCENARIOS) == {"ancestry", "move_complexity", "batch",
-                              "scenario", "scenario_grid",
-                              "distributed_batch", "kernel", "session",
-                              "apps", "gateway", "profile", "memory",
-                              "fleet"}
-
-
-def test_ancestry_small_sweep_is_exact_and_json():
-    result = run_ancestry(sizes=[80, 160], repeats=1)
-    json.dumps(result)  # serializable
-    assert [row["n"] for row in result["rows"]] == [80, 160]
-    for row in result["rows"]:
-        assert row["granted"] == row["steps"]
-        assert row["engine_ms"] > 0 and row["legacy_ms"] > 0
-    assert result["deep_path_speedup"] == result["rows"][-1]["speedup"]
-
-
-def test_batch_scenario_checks_equivalence():
-    result = run_batch(n=120, steps=240, batch_size=16)
-    assert result["outcomes_identical"] and result["counters_identical"]
-    json.dumps(result)
+    assert set(SCENARIOS) == {"move_complexity", "scenario",
+                              "scenario_grid", "apps", "gateway",
+                              "profile", "memory", "fleet"}
 
 
 @pytest.mark.parametrize("controller", ["centralized", "iterated",
@@ -47,13 +24,6 @@ def test_generic_scenario_all_controllers(controller):
                                 batch_size=8)
     assert result["granted"] + result["rejected"] + result["cancelled"] \
         + result["pending"] == 160
-    json.dumps(result)
-
-
-def test_distributed_batch_scenario():
-    result = run_distributed_batch(sizes=[60])
-    row = result["rows"][0]
-    assert row["granted"] == row["requests"]
     json.dumps(result)
 
 
@@ -79,49 +49,18 @@ def test_gateway_bench_shape_and_audit():
         assert cell["fault_stats"].get("stalls", 0) > 0
 
 
-def test_session_overhead_rejects_eager_batch_flavors():
-    """The bench's lazy TreeMirror replay cannot feed engines that
-    materialize batches up front; asking for one is a ConfigError, not
-    a mid-run KeyError."""
-    from repro.bench import run_session_overhead
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError, match="synchronous flavours"):
-        run_session_overhead(n=60, steps=80, batch_size=16, repeats=1,
-                             flavor="distributed")
-
-
-def test_session_overhead_is_equivalence_checked():
-    from repro.bench import run_session_overhead
-    result = run_session_overhead(n=100, steps=200, batch_size=16,
-                                  repeats=1)
-    # Timing on a tiny run is noise; the contract under test is the
-    # four-arm outcome/counter equivalence and the document shape.
-    assert result["equivalent"] is True
-    assert result["granted"] + result["rejected"] + result["cancelled"] \
-        + result["pending"] == 200
-    assert result["target_pct"] == 5.0
-    for key in ("direct_batch_ms", "session_batch_ms",
-                "overhead_batch_pct", "overhead_seq_pct",
-                "within_target"):
-        assert key in result
-    json.dumps(result)
-
-
 def test_apps_bench_shape_and_equivalence():
-    """A small ``apps`` run: the seq/batch arms must agree, the grid
-    must audit clean, and the document must be JSON-serializable.
-    (Timing thresholds are not asserted at this scale — the contract
-    under test is equivalence + shape.)"""
+    """A small ``apps`` run: the complexity sweeps hold their polylog
+    envelope, the grid audits clean, and the document is
+    JSON-serializable.  (The serve vs serve_stream equivalence lives in
+    ``tests/apps/test_app_equivalence.py``.)"""
     from repro.bench import run_apps
     result = run_apps(apps="size_estimation,name_assignment",
-                      sizes=[48, 96], steps_per_node=2, overhead_n=60,
-                      overhead_steps=120, batch_size=16, repeats=1,
+                      sizes=[48, 96], steps_per_node=2,
                       policies="fifo,random", faults="stall=0.05",
                       grid_n=20, grid_steps=40)
     json.dumps(result)
-    for row in result["overhead"]["rows"]:
-        assert row["equivalent"] is True
-    assert result["overhead"]["target_pct"] == 5.0
+    assert "overhead" not in result
     for fit in result["complexity"]:
         assert fit["polylog_envelope_held"] is True
         assert fit["log_log_slope"] is not None
@@ -178,7 +117,9 @@ def test_cli_list_and_run(tmp_path):
     env_cmd = [sys.executable, "-m", "repro.bench"]
     listing = subprocess.run(env_cmd + ["list"], capture_output=True,
                              text=True, check=True, env=env)
-    assert "ancestry" in listing.stdout
+    assert [line.split()[0] for line in listing.stdout.splitlines()] == [
+        "move_complexity", "scenario", "scenario_grid", "profile",
+        "memory", "apps", "gateway", "fleet"]
     out = tmp_path / "bench.json"
     run = subprocess.run(
         env_cmd + ["scenario", "--n", "60", "--steps", "120",
@@ -192,8 +133,34 @@ def test_cli_list_and_run(tmp_path):
 
 def test_cli_reports_config_errors_like_argparse(capsys):
     """A bad value the parser cannot check exits 2 with one line."""
-    from repro.bench.__main__ import main
     assert main(["scenario", "--batch-size", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: batch_size must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["scenario", "--name", "all", "--seeds", "a"], "comma-separated"),
+    (["gateway", "--seeds", "x"], "comma-separated"),
+    (["fleet", "--shards", "a"], "comma-separated"),
+    (["scenario", "--name", "hot_spot", "--seeds", "0",
+      "--faults", "bogus=1"], "known: horizon"),
+    (["apps", "--apps", "size_estimation", "--sizes", "8",
+      "--faults", "bogus=1"], "known: horizon"),
+    (["gateway", "--seeds", "0", "--clients", "0"], "clients must be >= 1"),
+    # Options that select nothing would run zero cells and pass.
+    (["scenario", "--name", "all", "--seeds", ""], "comma-separated"),
+    (["scenario", "--name", "all", "--policy", "",
+      "--engines", "distributed"], "fifo, random"),
+    (["apps", "--apps", "size_estimation", "--sizes", "8",
+      "--policies", ""], "fifo, random"),
+])
+def test_cli_reports_bad_input_like_argparse(capsys, argv, names):
+    """Malformed or empty values print one ``error:`` line naming the
+    valid form and exit 2, never a traceback or a vacuous pass."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
