@@ -108,10 +108,8 @@ class CentralizedController(TreeListener):
         # Request-engine fast path: claim the tree's per-node store
         # slots if nobody holds them (single claimant per tree; extra
         # concurrent controllers transparently use dict lookups).
-        self._fast = tree.store_slot_owner is None
-        if self._fast:
-            tree.store_slot_owner = self
-        self.stores = StoreMap(slot_owner=self if self._fast else None)
+        self.stores = StoreMap(tree, self)
+        self._fast = self.stores.holds_slots
         self._trace = kernel_trace
         self._ledger = PermitLedger(
             params=self.params, storage=m,
@@ -251,7 +249,6 @@ class CentralizedController(TreeListener):
                 self.domains.detach()
             if self._fast:
                 self.stores.release_slots()
-                self.tree.store_slot_owner = None
                 self._fast = False
             self._attached = False
 

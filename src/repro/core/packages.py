@@ -21,9 +21,12 @@ at intervals, mirroring the paper's separation.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generic, ItemsView, List,
+                    Optional, Tuple, TypeVar)
 
 _package_ids = itertools.count()
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -103,71 +106,106 @@ class NodeStore:
         other.static_intervals = []
 
 
-class StoreMap:
-    """Lazy node -> :class:`NodeStore` map.
+class SlotMap(Generic[T]):
+    """Lazy node -> per-node state map (nodes without state cost nothing,
+    matching the memory claim; iteration only visits nodes that ever
+    held state).  Subclasses name the state type in ``_new``.
 
-    Nodes with no controller state cost nothing, matching the memory
-    claim; iteration only visits nodes that ever held state.
-
-    ``slot_owner`` enables the request engine's fast path: every store
-    this map creates is additionally pinned into the node's
-    ``_store_owner`` / ``_store`` slots, so per-hop lookups in hot
-    climbs become two slot loads instead of a dict probe (which pays a
-    Python-level ``TreeNode.__hash__`` call).  Slots are identity-
-    checked against the owner; at most one controller per tree claims
-    slots at a time (see ``CentralizedController``), so a pinned slot
-    is always authoritative for its owner.
+    Given a ``tree`` whose per-node slots nobody holds, the map claims
+    them for ``owner``: every entry it creates is also pinned into the
+    node's ``_store_owner`` / ``_store`` slots, so hot loops read
+    ``node._store if node._store_owner is owner`` — two slot loads
+    instead of a dict probe, which pays a Python-level
+    ``TreeNode.__hash__`` call.  One map per tree holds the claim
+    (``DynamicTree.store_slot_owner``), so a pinned slot is always
+    authoritative for its owner, and a holder's slot miss means the
+    node has no entry.  A map that finds the slots taken keeps to dict
+    lookups.  :meth:`release_slots` gives the claim back.
     """
 
-    def __init__(self, slot_owner=None):
-        self._stores: Dict[object, NodeStore] = {}
-        self._slot_owner = slot_owner
+    __slots__ = ("_items", "_slot_owner", "_tree")
 
-    def get(self, node) -> NodeStore:
+    _new: Callable[[], T]
+
+    def __init__(self, tree: Optional[Any] = None,
+                 owner: Optional[object] = None) -> None:
+        self._items: Dict[Any, T] = {}
+        self._slot_owner: Optional[object] = None
+        self._tree: Optional[Any] = None
+        if tree is not None and tree.store_slot_owner is None:
+            tree.store_slot_owner = owner
+            self._slot_owner = owner
+            self._tree = tree
+
+    @property
+    def holds_slots(self) -> bool:
+        """Whether this map pins its entries into the node slots."""
+        return self._slot_owner is not None
+
+    def get(self, node: Any) -> T:
         owner = self._slot_owner
-        if owner is not None and node._store_owner is owner:
+        if owner is None:
+            item = self._items.get(node)
+            if item is None:
+                item = self._new()
+                self._items[node] = item
+            return item
+        if node._store_owner is owner:
             return node._store
-        store = self._stores.get(node)
-        if store is None:
-            store = NodeStore()
-            self._stores[node] = store
-        if owner is not None:
-            node._store_owner = owner
-            node._store = store
-        return store
+        item = self._new()
+        self._items[node] = item
+        node._store_owner = owner
+        node._store = item
+        return item
 
-    def peek(self, node) -> Optional[NodeStore]:
-        """The store if it exists, without creating one."""
+    def peek(self, node: Any) -> Optional[T]:
+        """The entry if it exists, without creating one."""
         owner = self._slot_owner
-        if owner is not None and node._store_owner is owner:
-            return node._store
-        return self._stores.get(node)
+        if owner is None:
+            return self._items.get(node)
+        return node._store if node._store_owner is owner else None
 
-    def discard(self, node) -> Optional[NodeStore]:
-        """Remove and return a node's store (used on deletion)."""
-        if self._slot_owner is not None and \
-                node._store_owner is self._slot_owner:
-            node._store_owner = None
-            node._store = None
-        return self._stores.pop(node, None)
+    def discard(self, node: Any) -> Optional[T]:
+        """Remove and return a node's entry (used on deletion)."""
+        owner = self._slot_owner
+        if owner is None:
+            return self._items.pop(node, None)
+        if node._store_owner is not owner:
+            return None
+        node._store_owner = None
+        node._store = None
+        return self._items.pop(node)
 
-    def items(self):
-        return self._stores.items()
+    def items(self) -> ItemsView[Any, T]:
+        return self._items.items()
 
     def release_slots(self) -> None:
-        """Unpin every slot this map owns (called on controller detach)."""
-        if self._slot_owner is None:
+        """Unpin every slot this map holds and give the tree's claim
+        back (called on controller detach)."""
+        owner = self._slot_owner
+        if owner is None:
             return
-        for node in self._stores:
-            if node._store_owner is self._slot_owner:
+        for node in self._items:
+            if node._store_owner is owner:
                 node._store_owner = None
                 node._store = None
-        self._slot_owner = None
+        tree = self._tree
+        if tree is not None and tree.store_slot_owner is owner:
+            tree.store_slot_owner = None
+        self._slot_owner = self._tree = None
 
     def clear(self) -> None:
         self.release_slots()
-        self._stores.clear()
+        self._items.clear()
+
+
+class StoreMap(SlotMap[NodeStore]):
+    """Lazy node -> :class:`NodeStore` map (the centralized engines')."""
+
+    __slots__ = ()
+
+    _new = NodeStore
 
     def total_parked_permits(self) -> int:
         """Permits currently sitting in packages anywhere in the tree."""
-        return sum(store.total_permits() for store in self._stores.values())
+        return sum(store.total_permits() for store in self._items.values())

@@ -56,6 +56,7 @@ from repro.core.requests import (
 )
 from repro.distributed.agent import Agent, AgentState
 from repro.distributed.faults import FaultInjector
+from repro.distributed.hop import compile_hop
 from repro.distributed.whiteboard import Whiteboard, WhiteboardMap
 
 # Hop phase codes: each in-flight message is (phase, agent); arrival
@@ -86,11 +87,11 @@ class DistributedController(TreeListener):
         the tree itself (playing the requesting entity).
     faults:
         Optional :class:`repro.distributed.faults.FaultInjector`.  When
-        given, every agent hop's delay passes through the injector
-        (agent stalls, delivery pauses) and the injector's churn storms
-        are scheduled on this controller's scheduler.  All injected
-        faults are legal under the asynchronous model, so every
-        controller guarantee must hold unchanged.
+        given, every agent hop's delay is perturbed by the injector's
+        plan (agent stalls, delivery pauses) and the injector's churn
+        storms are scheduled on this controller's scheduler.  All
+        injected faults are legal under the asynchronous model, so
+        every controller guarantee must hold unchanged.
     kernel_trace:
         Optional :class:`repro.core.kernel.KernelTrace` recording every
         kernel transition (take/create/park/absorb/grant/reject-wave);
@@ -139,7 +140,10 @@ class DistributedController(TreeListener):
         self.terminate_on_exhaustion = terminate_on_exhaustion
         self._apply_topology = apply_topology
 
-        self.boards = WhiteboardMap()
+        # Claims the tree's node slots unless another controller holds
+        # them: the per-hop handlers below then read a board as
+        # ``node._store if node._store_owner is self``, two slot loads.
+        self.boards = WhiteboardMap(tree, self)
         self._trace = kernel_trace
         self.track_intervals = track_intervals
         self.permit_flow_observer = permit_flow_observer
@@ -156,26 +160,15 @@ class DistributedController(TreeListener):
         self._attached = True
         # Hop dispatch: phase code -> bound arrival method, bound once
         # (each ``self._method`` read allocates a fresh bound method, so
-        # the table is the only place that pays it).  Hops go through
-        # the allocation-free ``schedule_call``; hot collaborators
-        # (delay sampling, board lookup) are bound once for the same
-        # reason.
+        # the table is the only place that pays it).  Arrivals go
+        # through the allocation-free ``schedule_call``.
         self._dispatch = (self._climb_arrive, self._descend_arrive,
                           self._return_arrive, self._unlock_arrive,
                           self._unlock_current, self._resume_handoff)
         self._schedule_call = self.scheduler.schedule_call
-        self._sample = self.delays.sample
-        self._board_of = self.boards.get
-        self._perturb = (self.faults.perturb_hop
-                         if self.faults is not None else None)
-        # The hop computes its departure-node key only for delay
-        # models that read it (DelayModel.reads_key); the others draw
-        # the same sequence without one.  Exactly UniformDelay also
-        # draws inline (bit-identical — see UniformDelay.hot_sampler);
-        # the exact-type check keeps a subclass's own sample().
-        self._keyed = self.delays.reads_key
-        self._uniform = (self.delays.hot_sampler()
-                         if type(self.delays) is UniformDelay else None)
+        # One message per hop: the delay model and the fault plan are
+        # compiled into the hop (see repro.distributed.hop).
+        self._hop = compile_hop(self)
         # Section 3.1 budgets static pools at U * phi <= W / 2, which
         # holds only for W >= 2U; below that the max() forces phi = 1,
         # so a pool must end as a grant leaves it, empty, and a package
@@ -282,6 +275,7 @@ class DistributedController(TreeListener):
     def detach(self) -> None:
         if self._attached:
             self.tree.remove_listener(self)
+            self.boards.release_slots()
             self._attached = False
 
     def introspect(self) -> ControllerView:
@@ -318,9 +312,11 @@ class DistributedController(TreeListener):
             return
         agent = Agent(request=request, origin=node, callback=callback)
         self.active_agents += 1
-        self.tracer.emit(self.scheduler.now, "agent_created",
-                         agent=agent.agent_id, node=node.node_id)
-        board = self.boards.get(node)
+        if self.tracer.enabled:
+            self.tracer.emit(self.scheduler.now, "agent_created",
+                             agent=agent.agent_id, node=node.node_id)
+        board = (node._store if node._store_owner is self
+                 else self.boards.get(node))
         if board.store.has_reject:
             # Item 1b: created at a reject node.
             self._deliver(agent, OutcomeStatus.REJECTED)
@@ -340,25 +336,31 @@ class DistributedController(TreeListener):
     def _after_lock(self, agent: Agent) -> None:
         """Agent just locked ``path[-1]``; decide what to do there."""
         node = agent.path[-1]
-        board = self._board_of(node)
+        store = (node._store if node._store_owner is self
+                 else self.boards.get(node)).store
         agent.state = AgentState.CLIMBING
         agent.waiting_at = None
 
         # Item 2: at the origin, a static permit grants immediately.
-        if len(agent.path) == 1 and board.store.static_permits > 0:
+        if len(agent.path) == 1 and store.static_permits > 0:
             self._grant_from_static(agent)
             return
 
-        # Item 3a: filler check at the current distance.
-        package = kernel.take_filler(board.store, agent.distance,
-                                     self.params, node=node,
-                                     trace=self._trace)
-        if package is not None:
-            self.tracer.emit(self.scheduler.now, "filler_found",
-                             agent=agent.agent_id, node=node.node_id,
-                             level=package.level, dist=agent.distance)
-            self._begin_distribution(agent, package)
-            return
+        # Item 3a: filler check at the current distance (a store with
+        # no mobile package has none).
+        if store.mobile:
+            package = kernel.take_filler(store, agent.distance,
+                                         self.params, node=node,
+                                         trace=self._trace)
+            if package is not None:
+                if self.tracer.enabled:
+                    self.tracer.emit(self.scheduler.now, "filler_found",
+                                     agent=agent.agent_id,
+                                     node=node.node_id,
+                                     level=package.level,
+                                     dist=agent.distance)
+                self._begin_distribution(agent, package)
+                return
 
         # Item 3c: at the root, create or exhaust.
         if node.is_root:
@@ -378,7 +380,8 @@ class DistributedController(TreeListener):
         parent = agent.path[-1].parent
         if parent is None:
             raise ProtocolError(f"{agent} climbed past the root")
-        board = self._board_of(parent)
+        board = (parent._store if parent._store_owner is self
+                 else self.boards.get(parent))
         if board.store.has_reject:
             # Item 1b: walk home placing rejects.  One hop back onto the
             # locked path, then the unlock walk.
@@ -405,8 +408,10 @@ class DistributedController(TreeListener):
         need = self.params.mobile_size(level)
         if self._ledger.covers(need):
             package = self._ledger.create_package(level, dist)
-            self.tracer.emit(self.scheduler.now, "root_created",
-                             agent=agent.agent_id, level=level, size=need)
+            if self.tracer.enabled:
+                self.tracer.emit(self.scheduler.now, "root_created",
+                                 agent=agent.agent_id, level=level,
+                                 size=need)
             if self.permit_flow_observer is not None:
                 # Freshly created permits "enter" the root as well.
                 self.permit_flow_observer(self.tree.root, package.size)
@@ -418,7 +423,8 @@ class DistributedController(TreeListener):
                 self.terminated = True
                 # Termination broadcast + upcast (Observation 2.1).
                 self.counters.broadcast_messages += 2 * self.tree.size
-                self.tracer.emit(self.scheduler.now, "terminated")
+                if self.tracer.enabled:
+                    self.tracer.emit(self.scheduler.now, "terminated")
             agent.final_outcome = Outcome(OutcomeStatus.PENDING,
                                           agent.request)
         else:
@@ -444,7 +450,8 @@ class DistributedController(TreeListener):
         self.counters.reject_messages += kernel.broadcast_reject(
             self.tree, lambda node: self.boards.get(node).store,
             trace=self._trace)
-        self.tracer.emit(self.scheduler.now, "reject_wave")
+        if self.tracer.enabled:
+            self.tracer.emit(self.scheduler.now, "reject_wave")
 
     # ------------------------------------------------------------------
     # Distribution (item 4, Proc) and granting.
@@ -488,9 +495,10 @@ class DistributedController(TreeListener):
             package.level = step.level
             package.size = step.size
             package.interval = right_interval
-            self.tracer.emit(self.scheduler.now, "split",
-                             agent=agent.agent_id, node=node.node_id,
-                             level=step.level)
+            if self.tracer.enabled:
+                self.tracer.emit(self.scheduler.now, "split",
+                                 agent=agent.agent_id, node=node.node_id,
+                                 level=step.level)
         if agent.pos == 0:
             self._package_reaches_origin(agent)
         else:
@@ -540,7 +548,8 @@ class DistributedController(TreeListener):
     def _grant_from_static(self, agent: Agent) -> None:
         """Grant at the origin, perform the event, start the return walk."""
         origin = agent.path[0]
-        board = self.boards.get(origin)
+        board = (origin._store if origin._store_owner is self
+                 else self.boards.get(origin))
         request = agent.request
         if not self._still_meaningful(request):
             # The event lost its meaning while the agent travelled
@@ -555,8 +564,9 @@ class DistributedController(TreeListener):
             new_node = None
             if self._apply_topology and request.kind.is_topological:
                 new_node = perform_event(self.tree, request)
-            self.tracer.emit(self.scheduler.now, "granted",
-                             agent=agent.agent_id, node=origin.node_id)
+            if self.tracer.enabled:
+                self.tracer.emit(self.scheduler.now, "granted",
+                                 agent=agent.agent_id, node=origin.node_id)
             # Grants are delivered at grant time (the walk is cleanup).
             self._record(Outcome(OutcomeStatus.GRANTED, request,
                                  new_node=new_node, serial=serial),
@@ -589,7 +599,8 @@ class DistributedController(TreeListener):
     # ------------------------------------------------------------------
     def _unlock_current(self, agent: Agent) -> None:
         node = agent.path[agent.pos]
-        board = self._board_of(node)
+        board = (node._store if node._store_owner is self
+                 else self.boards.get(node))
         if agent.place_rejects:
             board.store.has_reject = True
         if board.locked_by is agent:
@@ -614,7 +625,8 @@ class DistributedController(TreeListener):
 
     def _release_lock(self, node: TreeNode) -> None:
         """Unlock ``node``, handing the lock to the head waiter (FIFO)."""
-        board = self.boards.get(node)
+        board = (node._store if node._store_owner is self
+                 else self.boards.get(node))
         board.locked_by = None
         if board.queue:
             waiter = board.queue.popleft()
@@ -623,7 +635,8 @@ class DistributedController(TreeListener):
 
     def _resumed_at(self, agent: Agent, node: TreeNode) -> None:
         """A dequeued agent resumes holding ``node``'s lock."""
-        board = self.boards.get(node)
+        board = (node._store if node._store_owner is self
+                 else self.boards.get(node))
         if board.locked_by is not agent:
             raise ProtocolError(f"{agent} resumed without the lock")
         if board.store.has_reject:
@@ -643,32 +656,8 @@ class DistributedController(TreeListener):
         self._after_lock(agent)
 
     # ------------------------------------------------------------------
-    # Hop primitive: one message per hop.
+    # Lock hand-off (hops themselves are ``self._hop``, compiled).
     # ------------------------------------------------------------------
-    def _hop(self, agent: Agent, phase: int) -> None:
-        self.counters.agent_hops += 1
-        uni = self._uniform
-        if uni is not None:
-            delay = uni[0] + uni[1] * uni[2]()
-        elif self._keyed:
-            # The delay key identifies the hop's departure node, so
-            # keyed delay models (per-edge jitter) can make specific
-            # links slow.
-            path = agent.path
-            if agent.state is AgentState.CLIMBING:
-                key = path[-1].node_id if path else agent.origin.node_id
-            elif path:
-                key = path[min(agent.pos, len(path) - 1)].node_id
-            else:
-                key = agent.origin.node_id
-            delay = self._sample(key)
-        else:
-            delay = self._sample()
-        perturb = self._perturb
-        if perturb is not None:
-            delay = perturb(self.scheduler.now, delay)
-        self._schedule_call(delay, self._dispatch[phase], agent)
-
     def _resume_handoff(self, agent: Agent) -> None:
         """Deferred lock hand-off: resume ``agent`` at ``resume_node``.
 

@@ -28,6 +28,7 @@ binds one plan to one controller run.
 """
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -62,6 +63,13 @@ class FaultPlan:
     horizon: float = 0.0
 
     def __post_init__(self) -> None:
+        # Section 2.1 requires finite delays; NaN passes every ``<``
+        # test below, so finiteness is checked first.
+        for name in ("stall_prob", "stall_factor", "pause_duration",
+                     "horizon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.stall_prob <= 1.0:
             raise SimulationError(
                 f"stall_prob must be in [0, 1], got {self.stall_prob}")
@@ -131,10 +139,14 @@ def parse_fault_spec(text: Optional[str]) -> FaultPlan:
 class FaultInjector:
     """Binds a :class:`FaultPlan` to one distributed-controller run.
 
-    The controller calls :meth:`perturb_hop` on every agent hop;
-    :meth:`attach` (invoked by the controller's constructor) schedules
-    the plan's churn storms on the controller's scheduler.  ``stats``
-    records what was actually injected, for the bench JSON reports.
+    The controller compiles the plan's stalls and pause windows into its
+    agent hop (:mod:`repro.distributed.hop`): a stall draws from this
+    injector's generator (the one its storms draw from) and multiplies
+    the hop's delay by ``stall_factor``; a hop that would land inside a
+    pause window lands at the window's end.  :meth:`attach` (invoked by
+    the controller's constructor) schedules the plan's churn storms on
+    the controller's scheduler.  ``stats`` records what was actually
+    injected, for the bench JSON reports.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -171,26 +183,6 @@ class FaultInjector:
         self._controller = controller
         for at in self._storm_times:
             controller.scheduler.schedule_at(at, self._run_storm)
-
-    def perturb_hop(self, now: float, delay: float) -> float:
-        """Apply stalls and pause windows to one hop's sampled delay."""
-        plan = self.plan
-        if plan.stall_prob and self._rng.random() < plan.stall_prob:
-            delay *= plan.stall_factor
-            self.stats["stalls"] += 1
-        if self._windows:
-            arrival = now + delay
-            clamped = False
-            # Windows are sorted, so pushing an arrival past one window's
-            # end lets the next iteration re-check the later windows.
-            for start, end in self._windows:
-                if start <= arrival < end:
-                    arrival = end
-                    clamped = True
-            if clamped:
-                self.stats["paused_deliveries"] += 1
-                delay = arrival - now
-        return delay
 
     # ------------------------------------------------------------------
     # Churn storms.

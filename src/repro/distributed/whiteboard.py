@@ -9,10 +9,9 @@ through the controller's arrival handlers.
 """
 
 from collections import deque
-from typing import Deque, Dict, ItemsView, Optional
+from typing import Deque, Optional
 
-from repro.core.packages import NodeStore
-from repro.tree.node import TreeNode
+from repro.core.packages import NodeStore, SlotMap
 
 
 class Whiteboard:
@@ -42,32 +41,17 @@ class Whiteboard:
                 f"locked_by={self.locked_by!r}, queue={self.queue!r})")
 
 
-class WhiteboardMap:
-    """Lazy node -> whiteboard map (nodes without state cost nothing)."""
+class WhiteboardMap(SlotMap[Whiteboard]):
+    """Lazy node -> whiteboard map (nodes without state cost nothing).
 
-    __slots__ = ("_boards",)
+    Built with the controller's tree, it claims the node slots the way
+    the centralized engines' :class:`~repro.core.packages.StoreMap`
+    does, so the arrival handlers read a board with two slot loads.
+    """
 
-    def __init__(self) -> None:
-        self._boards: Dict[TreeNode, Whiteboard] = {}
+    __slots__ = ()
 
-    def get(self, node: TreeNode) -> Whiteboard:
-        board = self._boards.get(node)
-        if board is None:
-            board = Whiteboard()
-            self._boards[node] = board
-        return board
-
-    def peek(self, node: TreeNode) -> Optional[Whiteboard]:
-        return self._boards.get(node)
-
-    def discard(self, node: TreeNode) -> Optional[Whiteboard]:
-        return self._boards.pop(node, None)
-
-    def items(self) -> ItemsView[TreeNode, Whiteboard]:
-        return self._boards.items()
+    _new = Whiteboard
 
     def total_parked_permits(self) -> int:
-        return sum(b.store.total_permits() for b in self._boards.values())
-
-    def clear(self) -> None:
-        self._boards.clear()
+        return sum(b.store.total_permits() for b in self._items.values())

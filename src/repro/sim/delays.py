@@ -21,11 +21,20 @@ attribute reads, so the engine computes it only for models that read
 it; a model that ignores the key draws the same sequence either way.
 """
 
+import math
 import random
 import zlib
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.errors import SimulationError
+
+
+def _require_finite(**parameters: float) -> None:
+    """Section 2.1 requires finite delays.  NaN passes every ``<`` test
+    a constructor makes, so each parameter is checked first."""
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise SimulationError(f"{name} must be finite, got {value}")
 
 
 class DelayModel:
@@ -74,6 +83,7 @@ class UniformDelay(DelayModel):
 
     def __init__(self, seed: int = 0, low: float = 0.5,
                  high: float = 1.5) -> None:
+        _require_finite(low=low, high=high)
         if low <= 0 or high < low:
             raise SimulationError(f"invalid delay bounds [{low}, {high}]")
         self._rng = random.Random(seed)
@@ -82,23 +92,13 @@ class UniformDelay(DelayModel):
         self._seed = seed
         # sample() below is random.Random.uniform inlined: the same
         # ``a + (b - a) * random()`` expression on the same generator,
-        # so the draws are bit-identical — minus one method call per
-        # hop on the simulator's hot path.
+        # so the draws are bit-identical.  The distributed engine's
+        # compiled hop (repro.distributed.hop) inlines it once more.
         self._width = high - low
         self._random = self._rng.random
 
     def sample(self, key: Optional[Hashable] = None) -> float:
         return self._low + self._width * self._random()
-
-    def hot_sampler(self) -> Tuple[float, float, Callable[[], float]]:
-        """``(low, width, random)`` for call-free inline sampling.
-
-        Hot loops (the distributed agent hop) compute
-        ``low + width * random()`` themselves, which is exactly
-        :meth:`sample`'s expression on the same generator — the draw
-        sequence is bit-identical, minus one method call per message.
-        """
-        return self._low, self._width, self._random
 
     def split(self, salt: int) -> "UniformDelay":
         return UniformDelay(self._seed ^ (salt * 0x9E3779B9), self._low, self._high)
@@ -116,6 +116,7 @@ class HeavyTailDelay(DelayModel):
 
     def __init__(self, seed: int = 0, shape: float = 1.5,
                  cap: float = 50.0) -> None:
+        _require_finite(shape=shape, cap=cap)
         if shape <= 0 or cap <= 0:
             raise SimulationError("shape and cap must be positive")
         self._rng = random.Random(seed)
@@ -148,6 +149,8 @@ class PerEdgeJitterDelay(DelayModel):
     def __init__(self, base: Optional[DelayModel] = None, seed: int = 0,
                  slow_fraction: float = 0.1, slow_factor: float = 10.0,
                  jitter: float = 0.5) -> None:
+        _require_finite(slow_fraction=slow_fraction,
+                        slow_factor=slow_factor, jitter=jitter)
         if not 0 <= slow_fraction <= 1:
             raise SimulationError(
                 f"slow_fraction must be in [0, 1], got {slow_fraction}")
@@ -198,6 +201,7 @@ class BurstStallDelay(DelayModel):
 
     def __init__(self, base: Optional[DelayModel] = None, seed: int = 0,
                  period: int = 100, burst: int = 15, factor: float = 20.0) -> None:
+        _require_finite(factor=factor)
         if period <= 0 or not 0 <= burst <= period or factor < 1:
             raise SimulationError(
                 f"invalid burst parameters (period={period}, burst={burst}, "

@@ -212,8 +212,10 @@ class Scheduler:
 
         No handle is returned; the only allocation is the record tuple.
         Callers that may need to cancel use :meth:`schedule` instead.
+        A NaN delay is rejected like a negative one: written as
+        ``not delay >= 0``, the test costs nothing more.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(
                 f"cannot schedule in the past (delay={delay})")
         seq = self._seq
@@ -223,7 +225,7 @@ class Scheduler:
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` time units from now; the
         returned :class:`Event` may be cancelled."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(
                 f"cannot schedule in the past (delay={delay})")
         time = self._now + delay
@@ -235,7 +237,7 @@ class Scheduler:
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}")
         return self.schedule(time - self._now, fn)

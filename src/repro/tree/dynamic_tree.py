@@ -101,9 +101,10 @@ class DynamicTree:
     def __init__(self, port_assigner: Optional[PortAssigner] = None) -> None:
         self._port_assigner = port_assigner or AdversarialPortAssigner(seed=0)
         self._next_id = 0
-        # Arbitration for the per-node store slots (see StoreMap): at
-        # most one controller pins stores into TreeNode slots at a time;
-        # later controllers on the same tree fall back to dict lookups.
+        # Arbitration for the per-node state slots (see SlotMap): at
+        # most one controller pins its stores or whiteboards into
+        # TreeNode slots at a time; later controllers on the same tree
+        # fall back to dict lookups.
         self.store_slot_owner: Optional[object] = None
         # Ancestry cache state: ``_anc_epoch`` is bumped to invalidate
         # every table at once (large-subtree splices); ``anc_generation``

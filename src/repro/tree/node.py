@@ -8,7 +8,7 @@ distributed controller of Appendix A runs *two* controllers on the same
 tree simultaneously and relies on this separation.
 """
 
-from typing import Dict, KeysView, List, Optional
+from typing import Any, Dict, KeysView, List, Optional
 
 from repro.errors import TopologyError
 
@@ -72,14 +72,15 @@ class TreeNode:
         # Section 4.4 are unaffected.
         self._anc_jumps: List["TreeNode"] = []
         self._anc_epoch = -1
-        # Store fast-path slot (see ``repro.core.packages.StoreMap``):
-        # one controller at a time may pin its per-node store here so
-        # hot loops replace dict probes (which pay a Python-level
-        # ``__hash__`` call per hop) with two slot loads.  Identity-
-        # checked against the owner, so stale slots from detached
-        # controllers are inert.
+        # Per-node state slot (see ``repro.core.packages.SlotMap``):
+        # one controller at a time may pin its per-node state here (a
+        # centralized engine's store, a distributed engine's
+        # whiteboard) so hot loops replace dict probes (which pay a
+        # Python-level ``__hash__`` call per hop) with two slot loads.
+        # Identity-checked against the owner, so stale slots from
+        # detached controllers are inert.
         self._store_owner: Optional[object] = None
-        self._store: Optional[object] = None
+        self._store: Any = None
 
     # ------------------------------------------------------------------
     # Port management (Section 2.1.2: adversarially assigned, distinct).

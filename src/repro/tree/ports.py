@@ -18,6 +18,8 @@ candidate whatever the node's degree.
 import random
 from typing import TYPE_CHECKING, Protocol
 
+from repro.errors import TopologyError
+
 if TYPE_CHECKING:
     from repro.tree.node import TreeNode
 
@@ -48,13 +50,25 @@ class AdversarialPortAssigner:
     """
 
     def __init__(self, seed: int = 0, space: int = 1 << 30) -> None:
+        if space < 1:
+            raise TopologyError(f"port space must be >= 1, got {space}")
         self._rng = random.Random(seed)
         self._space = space
+        self._getrandbits = self._rng.getrandbits
+        self._bits = space.bit_length()
 
     def next_port(self, node: "TreeNode") -> int:
-        used = node.ports_in_use()
+        # ``randrange(space)`` inlined: the same rejection loop over
+        # ``getrandbits(space.bit_length())`` on the same generator, so
+        # the ports are bit-identical (the digests in
+        # tests/tree/test_tree_property.py pin them) at one frame per
+        # draw.  A draw outside the space and a port already bound at
+        # the node are both re-drawn.
+        getrandbits, bits, space = self._getrandbits, self._bits, self._space
+        used = node._ports
         up = node.port_to_parent
         while True:
-            candidate = self._rng.randrange(self._space)
-            if candidate not in used and candidate != up:
+            candidate = getrandbits(bits)
+            if candidate < space and candidate not in used \
+                    and candidate != up:
                 return candidate

@@ -54,6 +54,23 @@ def test_parse_fault_spec_rejects_garbage():
         parse_fault_spec("stall=1.5")  # FaultPlan validation
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stall_factor", "nan"), ("stall_factor", "inf"),
+    ("pause_duration", "nan"), ("horizon", "nan"), ("horizon", "inf"),
+])
+def test_non_finite_plans_are_rejected(field, value):
+    """NaN passes every ``<`` check; a stall or pause window of NaN or
+    inf would make hop delays non-finite, which Section 2.1 forbids.
+    Both entry points, the dataclass and the spec parser, reject it by
+    name."""
+    fields = {"pauses": 1, "horizon": 10.0, field: float(value)}
+    with pytest.raises(SimulationError, match=field):
+        FaultPlan(**fields)
+    with pytest.raises(SimulationError, match=field):
+        parse_fault_spec(",".join(f"{key}={val}"
+                                  for key, val in fields.items()))
+
+
 # ----------------------------------------------------------------------
 # Agent stalls: liveness under pauses.
 # ----------------------------------------------------------------------

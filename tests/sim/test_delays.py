@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import HeavyTailDelay, UniformDelay, UnitDelay
+from repro.sim.delays import BurstStallDelay, PerEdgeJitterDelay
 
 
 def test_unit_delay_is_constant():
@@ -32,6 +33,25 @@ def test_uniform_delay_validates_bounds():
         UniformDelay(low=0.0, high=1.0)
     with pytest.raises(SimulationError):
         UniformDelay(low=2.0, high=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("model,field,value", [
+    (UniformDelay, "low", NAN),
+    (UniformDelay, "high", INF),
+    (HeavyTailDelay, "shape", NAN),
+    (HeavyTailDelay, "cap", INF),
+    (PerEdgeJitterDelay, "slow_factor", NAN),
+    (PerEdgeJitterDelay, "jitter", INF),
+    (BurstStallDelay, "factor", NAN),
+])
+def test_non_finite_parameters_are_rejected(model, field, value):
+    """Section 2.1 requires finite delays; NaN passes every ``<`` check
+    the constructors make, so each is rejected by name."""
+    with pytest.raises(SimulationError, match=field):
+        model(**{field: value})
 
 
 def test_heavy_tail_is_positive_and_capped():

@@ -67,6 +67,23 @@ def test_negative_delay_rejected():
         sched.schedule(-0.1, lambda: None)
 
 
+@pytest.mark.parametrize("entry", ["schedule_call", "schedule",
+                                   "schedule_at"])
+def test_nan_delays_and_times_are_rejected(entry):
+    """NaN passes every ``<`` test, so a ``delay < 0`` guard let a NaN
+    delay in and the clock became NaN from then on."""
+    sched = Scheduler()
+    nan = float("nan")
+    schedule = {
+        "schedule_call": lambda: sched.schedule_call(nan, id, None),
+        "schedule": lambda: sched.schedule(nan, lambda: None),
+        "schedule_at": lambda: sched.schedule_at(nan, lambda: None),
+    }[entry]
+    with pytest.raises(SimulationError):
+        schedule()
+    assert sched.pending() == 0
+
+
 def test_schedule_at_past_rejected():
     sched = Scheduler()
     sched.schedule(5.0, lambda: None)

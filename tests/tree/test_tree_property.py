@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TopologyError
 from repro.tree import DynamicTree
 from repro.tree.ports import AdversarialPortAssigner, SequentialPortAssigner
 from repro.workloads import build_random_tree
@@ -112,6 +113,26 @@ def test_port_numbers_are_pinned(assigner, grown, stormed):
     assert (tree.size, tree.topology_changes) == (810, 1252)
     assert _port_digest(tree) == stormed
     tree.validate()
+
+
+@pytest.mark.parametrize("space", [1, 3, 1000, 4096, 1 << 30])
+def test_port_draws_are_randrange_draws(space):
+    """The assigner's inlined rejection loop draws what
+    ``randrange(space)`` on the same generator draws, for any space
+    (on a node with no ports, each draw is taken as drawn)."""
+    node = DynamicTree().root
+    assigner = AdversarialPortAssigner(seed=9, space=space)
+    reference = random.Random(9)
+    assert ([assigner.next_port(node) for _ in range(200)]
+            == [reference.randrange(space) for _ in range(200)])
+
+
+@pytest.mark.parametrize("space", [0, -8])
+def test_an_empty_port_space_is_rejected(space):
+    """No port can be drawn from an empty space; the assigner refuses
+    it when built instead of spinning in its draw loop."""
+    with pytest.raises(TopologyError, match="port space"):
+        AdversarialPortAssigner(space=space)
 
 
 @pytest.mark.parametrize("assigner", [
