@@ -1161,7 +1161,9 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
       must produce >= 1 cross-shard ``BudgetTransfer`` (including a
       live-session ``reclaim``), end in a global reject wave with
       fleet-level waste zero (granted == m_total before any client
-      reject), and audit clean.
+      reject), and audit clean.  A staged cell drives one shard with
+      ``tranche > 0`` to its wave and asserts Observation 3.4's stage
+      count: at most ceil(log2(allocation / tranche)) + 2 sessions.
 
     Violations raise ``InvariantViolation`` with the JSON document
     attached (the bench CLI prints it before failing).
@@ -1269,10 +1271,35 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         "reclaim" in reclaim_kinds, "transfers",
         f"no live-session reclaim flowed (kinds: {reclaim_kinds})")
 
+    staged = FleetRouter(FleetConfig.of(
+        shards=1, m_total=1000, w_total=4, u=4096, tranche=10,
+        seed=seed))
+    staged_shard = staged.shards[0]
+    for _ in range(staged.config.m_total + 1):
+        staged.serve(Request(RequestKind.PLAIN, staged_shard.tree.root))
+    stage_bound = math.ceil(
+        math.log2(staged_shard.allocation / staged.config.tranche)) + 2
+    staged_report = staged.audit()
+    grid_report.expect(staged_report.passed, "fleet_audit",
+                       f"staged cell: {staged_report.violations[:2]}")
+    grid_report.expect(
+        staged.reject_wave
+        and staged.granted_total == staged.config.m_total, "reject_wave",
+        f"staged cell: granted {staged.granted_total} of "
+        f"{staged.config.m_total} at the wave (fleet waste must be 0)")
+    grid_report.expect(
+        staged_shard.sessions_spawned <= stage_bound, "stage_bound",
+        f"staged cell: {staged_shard.sessions_spawned} sessions for an "
+        f"allocation of {staged_shard.allocation} at tranche "
+        f"{staged.config.tranche}; Observation 3.4 stages allow "
+        f"{stage_bound}", sessions=staged_shard.sessions_spawned,
+        bound=stage_bound)
+
     stress_section = {
         "tranche_cell": {
             "tally": stress_tally,
             "transfers": [e.snapshot() for e in stress.ledger.entries],
+            "sessions_spawned": [s.sessions_spawned for s in stress.shards],
             "reject_wave": stress.reject_wave,
             "granted_total": stress.granted_total,
             "m_total": stress.config.m_total,
@@ -1280,9 +1307,21 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         "reclaim_cell": {
             "transfer_kinds": reclaim_kinds,
             "transfers": [e.snapshot() for e in reclaim.ledger.entries],
+            "sessions_spawned": [s.sessions_spawned
+                                 for s in reclaim.shards],
+        },
+        "staged_cell": {
+            "m_total": staged.config.m_total,
+            "tranche": staged.config.tranche,
+            "tally": staged.tally(),
+            "sessions_spawned": staged_shard.sessions_spawned,
+            "session_bound": stage_bound,
+            "reset_moves": staged_shard.counters.reset_moves,
+            "reject_wave": staged.reject_wave,
+            "granted_total": staged.granted_total,
         },
     }
-    stress.close(), reclaim.close()
+    stress.close(), reclaim.close(), staged.close()
 
     document = {
         "scenario": "fleet",

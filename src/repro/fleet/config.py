@@ -21,8 +21,9 @@ Two frozen values describe a fleet:
   must be 0: the fleet owns the budget), and a ``weight`` that scales
   both its ring share and its slice of the carve;
 * :class:`FleetConfig` adds the global knobs — ``m_total``/``w_total``,
-  the per-session ``tranche`` size, the rebalance policy (greedy
-  richest-sibling vs. proportional), the placement policy
+  the ``tranche`` that floors each shard's halving stages, the
+  rebalance policy (greedy richest-sibling vs. proportional), the
+  placement policy
   (pure ``hash`` vs. ``sticky`` locality), ring geometry, and the
   fleet-level admission window.
 
@@ -31,7 +32,7 @@ Both validate eagerly in ``__post_init__`` (every mistake raises
 serialize via ``snapshot()`` for bench artifacts.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -54,8 +55,9 @@ __all__ = [
 #: budget is nearly spent — those are fleet-internal, not templates.)
 SHARD_FLAVORS: Tuple[str, ...] = ("terminating",)
 
-#: Rebalance policies: ``greedy`` drains the richest sibling first,
-#: ``proportional`` spreads the need across all donors by their spare.
+#: Rebalance policies plan live reclaims: ``greedy`` drains the richest
+#: sibling first, ``proportional`` spreads the need across all live
+#: siblings by their offers.
 REBALANCE_POLICIES: Tuple[str, ...] = ("greedy", "proportional")
 
 #: Placement policies: ``hash`` recomputes the ring for every origin,
@@ -63,6 +65,19 @@ REBALANCE_POLICIES: Tuple[str, ...] = ("greedy", "proportional")
 #: the fleet's lifetime.  Under a fixed ring the two agree; the sticky
 #: table is what makes the locality contract auditable.
 PLACEMENT_POLICIES: Tuple[str, ...] = ("hash", "sticky")
+
+
+#: FleetConfig fields that must hold an int (bools excluded), checked
+#: before any range check compares them.
+_INT_FIELDS: Tuple[str, ...] = ("m_total", "w_total", "tranche",
+                                 "ring_replicas", "max_in_flight", "seed")
+
+
+def _require_int(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int (a bool is
+    not: ``True`` would pass every range check as 1)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def carve(total: int, weights: Sequence[int]) -> Tuple[int, ...]:
@@ -109,6 +124,7 @@ class ShardSpec:
             raise ConfigError(
                 f"shard name must be non-empty and '#'-free (it keys the "
                 f"hash ring), got {self.name!r}")
+        _require_int(f"shard {self.name!r}: weight", self.weight)
         if self.weight < 1:
             raise ConfigError(
                 f"shard {self.name!r}: weight must be >= 1, "
@@ -124,6 +140,7 @@ class ShardSpec:
                 f"shard {self.name!r}: template must carry m=0/w=0 — the "
                 f"fleet carves M_total/W_total into per-shard budgets "
                 f"(got m={self.template.m}, w={self.template.w})")
+        _require_int(f"shard {self.name!r}: template u", self.template.u)
         if self.template.u < 1:
             raise ConfigError(
                 f"shard {self.name!r}: template needs the node bound u "
@@ -154,11 +171,15 @@ class FleetConfig:
         cover at least 1 per shard (every terminating inner session
         needs ``w >= 1``, the Section 2 packaging floor).
     tranche:
-        Permits issued to a shard per spawned session; the remainder
-        stays in the shard's reserve (borrowable by siblings without
-        touching a live engine).  ``0`` issues each shard its entire
-        carve up front — required for the single-shard arm to be
-        bit-identical to a plain session.
+        The floor of each shard's halving schedule (Observation 3.4):
+        a shard's first session takes half its carve and every later
+        one half its reserve, never less than ``tranche`` permits; a
+        shard whose reserve falls below ``tranche`` borrows from its
+        siblings.  The remainder stays in the shard's reserve
+        (borrowable by siblings without touching a live engine).
+        ``0`` issues each shard its entire carve up front — required
+        for the single-shard arm to be bit-identical to a plain
+        session.
     rebalance / placement:
         Policy names from :data:`REBALANCE_POLICIES` /
         :data:`PLACEMENT_POLICIES`.
@@ -184,9 +205,17 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if (not isinstance(self.shards, (tuple, list))
+                or not all(isinstance(spec, ShardSpec)
+                           for spec in self.shards)):
+            raise ConfigError(
+                f"shards must be a sequence of ShardSpec, got "
+                f"{self.shards!r}")
         object.__setattr__(self, "shards", tuple(self.shards))
         if not self.shards:
             raise ConfigError("a fleet needs at least one shard")
+        for name in _INT_FIELDS:
+            _require_int(name, getattr(self, name))
         names = [spec.name for spec in self.shards]
         if len(set(names)) != len(names):
             raise ConfigError(f"shard names must be unique, got {names!r}")
@@ -251,10 +280,21 @@ class FleetConfig:
         skews the carve and the ring; remaining keywords pass through
         to :class:`FleetConfig` (``tranche=``, ``rebalance=``, ...).
         """
+        _require_int("shards", shards)
+        valid = [field.name for field in fields(FleetConfig)
+                 if field.name not in ("shards", "m_total", "w_total")]
+        unknown = sorted(set(knobs) - set(valid))
+        if unknown:
+            raise ConfigError(
+                f"unknown FleetConfig knob(s) {', '.join(unknown)} "
+                f"(valid: {', '.join(valid)})")
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
         if weights is None:
             weights = [1] * shards
+        if not isinstance(weights, (list, tuple)):
+            raise ConfigError(
+                f"weights must be a sequence of ints, got {weights!r}")
         if len(weights) != shards:
             raise ConfigError(
                 f"got {len(weights)} weights for {shards} shards")

@@ -1,8 +1,10 @@
 """Cross-shard permit rebalancing: the transfer ledger and policies.
 
-When a shard's live session terminates with its tranche spent, the
-router refills it from the fleet's remaining budget.  Every permit that
-crosses a shard boundary is a :class:`BudgetTransfer` recorded in the
+When a shard's live session terminates and its reserve is short of a
+``tranche`` (of its whole carve with ``tranche=0``), the router lends
+it half of each sibling's spare (reserve plus the unused permits of
+its live session), the lending side of the fleet's Observation 3.4
+halving stages.  Every permit that crosses a shard boundary is a :class:`BudgetTransfer` recorded in the
 :class:`TransferLedger` — the fleet's double-entry book.  The algebra
 is the same conservation contract :class:`~repro.core.iterated.IteratedController`
 uses between stages (Observation 3.4: a new stage's budget is exactly
@@ -18,22 +20,24 @@ re-derives both sides from this ledger.
 Two donation sources exist, tagged on the transfer:
 
 * ``"reserve"`` — unissued permits sitting in a sibling's reserve; the
-  cheap path, no live engine is touched;
-* ``"reclaim"`` — spare locked inside a sibling's *live* session.  The
-  router gracefully drains that session (grants are banked, the
-  leftover returns to the sibling's reserve — the same bank-and-reset
-  move the iterated controller performs between stages) and lends from
-  the recovered reserve.  This is what lets the fleet drive waste to
-  zero: a reject wave starts only when no permit remains unspent
-  anywhere.
+  cheap path, no live engine is touched.  The receiver takes every
+  sibling's half-spare offer, as far as the sibling's reserve covers it;
+* ``"reclaim"`` — spare locked inside a sibling's *live* session, taken
+  only when the receiver's reserve is still empty after the reserve
+  loans.  The router gracefully drains that session (grants are
+  banked, the leftover returns to the sibling's reserve — the same
+  bank-and-reset move the iterated controller performs between stages)
+  and lends from the recovered reserve.  This is what lets the fleet
+  drive waste to zero: a reject wave starts only when no permit remains
+  unspent anywhere.
 
-Policies plan *how much comes from whom* (both deterministic):
+Policies plan *which live sessions to reclaim, and how much from each*,
+over the siblings' half-spare offers (both deterministic):
 
-* ``greedy`` — drain the richest donor first (ties by name), then the
-  next; minimizes the number of transfers;
-* ``proportional`` — spread the need across all donors proportionally
-  to their spare (largest-remainder rounding); minimizes how lopsided
-  donors end up.
+* ``greedy`` — drain the richest offer first (ties by name), then the
+  next; minimizes the number of sessions drained;
+* ``proportional`` — spread the need across all offers proportionally
+  (largest-remainder rounding); minimizes how lopsided donors end up.
 """
 
 from dataclasses import dataclass

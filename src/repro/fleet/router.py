@@ -20,18 +20,25 @@ prove determinism.
 
 **Budget lifecycle.**  Each shard spawns terminating-flavour sessions
 (exhaustion surfaces as a PENDING the router intercepts, never as a
-client-visible reject) against its carved slice of ``M_total``.  When a
-session terminates, the shard *banks* its grants and recovers the
-leftover into its reserve — the exact stage-rollover algebra of
+client-visible reject) against its carved slice of ``M_total``, in the
+halving stages of Observation 3.4: the first session takes half the
+slice and every later one half of the shard's reserve, never less than
+``tranche`` (``tranche=0`` issues the whole slice as one session).
+Every session that ends pays the termination broadcast and upcast, so
+a slice is spent in O(log(M/tranche)) sessions instead of M/tranche.
+When a session terminates, the shard *banks* its grants and recovers
+the leftover into its reserve — the exact stage-rollover algebra of
 :class:`~repro.core.iterated.IteratedController` — then refills from
-its own reserve, or borrows from siblings through the
-:class:`~repro.fleet.rebalancer.TransferLedger` (reserve first, then
-*reclaiming* spare locked in a sibling's live session by gracefully
-draining it).  Only when no permit remains unspent anywhere does the
-fleet enter its **reject wave**: the mop-up ``trivial`` sessions answer
-exact (M, 0) rejects, so at the first client-visible REJECTED the fleet
-has granted its entire global budget — fleet-level waste is zero, well
-inside the ``W_total`` bound the auditor checks.
+its own reserve.  A shard short of ``tranche`` borrows from siblings
+through the :class:`~repro.fleet.rebalancer.TransferLedger`, and
+lending halves too: each sibling lends at most half its spare, from
+its reserve first; only a shard left with nothing *reclaims* spare
+locked in a sibling's live session by gracefully draining it.  Only
+when no permit remains unspent anywhere does the fleet enter its
+**reject wave**: the mop-up ``trivial`` sessions answer exact (M, 0)
+rejects, so at the first client-visible REJECTED the fleet has granted
+its entire global budget — fleet-level waste is zero, well inside the
+``W_total`` bound the auditor checks.
 """
 
 import threading
@@ -56,6 +63,17 @@ from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 
 __all__ = ["FleetRouter", "Shard"]
+
+
+def _stage(pool: int, tranche: int) -> int:
+    """Permits the next session of a shard takes from ``pool``.
+
+    Observation 3.4's schedule: each stage takes half of what the
+    previous ones left, so a slice of M is spent in O(log(M/tranche))
+    sessions; ``tranche`` floors the stage, so the tail of the slice
+    does not crawl through sessions of a few permits each.
+    """
+    return max(tranche, pool // 2)
 
 
 class _OwnershipListener(TreeListener):
@@ -116,7 +134,8 @@ class Shard:
         self.last_granted = -1
         self._seed = seed
         self.session: Optional[ControllerSession] = None
-        first = allocation if tranche == 0 else min(tranche, allocation)
+        first = (allocation if tranche == 0
+                 else min(_stage(allocation, tranche), allocation))
         self.spawn_terminating(first)
 
     # ------------------------------------------------------------------
@@ -373,38 +392,52 @@ class FleetRouter:
         receiver.counters.package_moves += 1
 
     def _borrow(self, shard: Shard, need: int) -> None:
-        """Pull up to ``need`` permits from siblings into ``shard``.
+        """Lend ``shard`` half of every sibling's spare.
 
-        Reserve donations first (no live engine touched); if need
-        remains, spare is *reclaimed* from sibling live sessions by
-        gracefully draining them (their grants bank, their leftover
-        becomes lendable reserve).  The configured policy plans both
-        phases.
+        A sibling's spare is its reserve plus the unused permits of its
+        live session; it lends at most half, rounded up, and keeps the
+        rest for its own next stages.  ``shard`` takes every offer a
+        sibling can pay from reserve (no live engine touched), so a
+        shard carrying most of the traffic spends the fleet's leftover
+        in halving stages, not ``tranche`` at a time.  Only a shard
+        still holding nothing *reclaims*: the configured policy picks
+        the sibling live sessions to drain for ``need`` permits (their
+        grants bank, their leftover becomes reserve).  Spending a few
+        permits before draining a sibling keeps busy shards from
+        draining each other in turn at the end of the budget.
         """
-        donors = [(s.name, s.reserve)
-                  for s in self.shards if s is not shard and s.reserve > 0]
-        for name, take in self._rebalance(need, donors):
-            self._transfer(self._by_name[name], shard, take, "reserve")
-            need -= take
-        if need <= 0:
+        siblings = [s for s in self.shards if s is not shard]
+        offers = {s.name: (s.reserve + s.live_unused + 1) // 2
+                  for s in siblings}
+        for donor in siblings:
+            take = min(offers[donor.name], donor.reserve)
+            if take > 0:
+                self._transfer(donor, shard, take, "reserve")
+        if shard.reserve > 0:
             return
-        locked = [(s.name, s.live_unused)
-                  for s in self.shards
-                  if s is not shard and s.session is not None
-                  and s.live_unused > 0]
+        # Every sibling reserve is empty here, so an offer is half of
+        # the donor's live spare.
+        locked = [(name, offer) for name, offer in offers.items()
+                  if offer > 0]
         for name, take in self._rebalance(need, locked):
             donor = self._by_name[name]
             donor.reclaim()
             take = min(take, donor.reserve)
             if take > 0:
                 self._transfer(donor, shard, take, "reclaim")
-                need -= take
 
     def _refill(self, shard: Shard) -> None:
-        """Give ``shard`` a fresh session from whatever budget remains."""
-        target = max(self.config.tranche or shard.allocation, 1)
-        if shard.reserve < target:
-            self._borrow(shard, target - shard.reserve)
+        """Give ``shard`` its next stage from whatever budget remains.
+
+        A shard short of ``tranche`` (with ``tranche=0``: of its whole
+        carve) borrows first.  The stage then takes half the reserve,
+        never less than ``tranche``; with ``tranche=0`` it takes the
+        whole carve back, as one session.
+        """
+        tranche = self.config.tranche
+        floor = max(tranche or shard.allocation, 1)
+        if shard.reserve < floor:
+            self._borrow(shard, floor - shard.reserve)
         if shard.reserve == 0:
             # Global budget spent: an empty mop-up engine still answers
             # CANCELLED/REJECTED with exact semantics.
@@ -414,7 +447,9 @@ class FleetRouter:
             # below the needed package size) — grant the rest exactly.
             shard.spawn_trivial(shard.reserve)
         else:
-            shard.spawn_terminating(min(target, shard.reserve))
+            stage = (_stage(shard.reserve, tranche) if tranche
+                     else shard.allocation)
+            shard.spawn_terminating(min(stage, shard.reserve))
 
     def _rollover(self, shard: Shard) -> None:
         shard.bank()

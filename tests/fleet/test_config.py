@@ -88,3 +88,50 @@ def test_of_builds_uniform_fleet_and_snapshot_roundtrips():
         FleetConfig.of(shards=0, m_total=1, w_total=1, u=8)
     with pytest.raises(ConfigError):
         FleetConfig.of(shards=2, m_total=1, w_total=2, u=8, weights=[1])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m_total", 1.5), ("m_total", True),
+    ("w_total", "4"), ("w_total", True),
+    ("tranche", 2.5), ("tranche", None),
+    ("ring_replicas", 1.5), ("ring_replicas", True),
+    ("max_in_flight", "8"), ("max_in_flight", True),
+    ("seed", 1.5), ("seed", False),
+    ("shards", "2"), ("shards", True),
+])
+def test_fleet_config_rejects_non_int_fields(field, value):
+    """A float would run shards with fractional budgets, a string or
+    None would raise a raw TypeError from a comparison, and a bool
+    passes every range check as 0 or 1."""
+    knobs = dict(shards=2, m_total=10, w_total=4, u=64)
+    knobs[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        FleetConfig.of(**knobs)
+    if field != "shards":
+        specs = (ShardSpec("a", template()), ShardSpec("b", template()))
+        fixed = dict(m_total=10, w_total=4)
+        fixed[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            FleetConfig(shards=specs, **fixed)
+
+
+def test_fleet_config_rejects_malformed_shard_inputs():
+    with pytest.raises(ConfigError, match="sequence of ShardSpec"):
+        FleetConfig(shards=2, m_total=10, w_total=4)
+    with pytest.raises(ConfigError, match="sequence of ShardSpec"):
+        FleetConfig(shards=("a", "b"), m_total=10, w_total=4)
+    with pytest.raises(ConfigError, match="weight must be an int"):
+        FleetConfig.of(shards=2, m_total=10, w_total=4, u=64,
+                       weights=[1.5, 1])
+    with pytest.raises(ConfigError, match="weights must be a sequence"):
+        FleetConfig.of(shards=2, m_total=10, w_total=4, u=64, weights=2)
+    with pytest.raises(ConfigError, match="template u must be an int"):
+        FleetConfig.of(shards=2, m_total=10, w_total=4, u="64")
+
+
+def test_fleet_config_of_rejects_unknown_knobs_naming_the_valid_ones():
+    with pytest.raises(ConfigError, match="bogus") as info:
+        FleetConfig.of(shards=2, m_total=10, w_total=4, u=64, bogus=1)
+    for knob in ("tranche", "rebalance", "placement", "ring_replicas",
+                 "max_in_flight", "seed"):
+        assert knob in str(info.value)

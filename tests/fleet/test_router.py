@@ -1,5 +1,6 @@
 """FleetRouter behaviour: placement, routing, rebalancing, lifecycle."""
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from repro.fleet import FleetConfig, FleetRouter
 from repro.service import ControllerSession, SessionConfig
 from repro.service.config import ControllerSpec
 from repro.workloads.catalogue import get_scenario
-from repro.workloads.scenarios import TreeMirror, request_spec
+from repro.workloads.scenarios import (TreeMirror, build_random_tree,
+                                       request_spec)
 
 
 def drive(fleet, steps, clients=8, seed=0, kinds=(RequestKind.ADD_LEAF,)):
@@ -132,6 +134,86 @@ def test_fleet_waste_is_zero_at_reject_wave(policy):
     report = fleet.audit()
     assert report.passed, report.violations[:3]
     fleet.close()
+
+
+@pytest.mark.parametrize("m_total,tranche", [(1000, 10), (999, 3),
+                                             (64, 1), (5000, 7)])
+def test_stages_halve_down_to_the_tranche(m_total, tranche):
+    """Observation 3.4: each stage takes half of what the previous ones
+    left, so one shard spends its slice in O(log(M/tranche)) sessions
+    (fixed tranche-sized sessions took M/tranche + 1)."""
+    config = FleetConfig.of(shards=1, m_total=m_total, w_total=4, u=4096,
+                            tranche=tranche)
+    with FleetRouter(config) as fleet:
+        shard = fleet.shards[0]
+        for _ in range(m_total + 1):
+            fleet.serve(Request(RequestKind.PLAIN, shard.tree.root))
+        assert fleet.tally()["granted"] == m_total
+        assert fleet.tally()["rejected"] == 1 and fleet.reject_wave
+        bound = math.ceil(math.log2(shard.allocation / tranche)) + 2
+        assert shard.sessions_spawned <= bound
+        assert fleet.audit().passed
+
+
+def test_a_sibling_lends_at_most_half_its_spare_at_a_time():
+    """Lending halves like the stages: every loan, from reserve or by
+    reclaim, is at most half of what the lender still holds (rounded
+    up), so a sibling keeps budget for its own next stages; a reclaim,
+    which drains a live session, still fetches a whole ``tranche`` when
+    that half covers one; loans go on until the whole global budget is
+    granted."""
+    config = FleetConfig.of(shards=2, m_total=200, w_total=4, u=1024,
+                            tranche=10)
+    with FleetRouter(config) as fleet:
+        idle, busy = fleet.shards
+        for _ in range(201):
+            fleet.serve(Request(RequestKind.PLAIN, busy.tree.root))
+        assert fleet.tally()["granted"] == 200 and fleet.reject_wave
+        spare = idle.allocation  # the idle shard never grants
+        for entry in fleet.ledger.entries:
+            assert entry.donor == idle.name
+            assert entry.permits <= (spare + 1) // 2, entry
+            if entry.kind == "reclaim":
+                assert entry.permits >= min(config.tranche,
+                                            (spare + 1) // 2), entry
+            spare -= entry.permits
+        assert spare == 0
+        assert {entry.kind for entry in fleet.ledger.entries} == {
+            "reserve", "reclaim"}
+
+
+def _skewed_fleet_run(policy):
+    """Four shards over random trees of 40; 32 sticky clients place
+    unevenly, so one shard carries about half the traffic and borrows
+    most of its siblings' slices; 2,400 requests against a budget of
+    2,000 end in the reject wave."""
+    trees = [build_random_tree(40, seed=5 + index) for index in range(4)]
+    fleet = FleetRouter(FleetConfig.of(
+        shards=4, m_total=2000, w_total=16, u=4 * (2400 + 160),
+        tranche=10, rebalance=policy, seed=5), trees=trees)
+    rng = random.Random(5)
+    for _ in range(2400):
+        client = f"client-{rng.randrange(32)}"
+        node = rng.choice(list(fleet.tree_of(client).nodes()))
+        kind = rng.choice((RequestKind.ADD_LEAF, RequestKind.PLAIN))
+        fleet.serve(Request(kind, node), origin=client)
+    assert fleet.granted_total == 2000 and fleet.reject_wave
+    assert fleet.audit().passed
+    books = [shard.snapshot() for shard in fleet.shards]
+    fleet.close()
+    return books
+
+
+@pytest.mark.parametrize("policy", ["greedy", "proportional"])
+def test_halving_halves_the_counted_reset_cost(policy):
+    """Fixed tranche-sized sessions charged 85,122 reset moves on this
+    stream under either policy (35.5 per request); the halving stages
+    and loans must charge at most half.  The counts are exact, so two
+    runs agree move for move."""
+    books = _skewed_fleet_run(policy)
+    assert books == _skewed_fleet_run(policy)
+    reset_moves = sum(shard["moves"]["reset_moves"] for shard in books)
+    assert reset_moves <= 85_122 / 2
 
 
 def test_reclaim_transfers_drain_live_siblings():

@@ -78,8 +78,10 @@ def test_fleet_bench_shape_and_audit():
     """A small ``fleet`` run: every cell audits clean, the 1-shard arm
     is bit-for-bit equivalent to the plain session, the skewed stress
     cells produce cross-shard transfers (including a live reclaim) and
-    end in the global reject wave.  (The 3x-at-4-shards bar is only
-    asserted when a 4-shard cell runs — this scaled run stops at 2.)"""
+    end in the global reject wave, and the staged cell spends one
+    shard's slice within Observation 3.4's stage bound.  (The
+    3x-at-4-shards bar is only asserted when a 4-shard cell runs — this
+    scaled run stops at 2.)"""
     from repro.bench import run_fleet
     result = run_fleet(shards="1,2", steps=200, clients=32)
     json.dumps(result)
@@ -99,6 +101,14 @@ def test_fleet_bench_shape_and_audit():
     assert stress["tranche_cell"]["granted_total"] == \
         stress["tranche_cell"]["m_total"]
     assert "reclaim" in stress["reclaim_cell"]["transfer_kinds"]
+    for cell in ("tranche_cell", "reclaim_cell"):
+        sessions = stress[cell]["sessions_spawned"]
+        assert len(sessions) == 2 and all(n >= 1 for n in sessions)
+    staged = stress["staged_cell"]
+    assert staged["tranche"] > 0 and staged["reject_wave"] is True
+    assert staged["granted_total"] == staged["m_total"]
+    assert staged["sessions_spawned"] <= staged["session_bound"] == 9
+    assert staged["reset_moves"] > 0
 
 
 def test_apps_bench_rejects_unknown_names():
