@@ -1159,11 +1159,14 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
       bit-for-bit identical.
     * **stress** — skewed-weight fleets driven through exhaustion:
       must produce >= 1 cross-shard ``BudgetTransfer`` (including a
-      live-session ``reclaim``), end in a global reject wave with
-      fleet-level waste zero (granted == m_total before any client
-      reject), and audit clean.  A staged cell drives one shard with
-      ``tranche > 0`` to its wave and asserts Observation 3.4's stage
-      count: at most ceil(log2(allocation / tranche)) + 2 sessions.
+      live-session ``reclaim`` at ``tranche=0``), end in a global reject
+      wave with fleet-level waste zero (granted == m_total before any
+      client reject), and audit clean.  At ``tranche > 0`` a shard
+      funds its live session instead of rolling it over, so no shard
+      of the tranche cell spawns more than 2 sessions (the funded one
+      and the mop-up), and a staged cell drives one shard to its wave
+      within both that and Observation 3.4's stage count of
+      ceil(log2(allocation / tranche)) + 2 sessions.
 
     Violations raise ``InvariantViolation`` with the JSON document
     attached (the bench CLI prints it before failing).
@@ -1255,6 +1258,11 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         and stress.granted_total == stress.config.m_total, "reject_wave",
         f"stress cell: granted {stress.granted_total} of "
         f"{stress.config.m_total} at the wave (fleet waste must be 0)")
+    most = max(shard.sessions_spawned for shard in stress.shards)
+    grid_report.expect(
+        most <= 2, "funding",
+        f"stress cell: a shard spawned {most} sessions; a funded "
+        "session and the mop-up need 2", sessions=most)
 
     reclaim = FleetRouter(FleetConfig.of(
         shards=2, m_total=40, w_total=4, u=2048, weights=[39, 1],
@@ -1294,6 +1302,11 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         f"{staged.config.tranche}; Observation 3.4 stages allow "
         f"{stage_bound}", sessions=staged_shard.sessions_spawned,
         bound=stage_bound)
+    grid_report.expect(
+        staged_shard.sessions_spawned <= 2, "funding",
+        f"staged cell: {staged_shard.sessions_spawned} sessions; a "
+        "funded session and the mop-up need 2",
+        sessions=staged_shard.sessions_spawned)
 
     stress_section = {
         "tranche_cell": {

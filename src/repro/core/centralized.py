@@ -38,7 +38,7 @@ Move complexity is charged per hop of package movement, per the
 centralized cost model of Section 2.2.
 """
 
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ControllerError
 from repro.metrics.counters import MoveCounters
@@ -111,6 +111,11 @@ class CentralizedController(TreeListener):
         self.stores = StoreMap(tree, self)
         self._fast = self.stores.holds_slots
         self._trace = kernel_trace
+        #: The owner's funding hook: called with the root's shortfall
+        #: when storage cannot cover a package, it returns the permits
+        #: the owner adds to M (0 when it cannot fund).  ``None``
+        #: exhausts at once, as the paper's controller does.
+        self._fund: Optional[Callable[[int], int]] = None
         self._ledger = PermitLedger(
             params=self.params, storage=m,
             track_intervals=track_intervals, interval_base=interval_base,
@@ -266,7 +271,8 @@ class CentralizedController(TreeListener):
         if package is None:
             dist_to_root = self._depth(node)
             level = self.params.creation_level(dist_to_root)
-            if not self._ledger.covers(self.params.mobile_size(level)):
+            need = self.params.mobile_size(level)
+            if not self._ledger.covers(need) and not self._funded(need):
                 if self.reject_on_exhaustion:
                     self._broadcast_reject_wave()
                 self.exhausted = True
@@ -278,6 +284,22 @@ class CentralizedController(TreeListener):
                 self.permit_flow_observer(self.tree.root, package.size)
         self._distribute(package, dist, node)
         return True
+
+    def _funded(self, need: int) -> bool:
+        """Ask the owner to fund the root up to ``need``; True once the
+        storage covers it."""
+        if self._fund is None:
+            return False
+        self._adjust_budget(self._fund(need - self.storage))
+        return self._ledger.covers(need)
+
+    def _adjust_budget(self, delta: int) -> None:
+        """Observation 3.4's re-budgeting without the reset: this live
+        controller becomes the (M + delta, W) one (see
+        :meth:`PermitLedger.adjust`) and shares the ledger's new params.
+        """
+        self._ledger.adjust(delta)
+        self.params = self._ledger.params
 
     def _find_filler(self, node: TreeNode):
         """Closest ancestor that is a filler node w.r.t. ``node``.

@@ -37,7 +37,7 @@ trace — the Lemma 4.5 reduction as an executable check (see
 ``tests/test_kernel_equivalence.py``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ControllerError
@@ -85,7 +85,9 @@ class PermitLedger:
     One ledger per controller instance; wrappers that re-budget across
     stages create a fresh ledger per stage (permits are conserved by the
     ``L = M - granted`` hand-over, which the invariant checker audits
-    through :class:`repro.protocol.BudgetSplit`).
+    through :class:`repro.protocol.BudgetSplit`), while an owner that
+    funds a live controller re-budgets its ledger in place
+    (:meth:`adjust`).
     """
 
     params: ControllerParams
@@ -168,6 +170,22 @@ class PermitLedger:
     def unused(self, parked: int) -> int:
         """Permits not yet granted: storage plus parked packages."""
         return self.storage + parked
+
+    def adjust(self, delta: int) -> None:
+        """Re-budget in place: M, the storage and the serial range's
+        end move by ``delta`` together.
+
+        φ and ψ depend only on W and U, so this is exactly the
+        (M + delta, W) ledger.  A cut may take at most the storage (in
+        interval mode the storage is the unissued tail of the range).
+        """
+        if self.storage + delta < 0:
+            raise ControllerError(
+                f"cannot cut M by {-delta}: root storage holds "
+                f"{self.storage}")
+        self.params = replace(self.params, m=self.params.m + delta)
+        self.storage += delta
+        self._interval_end += delta
 
 
 # ----------------------------------------------------------------------

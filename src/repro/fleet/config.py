@@ -21,7 +21,7 @@ Two frozen values describe a fleet:
   must be 0: the fleet owns the budget), and a ``weight`` that scales
   both its ring share and its slice of the carve;
 * :class:`FleetConfig` adds the global knobs — ``m_total``/``w_total``,
-  the ``tranche`` that floors each shard's halving stages, the
+  the ``tranche`` that floors each shard's funding stages, the
   rebalance policy (greedy richest-sibling vs. proportional), the
   placement policy
   (pure ``hash`` vs. ``sticky`` locality), ring geometry, and the
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.service.config import ControllerSpec
+from repro.service.config import ControllerSpec, _require_int
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -71,13 +71,6 @@ PLACEMENT_POLICIES: Tuple[str, ...] = ("hash", "sticky")
 #: before any range check compares them.
 _INT_FIELDS: Tuple[str, ...] = ("m_total", "w_total", "tranche",
                                  "ring_replicas", "max_in_flight", "seed")
-
-
-def _require_int(name: str, value: Any) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an int (a bool is
-    not: ``True`` would pass every range check as 1)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def carve(total: int, weights: Sequence[int]) -> Tuple[int, ...]:
@@ -140,7 +133,6 @@ class ShardSpec:
                 f"shard {self.name!r}: template must carry m=0/w=0 — the "
                 f"fleet carves M_total/W_total into per-shard budgets "
                 f"(got m={self.template.m}, w={self.template.w})")
-        _require_int(f"shard {self.name!r}: template u", self.template.u)
         if self.template.u < 1:
             raise ConfigError(
                 f"shard {self.name!r}: template needs the node bound u "
@@ -171,15 +163,16 @@ class FleetConfig:
         cover at least 1 per shard (every terminating inner session
         needs ``w >= 1``, the Section 2 packaging floor).
     tranche:
-        The floor of each shard's halving schedule (Observation 3.4):
-        a shard's first session takes half its carve and every later
-        one half its reserve, never less than ``tranche`` permits; a
-        shard whose reserve falls below ``tranche`` borrows from its
-        siblings.  The remainder stays in the shard's reserve
-        (borrowable by siblings without touching a live engine).
-        ``0`` issues each shard its entire carve up front — required
-        for the single-shard arm to be bit-identical to a plain
-        session.
+        The floor of each funding stage (Observation 3.4): a shard's
+        first session takes half its carve, and whenever its root runs
+        dry the live session is funded with half the shard's reserve,
+        never less than ``tranche`` permits; a shard whose reserve
+        falls below ``tranche`` borrows from its siblings.  The
+        remainder stays in the shard's reserve (borrowable by siblings
+        without touching a live engine).  ``0`` issues each shard its
+        entire carve up front as one session per carve, with no
+        funding — required for the single-shard arm to be
+        bit-identical to a plain session.
     rebalance / placement:
         Policy names from :data:`REBALANCE_POLICIES` /
         :data:`PLACEMENT_POLICIES`.
@@ -298,6 +291,7 @@ class FleetConfig:
         if len(weights) != shards:
             raise ConfigError(
                 f"got {len(weights)} weights for {shards} shards")
+        _require_int("template u", u)
         template = ControllerSpec(flavor, m=0, w=0, u=u,
                                   options=dict(options or {}))
         specs = tuple(

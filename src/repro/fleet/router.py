@@ -22,33 +22,44 @@ prove determinism.
 (exhaustion surfaces as a PENDING the router intercepts, never as a
 client-visible reject) against its carved slice of ``M_total``, in the
 halving stages of Observation 3.4: the first session takes half the
-slice and every later one half of the shard's reserve, never less than
-``tranche`` (``tranche=0`` issues the whole slice as one session).
-Every session that ends pays the termination broadcast and upcast, so
-a slice is spent in O(log(M/tranche)) sessions instead of M/tranche.
-When a session terminates, the shard *banks* its grants and recovers
-the leftover into its reserve — the exact stage-rollover algebra of
-:class:`~repro.core.iterated.IteratedController` — then refills from
-its own reserve.  A shard short of ``tranche`` borrows from siblings
+slice and every later stage half of the shard's reserve, never less
+than ``tranche``.  With ``tranche > 0`` a stage *funds the live
+session* instead of starting a new one: φ and ψ depend only on W and
+U, so a live (M, W) controller given k more root permits is exactly an
+(M + k, W) controller, and the session's root asks its shard for the
+next stage (a private hook on the controller) before it would exhaust.
+The termination broadcast and upcast are then paid about once per
+shard, when the funded session hands over to the mop-up, instead of
+at every stage.  A shard short of ``tranche`` borrows from siblings
 through the :class:`~repro.fleet.rebalancer.TransferLedger`, and
 lending halves too: each sibling lends at most half its spare, from
-its reserve first; only a shard left with nothing *reclaims* spare
-locked in a sibling's live session by gracefully draining it.  Only
-when no permit remains unspent anywhere does the fleet enter its
-**reject wave**: the mop-up ``trivial`` sessions answer exact (M, 0)
-rejects, so at the first client-visible REJECTED the fleet has granted
-its entire global budget — fleet-level waste is zero, well inside the
-``W_total`` bound the auditor checks.
+its reserve first and then from its live session's root storage (that
+session's M drops in place, again with no reset); only a shard left
+with nothing *reclaims* spare locked in a sibling's live session —
+with root loans, only spare parked below its root — by gracefully
+draining it.  A session terminates only when nothing can be funded;
+the shard then *banks* its grants and recovers the leftover into its
+reserve — the exact stage-rollover algebra of
+:class:`~repro.core.iterated.IteratedController` — and refills
+(``tranche=0`` issues the whole slice as one session, with no funding
+and no root loans).  Only when no permit remains unspent anywhere
+does the fleet enter its **reject wave**: the mop-up ``trivial``
+sessions answer exact (M, 0) rejects, so at the first client-visible
+REJECTED the fleet has granted its entire global budget — fleet-level
+waste is zero, well inside the ``W_total`` bound the auditor checks.
 """
 
 import threading
+import weakref
 from bisect import bisect_left
 from collections import deque
-from typing import (Any, Deque, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, cast)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, cast)
 from zlib import crc32
 
+from repro.core.centralized import CentralizedController
 from repro.core.requests import Outcome, OutcomeStatus, Request
+from repro.core.terminating import TerminatingController
 from repro.errors import ConfigError, ControllerError, FleetError, ProtocolError
 from repro.fleet.config import FleetConfig, ShardSpec
 from repro.fleet.rebalancer import REBALANCERS, TransferLedger
@@ -74,6 +85,25 @@ def _stage(pool: int, tranche: int) -> int:
     does not crawl through sessions of a few permits each.
     """
     return max(tranche, pool // 2)
+
+
+def _funding_hook(router: "FleetRouter",
+                  index: int) -> Callable[[int], int]:
+    """The hook shard ``index``'s terminating sessions ask for funds.
+
+    It holds the router weakly: the router owns its shards, a shard its
+    session and the session this hook, so a strong reference would
+    close a cycle that only the cyclic collector frees.
+    """
+    ref = weakref.ref(router)
+
+    def fund(shortfall: int) -> int:
+        fleet = ref()
+        if fleet is None:
+            return 0
+        return fleet._fund(fleet.shards[index], shortfall)
+
+    return fund
 
 
 class _OwnershipListener(TreeListener):
@@ -111,7 +141,8 @@ class Shard:
 
     def __init__(self, index: int, spec: ShardSpec, allocation: int,
                  waste: int, *, tranche: int, seed: int,
-                 tree: Optional[DynamicTree] = None) -> None:
+                 tree: Optional[DynamicTree] = None,
+                 fund: Optional[Callable[[int], int]] = None) -> None:
         self.index = index
         self.spec = spec
         self.name = spec.name
@@ -134,6 +165,11 @@ class Shard:
         self.last_granted = -1
         self._seed = seed
         self.session: Optional[ControllerSession] = None
+        #: The funding hook every terminating session gets (``None``
+        #: with ``tranche=0``), and the live one's controller, whose
+        #: root storage siblings borrow from.
+        self._fund = fund
+        self._root: Optional[CentralizedController] = None
         first = (allocation if tranche == 0
                  else min(_stage(allocation, tranche), allocation))
         self.spawn_terminating(first)
@@ -156,6 +192,11 @@ class Shard:
         """Unspent permits locked in the live session (reclaimable)."""
         return (self.session.controller.unused_permits()
                 if self.session is not None else 0)
+
+    @property
+    def root_storage(self) -> int:
+        """Permits at the live funded session's root (lendable in place)."""
+        return self._root.storage if self._root is not None else 0
 
     @property
     def granted(self) -> int:
@@ -194,9 +235,13 @@ class Shard:
         template = self.spec.session_template(m_live, self.waste)
         options = dict(template.options)
         options["counters"] = self.counters
-        self._spawn(ControllerSpec(template.flavor, m=template.m,
-                                   w=template.w, u=template.u,
-                                   options=options), m_live)
+        session = self._spawn(ControllerSpec(template.flavor, m=template.m,
+                                             w=template.w, u=template.u,
+                                             options=options), m_live)
+        if self._fund is not None:
+            root = cast(TerminatingController, session.controller).inner
+            root._fund = self._fund
+            self._root = root
 
     def spawn_trivial(self, m_live: int) -> None:
         """Mop-up mode: an exact (M, 0) engine over the whole reserve.
@@ -211,14 +256,39 @@ class Shard:
                                    options={"counters": self.counters}),
                     m_live)
 
-    def _spawn(self, spec: ControllerSpec, m_live: int) -> None:
+    def _spawn(self, spec: ControllerSpec,
+               m_live: int) -> ControllerSession:
         assert self.session is None, "spawn over a live session"
         assert 0 <= m_live <= self.reserve
         self.reserve -= m_live
         self.live_m = m_live
         config = SessionConfig(controller=spec, seed=self._seed)
-        self.session = ControllerSession(config, tree=self.tree)
+        session = self.session = ControllerSession(config, tree=self.tree)
         self.sessions_spawned += 1
+        return session
+
+    def top_up(self, permits: int) -> None:
+        """Book ``permits`` from reserve into the live session's M (the
+        funding hook's debit; the controller raises its own M)."""
+        if permits > self.reserve:
+            raise ProtocolError(
+                f"shard {self.name!r}: funding of {permits} permits "
+                f"exceeds its reserve of {self.reserve}")
+        self.reserve -= permits
+        self.live_m += permits
+
+    def lend_root(self, permits: int) -> None:
+        """Move ``permits`` from the live session's root storage back to
+        reserve: the session's M drops as much in place, with no reset
+        (the funding hook's algebra run backwards)."""
+        storage = self.root_storage
+        if self._root is None or permits > storage:
+            raise ProtocolError(
+                f"shard {self.name!r}: a root loan of {permits} permits "
+                f"would leave its root storage at {storage - permits}")
+        self._root._adjust_budget(-permits)
+        self.live_m -= permits
+        self.reserve += permits
 
     def bank(self) -> None:
         """Close the live session, banking its grants (stage rollover).
@@ -237,15 +307,18 @@ class Shard:
         self.last_granted = view.granted
         self.live_m = 0
         self.session = None
+        self._root = None
         session.close()
 
     def reclaim(self) -> None:
         """Gracefully drain the live session so siblings can borrow.
 
-        Charged as a shard-wide broadcast (one reset move per tree
-        node): recovering permits parked across a live tree costs a
-        collection wave, the same price the terminating engine pays on
-        its own termination.
+        The last resort of a loan: permits at the session's root are
+        lent in place (:meth:`lend_root`), so a drain is needed only
+        for permits parked below the root.  Charged as a shard-wide
+        broadcast (one reset move per tree node): recovering permits
+        parked across a live tree costs a collection wave, the same
+        price the terminating engine pays on its own termination.
         """
         self.counters.reset_moves += self.tree.size
         self.bank()
@@ -273,7 +346,9 @@ class FleetRouter:
         self.shards: List[Shard] = [
             Shard(index, spec, m_shares[index], w_shares[index],
                   tranche=config.tranche, seed=config.seed,
-                  tree=None if trees is None else trees[index])
+                  tree=None if trees is None else trees[index],
+                  fund=(_funding_hook(self, index) if config.tranche
+                        else None))
             for index, spec in enumerate(config.shards)]
         self._by_name = {shard.name: shard for shard in self.shards}
         self.ledger = TransferLedger()
@@ -397,19 +472,27 @@ class FleetRouter:
         A sibling's spare is its reserve plus the unused permits of its
         live session; it lends at most half, rounded up, and keeps the
         rest for its own next stages.  ``shard`` takes every offer a
-        sibling can pay from reserve (no live engine touched), so a
-        shard carrying most of the traffic spends the fleet's leftover
-        in halving stages, not ``tranche`` at a time.  Only a shard
-        still holding nothing *reclaims*: the configured policy picks
-        the sibling live sessions to drain for ``need`` permits (their
-        grants bank, their leftover becomes reserve).  Spending a few
-        permits before draining a sibling keeps busy shards from
-        draining each other in turn at the end of the budget.
+        sibling can pay from its reserve and, for the rest, from its
+        live session's root storage (the session's M drops in place;
+        with ``tranche=0`` there is no such loan).  Either way it is
+        one ``reserve`` transfer, so a shard carrying most of the
+        traffic spends the fleet's leftover in halving stages, not
+        ``tranche`` at a time.  Only a shard still holding nothing
+        *reclaims*: the configured policy picks the sibling live
+        sessions to drain for ``need`` permits (their grants bank,
+        their leftover becomes reserve) — with root loans, that is
+        only spare parked below their roots.  Spending a few permits
+        before draining a sibling keeps busy shards from draining each
+        other in turn at the end of the budget.
         """
         siblings = [s for s in self.shards if s is not shard]
         offers = {s.name: (s.reserve + s.live_unused + 1) // 2
                   for s in siblings}
         for donor in siblings:
+            from_root = min(offers[donor.name] - donor.reserve,
+                            donor.root_storage)
+            if from_root > 0:
+                donor.lend_root(from_root)
             take = min(offers[donor.name], donor.reserve)
             if take > 0:
                 self._transfer(donor, shard, take, "reserve")
@@ -427,12 +510,14 @@ class FleetRouter:
                 self._transfer(donor, shard, take, "reclaim")
 
     def _refill(self, shard: Shard) -> None:
-        """Give ``shard`` its next stage from whatever budget remains.
+        """Give ``shard`` a new session from whatever budget remains.
 
-        A shard short of ``tranche`` (with ``tranche=0``: of its whole
-        carve) borrows first.  The stage then takes half the reserve,
-        never less than ``tranche``; with ``tranche=0`` it takes the
-        whole carve back, as one session.
+        Runs when a session ended: exhausted with nothing left to fund
+        it, or drained by a sibling.  A shard short of ``tranche``
+        (with ``tranche=0``: of its whole carve) borrows first.  The
+        stage then takes half the reserve, never less than
+        ``tranche``; with ``tranche=0`` it takes the whole carve back,
+        as one session.
         """
         tranche = self.config.tranche
         floor = max(tranche or shard.allocation, 1)
@@ -451,6 +536,26 @@ class FleetRouter:
                      else shard.allocation)
             shard.spawn_terminating(min(stage, shard.reserve))
 
+    def _fund(self, shard: Shard, shortfall: int) -> int:
+        """Fund ``shard``'s live session: the body of its hook.
+
+        Borrows first, as a refill does, then moves the next stage
+        (half the reserve, never less than ``tranche`` or the
+        ``shortfall`` at the root) into the live session's M.  Returns
+        0, so the session terminates, only when even borrowing leaves
+        the reserve short of ``shortfall``.
+        """
+        tranche = self.config.tranche
+        floor = max(tranche, shortfall)
+        if shard.reserve < floor:
+            self._borrow(shard, floor - shard.reserve)
+        if shard.reserve < shortfall:
+            return 0
+        permits = min(max(_stage(shard.reserve, tranche), shortfall),
+                      shard.reserve)
+        shard.top_up(permits)
+        return permits
+
     def _rollover(self, shard: Shard) -> None:
         shard.bank()
         self._refill(shard)
@@ -460,7 +565,10 @@ class FleetRouter:
 
         Terminating PENDINGs are intercepted and retried on a refilled
         session; a REJECTED is let through only once nothing remains
-        borrowable anywhere — the global reject wave.
+        borrowable anywhere — the global reject wave.  A rollover that
+        moves no permit into the shard's session while some remain
+        raises :class:`ProtocolError`: its retry could only reject
+        again, forever.
         """
         shard = self.shards[index]
         shard.served += 1
@@ -477,8 +585,14 @@ class FleetRouter:
                 self._rollover(shard)
                 continue
             if status is OutcomeStatus.REJECTED and not self._reject_wave:
-                if self._availability(shard) > 0:
+                remaining = self._availability(shard)
+                if remaining > 0:
                     self._rollover(shard)
+                    if shard.live_m == 0:
+                        raise ProtocolError(
+                            f"shard {shard.name!r}: {remaining} permits "
+                            "remain but the rollover moved none into its "
+                            "session, so the retry would reject forever")
                     continue
                 self._reject_wave = True
             return outcome

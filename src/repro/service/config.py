@@ -46,6 +46,13 @@ SESSION_OWNED_OPTIONS: Tuple[str, ...] = (
     "scheduler", "delays", "faults", "kernel_trace")
 
 
+def _require_int(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int (a bool is
+    not: ``True`` would pass every range check as 1)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     """Which controller to build: flavour + (M, W, U) + extra options.
@@ -55,7 +62,8 @@ class ControllerSpec:
     session layer adds its own wiring (scheduler, delays, faults) on
     top for the flavours that take it.  Option names are checked
     against the flavour's constructor here, so a typo raises
-    :class:`ConfigError` naming the valid options.
+    :class:`ConfigError` naming the valid options; ``m``, ``w`` and
+    ``u`` must be ints (bools excluded).
     """
 
     flavor: str
@@ -66,6 +74,8 @@ class ControllerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flavor", resolve_flavor(self.flavor))
+        for name in ("m", "w", "u"):
+            _require_int(name, getattr(self, name))
         if self.m < 0 or self.w < 0:
             raise ConfigError(
                 f"invalid (M, W) = ({self.m}, {self.w}); both must be >= 0")

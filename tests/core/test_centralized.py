@@ -216,6 +216,55 @@ def test_interval_mode_off_returns_no_serials():
 
 
 # ----------------------------------------------------------------------
+# The owner's funding hook (Observation 3.4 without a reset).
+# ----------------------------------------------------------------------
+def test_a_funded_controller_is_the_larger_controller():
+    """Each funding makes the live controller the (M + k, W) one: M,
+    the root storage and the serial range's end rise together, φ and
+    ψ stay, serials continue without a gap, and the controller
+    exhausts only once the owner funds nothing."""
+    tree = build_random_tree(25, seed=7)
+    controller = make_controller(tree, m=10, w=20, u=200,
+                                 reject_on_exhaustion=False,
+                                 track_intervals=True, interval_base=100)
+    shape = (controller.params.phi, controller.params.psi)
+    asks = []
+
+    def fund(shortfall):
+        asks.append(shortfall)
+        return 5 if len(asks) <= 4 else 0
+
+    controller._fund = fund
+    nodes = list(tree.nodes())
+    serials = []
+    for step in range(40):
+        outcome = controller.handle(plain(nodes[step % len(nodes)]))
+        if not outcome.granted:
+            break
+        serials.append(outcome.serial)
+    assert outcome.status is OutcomeStatus.PENDING and controller.exhausted
+    assert asks == [1] * 5
+    assert sorted(serials) == list(range(101, 131))
+    assert controller.params.m == controller.granted == 30
+    assert (controller.params.phi, controller.params.psi) == shape
+    assert controller.introspect().params is controller.params
+
+
+def test_a_budget_cut_takes_at_most_the_root_storage():
+    tree = DynamicTree()
+    controller = make_controller(tree, m=10, w=1, u=10)
+    assert controller.handle(plain(tree.root)).granted
+    storage = controller.storage
+    with pytest.raises(ControllerError, match="root storage"):
+        controller._adjust_budget(-(storage + 1))
+    controller._adjust_budget(-storage)
+    assert controller.params.m == 10 - storage
+    assert controller.storage == 0
+    assert controller.granted + controller.unused_permits() == \
+        controller.params.m
+
+
+# ----------------------------------------------------------------------
 # Deep-tree distribution geometry.
 # ----------------------------------------------------------------------
 def test_deep_request_parks_packages_at_uk_positions():

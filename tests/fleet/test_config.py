@@ -6,6 +6,8 @@ from repro.errors import ConfigError
 from repro.fleet import FleetConfig, ShardSpec, carve
 from repro.service.config import ControllerSpec
 
+pytestmark = pytest.mark.timeout(120)
+
 
 def template(u=1024, **options):
     return ControllerSpec("terminating", m=0, w=0, u=u, options=options)

@@ -1,6 +1,10 @@
 """Transfer-ledger bookkeeping and the rebalance planners."""
 
+import pytest
+
 from repro.fleet import TransferLedger, plan_greedy, plan_proportional
+
+pytestmark = pytest.mark.timeout(120)
 
 
 def test_ledger_records_and_sums():

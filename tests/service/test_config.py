@@ -25,6 +25,18 @@ def test_spec_negative_budget_is_config_error():
         ControllerSpec("centralized", m=-1)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("field", ["m", "w", "u"])
+def test_spec_takes_ints_only(field, value):
+    """A float budget would serve and then report fractional unused
+    permits, a bool passes every range check as 0 or 1, and a string
+    used to escape as a raw TypeError."""
+    knobs = dict(m=3, w=1, u=10)
+    knobs[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        SessionConfig.of("terminating", **knobs)
+
+
 @pytest.mark.parametrize("flavor", CONTROLLER_FLAVORS)
 @pytest.mark.parametrize("options", [{"bogus": 1}, {"fast_path": True}])
 def test_unknown_options_are_config_errors(flavor, options):

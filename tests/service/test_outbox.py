@@ -324,6 +324,10 @@ SURFACES = {
         AppSpec("size_estimation", flavor="distributed")),
     "fleet": lambda: FleetRouter(
         FleetConfig.of(shards=2, m_total=50, w_total=2, u=100)),
+    # tranche > 0: every terminating shard session carries the funding
+    # hook back into the router.
+    "fleet-funded": lambda: FleetRouter(
+        FleetConfig.of(shards=2, m_total=50, w_total=2, u=100, tranche=2)),
 }
 
 
@@ -359,6 +363,28 @@ def test_a_surface_is_freed_by_reference_counting(name):
     try:
         del surface
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_funded_fleet_is_freed_by_reference_counting():
+    """The funding hook holds its router weakly, so no router -> shard
+    -> session -> hook cycle: after a serve that funded a live session,
+    the router, every shard and every shard session die with the last
+    reference."""
+    fleet = SURFACES["fleet-funded"]()
+    shard = fleet.shards[0]
+    first = shard.live_m
+    for _ in range(first + 1):
+        fleet.serve(_plain(shard.tree.root))
+    assert shard.sessions_spawned == 1 and shard.live_m > first  # funded
+    refs = [weakref.ref(fleet)]
+    for member in fleet.shards:
+        refs += [weakref.ref(member), weakref.ref(member.session)]
+    gc.disable()
+    try:
+        del fleet, shard, member
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

@@ -78,8 +78,8 @@ def test_fleet_bench_shape_and_audit():
     """A small ``fleet`` run: every cell audits clean, the 1-shard arm
     is bit-for-bit equivalent to the plain session, the skewed stress
     cells produce cross-shard transfers (including a live reclaim) and
-    end in the global reject wave, and the staged cell spends one
-    shard's slice within Observation 3.4's stage bound.  (The
+    end in the global reject wave, and the funded cells spend a hot
+    shard's budget in one funded session plus the mop-up.  (The
     3x-at-4-shards bar is only asserted when a 4-shard cell runs — this
     scaled run stops at 2.)"""
     from repro.bench import run_fleet
@@ -104,10 +104,13 @@ def test_fleet_bench_shape_and_audit():
     for cell in ("tranche_cell", "reclaim_cell"):
         sessions = stress[cell]["sessions_spawned"]
         assert len(sessions) == 2 and all(n >= 1 for n in sessions)
+    # tranche > 0: the hot shard funds one live session, then mops up.
+    assert max(stress["tranche_cell"]["sessions_spawned"]) <= 2
     staged = stress["staged_cell"]
     assert staged["tranche"] > 0 and staged["reject_wave"] is True
     assert staged["granted_total"] == staged["m_total"]
-    assert staged["sessions_spawned"] <= staged["session_bound"] == 9
+    assert staged["sessions_spawned"] <= 2
+    assert staged["session_bound"] == 9
     assert staged["reset_moves"] > 0
 
 
