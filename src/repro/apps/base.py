@@ -124,6 +124,10 @@ class AppSession:
         self._closed = False
         self.verdicts: Dict[str, int] = self._outbox.verdicts
         self._sync = not spec.event_driven
+        #: Whether a subclass overrides the per-outcome hook (the base
+        #: hook is a no-op, so the serve paths skip its call).
+        self._hooked = (type(self)._after_outcome
+                        is not AppSession._after_outcome)
         self._fast_handle: Callable[[Request], Any]
         self._start_iteration()
 
@@ -298,7 +302,8 @@ class AppSession:
             self._roll_iteration()
             if granted_now == 0:
                 self._require_progress()
-        self._after_outcome(outcome)
+        if self._hooked:
+            self._after_outcome(outcome)
         return self._outbox.record(request, envelope_id, submit_tick,
                                    outcome)
 
@@ -334,11 +339,7 @@ class AppSession:
                        for request in requests]
             self._pending.extend(tickets)
             return [ticket.result() for ticket in tickets]
-        # Only dispatch the per-outcome hook when a subclass actually
-        # overrides it (the base hook is a no-op).
-        after = (self._after_outcome
-                 if type(self)._after_outcome is not AppSession._after_outcome
-                 else None)
+        after = self._after_outcome if self._hooked else None
         outcomes: List[Outcome] = []
         append = outcomes.append
         fast = self._fast_handle

@@ -7,7 +7,7 @@ distributed implementation (Section 4) is reduced to.
 Public entry points:
 
 * :mod:`repro.core.kernel` — the shared GrantOrReject/Proc kernel
-  (:class:`PermitLedger`, indexed filler lookup, distribution plans,
+  (:class:`PermitLedger`, level-windowed filler lookup, distribution plans,
   the reject wave, :class:`KernelTrace`), executed synchronously here
   and hop-by-hop by :mod:`repro.distributed`;
 * :class:`CentralizedController` — known-U controller (Section 3.1);

@@ -51,7 +51,16 @@ from repro.core.domains import DomainTracker
 from repro.core.kernel import KernelTrace, PermitLedger
 from repro.core.packages import MobilePackage, NodeStore, StoreMap
 from repro.core.params import ControllerParams
-from repro.core.requests import Outcome, OutcomeStatus, Request, RequestKind
+from repro.core.requests import (Outcome, OutcomeStatus, Request,
+                                 RequestKind, perform_event)
+
+_GRANTED = OutcomeStatus.GRANTED
+_REJECTED = OutcomeStatus.REJECTED
+_CANCELLED = OutcomeStatus.CANCELLED
+_PENDING = OutcomeStatus.PENDING
+_ADD_INTERNAL = RequestKind.ADD_INTERNAL
+_REMOVE_LEAF = RequestKind.REMOVE_LEAF
+_REMOVE_INTERNAL = RequestKind.REMOVE_INTERNAL
 
 
 class CentralizedController(TreeListener):
@@ -80,11 +89,16 @@ class CentralizedController(TreeListener):
         Maintain explicit permit serial-number intervals on every package
         (used by the name-assignment protocol of Section 5.2).  Serials
         for this controller are ``interval_base + 1 .. interval_base + m``.
-    apply_topology:
-        When True (default) the controller itself performs granted
-        topological changes on the tree, playing the "requesting entity"
-        of the model.  The distributed engine reuses this class purely as
-        a package data structure with ``apply_topology=False``.
+
+    The controller plays the model's "requesting entity": a granted
+    topological event is performed on the tree at grant time.
+
+    :meth:`handle` serves the common grant in its own frame: with no
+    package parked anywhere and the requester within ``2 psi`` of the
+    root, the root carves ``phi`` permits, which travel ``depth`` hops
+    into the requester's static pool; no package or plan is built.
+    Any other input takes the kernel-planned :meth:`_fetch_permits`
+    (``tests/core/test_handle_batch.py`` compares the two).
     """
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
@@ -93,7 +107,6 @@ class CentralizedController(TreeListener):
                  reject_on_exhaustion: bool = True,
                  track_intervals: bool = False,
                  interval_base: int = 0,
-                 apply_topology: bool = True,
                  permit_flow_observer=None,
                  kernel_trace: Optional[KernelTrace] = None):
         # ``permit_flow_observer(node, permits)`` is invoked whenever a
@@ -125,15 +138,20 @@ class CentralizedController(TreeListener):
         self.exhausted = False
         self.reject_on_exhaustion = reject_on_exhaustion
         self.track_intervals = track_intervals
-        self._apply_topology = apply_topology
         self.domains: Optional[DomainTracker] = (
             DomainTracker(tree, self.params) if track_domains else None
         )
-        # Index of nodes currently parking >= 1 mobile package.  Mobile
-        # packages are sparse (a fetch parks at most one per level), so
-        # scanning hosts beats climbing the whole root path on deep
-        # trees; ``_find_filler`` picks whichever bound is smaller.
+        # Index of nodes currently parking >= 1 mobile package.  Empty
+        # means no filler anywhere, without touching the tree.
         self._mobile_hosts: Dict[TreeNode, NodeStore] = {}
+        # The inline grant needs the slots and no per-package
+        # bookkeeping; 2 psi bounds its requesters' depth (funding
+        # moves M only, so neither changes).
+        self._inline = (self._fast and not track_domains
+                        and not track_intervals
+                        and permit_flow_observer is None
+                        and kernel_trace is None)
+        self._level0_reach = 2 * self.params.psi
         # Adaptive ancestry policy: skip-pointer tables pay off only
         # while splices are rare (a splice invalidates the caches of a
         # whole subtree).  Every 64 requests we look at how far the
@@ -184,39 +202,86 @@ class CentralizedController(TreeListener):
         """Run ``GrantOrReject`` for one request, synchronously."""
         if not self._attached:
             raise ControllerError("controller has been detached")
-        if self._fast:
+        tree = self.tree
+        fast = self._fast
+        if fast:
             self._req_count += 1
             if not self._req_count & 63:
-                gen = self.tree.anc_generation
+                gen = tree.anc_generation
                 self._tables_on = gen - self._win_gen <= 2
                 self._win_gen = gen
         node = request.node
-        if node not in self.tree or not self._still_meaningful(request):
-            return Outcome(OutcomeStatus.CANCELLED, request)
+        # A node holding this controller's store slot is alive in its
+        # tree: stores are made only for the tree's live nodes and are
+        # discarded when their node is removed.
+        if fast and node._store_owner is self:
+            store = node._store
+        elif node in tree:
+            store = None
+        else:
+            return Outcome(_CANCELLED, request)
+        # Section 4.2: a request whose event lost its meaning (a second
+        # deletion, a split of an edge that is gone) is cancelled.
+        kind = request.kind
+        if kind is _REMOVE_LEAF:
+            meaningful = node.parent is not None and not node.children
+        elif kind is _REMOVE_INTERNAL:
+            meaningful = node.parent is not None and bool(node.children)
+        elif kind is _ADD_INTERNAL:
+            child = request.child
+            meaningful = (child is not None and child.alive
+                          and child.parent is node)
+        else:
+            meaningful = True
+        if not meaningful:
+            return Outcome(_CANCELLED, request)
 
-        store = self.stores.get(node)
+        if store is None:
+            store = self.stores.get(node)
+        ledger = self._ledger
         # Item 1: a reject package answers immediately.
         if store.has_reject or self.rejecting:
-            self._ledger.count_reject()
-            return Outcome(OutcomeStatus.REJECTED, request)
+            ledger.count_reject()
+            return Outcome(_REJECTED, request)
 
         # Item 3: replenish the static pool if needed.
-        if store.static_permits == 0:
-            replenished = self._fetch_permits(node)
+        if not store.static_permits:
+            depth = -1
+            reach = self._level0_reach
+            if self._inline and not self._mobile_hosts:
+                depth = 0
+                above = node.parent
+                while above is not None:
+                    depth += 1
+                    if depth > reach:
+                        break
+                    above = above.parent
+            if 0 <= depth <= reach:
+                # No filler anywhere and creation level 0: the root
+                # carves phi permits, which travel ``depth`` hops and
+                # become the static pool.
+                phi = self.params.phi
+                replenished = ledger.storage >= phi or self._funded(phi)
+                if replenished:
+                    ledger.storage -= phi
+                    self.counters.package_moves += depth
+                    store.static_permits = phi
+                else:
+                    self._exhaust()
+            else:
+                replenished = self._fetch_permits(node)
             if not replenished:
                 if self.reject_on_exhaustion:
-                    self._ledger.count_reject()
-                    return Outcome(OutcomeStatus.REJECTED, request)
-                return Outcome(OutcomeStatus.PENDING, request)
-            store = self.stores.get(node)
+                    ledger.count_reject()
+                    return Outcome(_REJECTED, request)
+                return Outcome(_PENDING, request)
 
         # Item 2: grant one static permit and perform the event.
         store.static_permits -= 1
         serial = store.take_static_serial() if self.track_intervals else None
-        self._ledger.grant(node)
-        new_node = self._execute_event(request)
-        return Outcome(OutcomeStatus.GRANTED, request,
-                       new_node=new_node, serial=serial)
+        ledger.grant(node)
+        return Outcome(_GRANTED, request,
+                       new_node=perform_event(tree, request), serial=serial)
 
     def handle_batch(self, requests: Iterable[Request]) -> List[Outcome]:
         """Run ``GrantOrReject`` for a batch of requests.
@@ -273,9 +338,7 @@ class CentralizedController(TreeListener):
             level = self.params.creation_level(dist_to_root)
             need = self.params.mobile_size(level)
             if not self._ledger.covers(need) and not self._funded(need):
-                if self.reject_on_exhaustion:
-                    self._broadcast_reject_wave()
-                self.exhausted = True
+                self._exhaust()
                 return False
             package = self._ledger.create_package(level, dist_to_root)
             dist = dist_to_root
@@ -284,6 +347,13 @@ class CentralizedController(TreeListener):
                 self.permit_flow_observer(self.tree.root, package.size)
         self._distribute(package, dist, node)
         return True
+
+    def _exhaust(self) -> None:
+        """The root cannot cover the next package: in reject mode the
+        reject wave goes out; either way the controller is exhausted."""
+        if self.reject_on_exhaustion:
+            self._broadcast_reject_wave()
+        self.exhausted = True
 
     def _funded(self, need: int) -> bool:
         """Ask the owner to fund the root up to ``need``; True once the
@@ -306,35 +376,13 @@ class CentralizedController(TreeListener):
 
         Returns ``(package, distance)``, removing the package from its
         host's store — or ``(None, None)`` if no filler exists up to and
-        including the root.
-
-        Three equivalent strategies (identical result, all free in the
-        centralized cost model — only package moves are charged):
-
-        * the empty-index short cut — no parked package anywhere means
-          no filler, without touching the tree;
-        * with warm skip-pointer ancestry, an **indexed scan** of
-          ``_mobile_hosts``: O(hosts) candidate distances from
-          generation-cached host depths plus O(log depth) skip-jump
-          verification of the winners — independent of the tree depth;
-        * otherwise the climb — O(depth), but over per-node store
-          slots (two slot loads per hop) when this controller holds
-          the fast path, dict probes when it does not.
+        including the root.  With nothing parked anywhere that is known
+        without touching the tree; otherwise the climb runs (two slot
+        loads per hop with the fast path claimed, a dict probe without)
+        and the kernel's level-windowed lookup picks per store.
         """
         if not self._mobile_hosts:
             return None, None
-        if self._fast and self._tables_on:
-            return self._find_filler_indexed(node, -1)
-        return self._find_filler_climb(node)
-
-    def _find_filler_climb(self, node: TreeNode):
-        """The ancestor climb: first in-window package wins.
-
-        With the fast path claimed, each hop is two slot loads; without
-        it, a dict probe per hop.  The per-store window check is the
-        kernel's level-windowed lookup: the one level that can fill at
-        this distance, matched against the (short) parked list.
-        """
         params = self.params
         trace = self._trace
         fast = self._fast
@@ -358,55 +406,6 @@ class CentralizedController(TreeListener):
             current = current.parent
             dist += 1
         return None, None
-
-    def _find_filler_indexed(self, node: TreeNode, min_dist: int):
-        """Closest filler strictly beyond ``min_dist`` hops, via index.
-
-        Scans the parked-package hosts: candidate distances come from
-        generation-cached host depths (one O(log depth) refresh per
-        splice generation), and only window-passing candidates pay the
-        O(log depth) skip-jump ancestry verification.  Equivalent to
-        continuing the climb past ``min_dist``.
-        """
-        tree = self.tree
-        gen = tree.anc_generation
-        node_depth = tree.depth(node)
-        params = self.params
-        excluded = None
-        while True:
-            # Optimistic pass: pick the closest window-matching host by
-            # depth difference alone; ancestry of the single winner is
-            # verified after the loop (it fails only for off-path hosts
-            # at a coincidental depth, which are then excluded and the
-            # scan retried).
-            best = None
-            best_dist = None
-            best_host = None
-            for host, store in self._mobile_hosts.items():
-                if store.host_depth_gen != gen:
-                    store.host_depth = tree.depth(host)
-                    store.host_depth_gen = gen
-                dist = node_depth - store.host_depth
-                if dist <= min_dist or \
-                        (best_dist is not None and dist >= best_dist) or \
-                        (excluded is not None and host in excluded):
-                    continue
-                chosen = kernel.peek_filler(store, dist, params)
-                if chosen is not None:
-                    best, best_dist, best_host = chosen, dist, host
-            if best is None:
-                return None, None
-            if tree.ancestor_at(node, best_dist) is best_host:
-                break
-            if excluded is None:
-                excluded = set()
-            excluded.add(best_host)
-        store = self._mobile_hosts[best_host]
-        kernel.take_package(store, best, node=best_host, dist=best_dist,
-                            trace=self._trace)
-        if not store.mobile:
-            del self._mobile_hosts[best_host]
-        return best, best_dist
 
     def _distribute(self, package: MobilePackage, dist: int,
                     node: TreeNode) -> None:
@@ -491,37 +490,6 @@ class CentralizedController(TreeListener):
         self.rejecting = True
         self.counters.reject_moves += kernel.broadcast_reject(
             self.tree, self.stores.get, trace=self._trace)
-
-    # ------------------------------------------------------------------
-    # Event execution (the controller plays the granted entity).
-    # ------------------------------------------------------------------
-    def _still_meaningful(self, request: Request) -> bool:
-        """Check the request's event is still executable (Section 4.2)."""
-        kind = request.kind
-        node = request.node
-        if kind is RequestKind.REMOVE_LEAF:
-            return not node.is_root and not node.children
-        if kind is RequestKind.REMOVE_INTERNAL:
-            return not node.is_root and bool(node.children)
-        if kind is RequestKind.ADD_INTERNAL:
-            return (request.child is not None and request.child.alive
-                    and request.child.parent is node)
-        return True
-
-    def _execute_event(self, request: Request) -> Optional[TreeNode]:
-        if not self._apply_topology or not request.kind.is_topological:
-            return None
-        if request.kind is RequestKind.ADD_LEAF:
-            return self.tree.add_leaf(request.node)
-        if request.kind is RequestKind.ADD_INTERNAL:
-            return self.tree.add_internal(request.node, request.child)
-        if request.kind is RequestKind.REMOVE_LEAF:
-            self.tree.remove_leaf(request.node)
-            return None
-        if request.kind is RequestKind.REMOVE_INTERNAL:
-            self.tree.remove_internal(request.node)
-            return None
-        raise ControllerError(f"unknown request kind {request.kind}")
 
     # ------------------------------------------------------------------
     # Tree listener: graceful hand-over on deletions; reject propagation

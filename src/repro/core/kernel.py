@@ -234,18 +234,10 @@ def take_filler(store: NodeStore, dist: int, params: ControllerParams,
     """
     package = peek_filler(store, dist, params)
     if package is not None:
-        take_package(store, package, node=node, dist=dist, trace=trace)
+        store.mobile.remove(package)
+        if trace is not None:
+            trace.emit("take", _node_id(node), package.level, dist)
     return package
-
-
-def take_package(store: NodeStore, package: MobilePackage,
-                 node: Optional[object] = None,
-                 dist: Optional[int] = None,
-                 trace: Optional[KernelTrace] = None) -> None:
-    """Remove a specific parked package (chosen by a filler search)."""
-    store.mobile.remove(package)
-    if trace is not None:
-        trace.emit("take", _node_id(node), package.level, dist)
 
 
 def park(store: NodeStore, package: MobilePackage,

@@ -21,8 +21,8 @@ at intervals, mirroring the paper's separation.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Generic, ItemsView, List,
-                    Optional, Tuple, TypeVar)
+from typing import (Any, Callable, Dict, Generic, List, Optional, Tuple,
+                    TypeVar, ValuesView)
 
 _package_ids = itertools.count()
 
@@ -42,7 +42,7 @@ class MobilePackage:
 
     level: int
     size: int
-    package_id: int = field(default_factory=lambda: next(_package_ids))
+    package_id: int = field(default_factory=_package_ids.__next__)
     interval: Optional[Tuple[int, int]] = None
 
     def split_interval(self) -> Tuple[Optional[Tuple[int, int]],
@@ -69,11 +69,6 @@ class NodeStore:
     static_permits: int = 0
     has_reject: bool = False
     static_intervals: List[Tuple[int, int]] = field(default_factory=list)
-    # Cached depth of the hosting node, keyed by the tree's splice
-    # generation (``DynamicTree.anc_generation``) — the request engine's
-    # indexed filler scan refreshes it lazily when the generation moves.
-    host_depth: int = -1
-    host_depth_gen: int = -1
 
     @property
     def is_empty(self) -> bool:
@@ -111,12 +106,14 @@ class SlotMap(Generic[T]):
     matching the memory claim; iteration only visits nodes that ever
     held state).  Subclasses name the state type in ``_new``.
 
+    Entries are keyed by ``id(node)`` and hold the node (so the id
+    stays unique): no entry operation calls ``TreeNode.__hash__``.
+
     Given a ``tree`` whose per-node slots nobody holds, the map claims
     them for ``owner``: every entry it creates is also pinned into the
     node's ``_store_owner`` / ``_store`` slots, so hot loops read
     ``node._store if node._store_owner is owner`` — two slot loads
-    instead of a dict probe, which pays a Python-level
-    ``TreeNode.__hash__`` call.  One map per tree holds the claim
+    instead of a dict probe.  One map per tree holds the claim
     (``DynamicTree.store_slot_owner``), so a pinned slot is always
     authoritative for its owner, and a holder's slot miss means the
     node has no entry.  A map that finds the slots taken keeps to dict
@@ -129,7 +126,7 @@ class SlotMap(Generic[T]):
 
     def __init__(self, tree: Optional[Any] = None,
                  owner: Optional[object] = None) -> None:
-        self._items: Dict[Any, T] = {}
+        self._items: Dict[int, Tuple[Any, T]] = {}
         self._slot_owner: Optional[object] = None
         self._tree: Optional[Any] = None
         if tree is not None and tree.store_slot_owner is None:
@@ -145,15 +142,16 @@ class SlotMap(Generic[T]):
     def get(self, node: Any) -> T:
         owner = self._slot_owner
         if owner is None:
-            item = self._items.get(node)
-            if item is None:
-                item = self._new()
-                self._items[node] = item
+            entry = self._items.get(id(node))
+            if entry is not None:
+                return entry[1]
+            item = self._new()
+            self._items[id(node)] = (node, item)
             return item
         if node._store_owner is owner:
             return node._store
         item = self._new()
-        self._items[node] = item
+        self._items[id(node)] = (node, item)
         node._store_owner = owner
         node._store = item
         return item
@@ -162,22 +160,25 @@ class SlotMap(Generic[T]):
         """The entry if it exists, without creating one."""
         owner = self._slot_owner
         if owner is None:
-            return self._items.get(node)
+            entry = self._items.get(id(node))
+            return entry[1] if entry is not None else None
         return node._store if node._store_owner is owner else None
 
     def discard(self, node: Any) -> Optional[T]:
         """Remove and return a node's entry (used on deletion)."""
         owner = self._slot_owner
         if owner is None:
-            return self._items.pop(node, None)
+            entry = self._items.pop(id(node), None)
+            return entry[1] if entry is not None else None
         if node._store_owner is not owner:
             return None
         node._store_owner = None
         node._store = None
-        return self._items.pop(node)
+        return self._items.pop(id(node))[1]
 
-    def items(self) -> ItemsView[Any, T]:
-        return self._items.items()
+    def items(self) -> ValuesView[Tuple[Any, T]]:
+        """The ``(node, entry)`` pairs, in creation order."""
+        return self._items.values()
 
     def release_slots(self) -> None:
         """Unpin every slot this map holds and give the tree's claim
@@ -185,7 +186,7 @@ class SlotMap(Generic[T]):
         owner = self._slot_owner
         if owner is None:
             return
-        for node in self._items:
+        for node, _item in self._items.values():
             if node._store_owner is owner:
                 node._store_owner = None
                 node._store = None
@@ -208,4 +209,5 @@ class StoreMap(SlotMap[NodeStore]):
 
     def total_parked_permits(self) -> int:
         """Permits currently sitting in packages anywhere in the tree."""
-        return sum(store.total_permits() for store in self._items.values())
+        return sum(store.total_permits()
+                   for _node, store in self._items.values())

@@ -71,7 +71,7 @@ class Request:
     kind: RequestKind
     node: TreeNode
     child: Optional[TreeNode] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
 
     def __post_init__(self):
         if self.kind is RequestKind.ADD_INTERNAL:

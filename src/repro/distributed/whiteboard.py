@@ -54,4 +54,5 @@ class WhiteboardMap(SlotMap[Whiteboard]):
     _new = Whiteboard
 
     def total_parked_permits(self) -> int:
-        return sum(b.store.total_permits() for b in self._items.values())
+        return sum(board.store.total_permits()
+                   for _node, board in self._items.values())

@@ -189,9 +189,9 @@ class Shard:
 
     @property
     def live_unused(self) -> int:
-        """Unspent permits locked in the live session (reclaimable)."""
-        return (self.session.controller.unused_permits()
-                if self.session is not None else 0)
+        """Unspent permits locked in the live session (reclaimable):
+        its M less its grants, as the session conserves permits."""
+        return self.live_m - self.live_granted
 
     @property
     def root_storage(self) -> int:
@@ -364,6 +364,7 @@ class FleetRouter:
         #: Every origin ever placed -> shard index (the sticky table;
         #: also the auditor's replay record under the hash policy).
         self.placements: Dict[str, int] = {}
+        self._sticky = config.placement == "sticky"
 
         # Node ownership: every node that ever lived on a shard tree
         # (identity-keyed; see _OwnershipListener).
@@ -424,9 +425,13 @@ class FleetRouter:
         return entry[0] if entry is not None else None
 
     def _route(self, request: Request, origin: Optional[Any]) -> int:
-        owner = self.owner_of(request.node)
+        """:meth:`owner_of` and :meth:`place` in one frame (locked)."""
+        entry = self._owned.get(id(request.node))
+        owner = entry[0] if entry is not None else None
         if origin is not None:
-            index = self.place(origin)
+            index = self.placements.get(str(origin))
+            if index is None or not self._sticky:
+                index = self.place(origin)
             if owner is not None and owner != index:
                 raise FleetError(
                     f"origin {origin!r} places on shard "
@@ -578,8 +583,9 @@ class FleetRouter:
                 self._refill(shard)
                 session = shard.session
                 assert session is not None
-            record = session.serve(request)
-            outcome: Outcome = record.outcome
+            # The shard engines are synchronous: the fleet's outbox
+            # records the request once, so the session's is bypassed.
+            outcome: Outcome = session.controller.handle(request)
             status = outcome.status
             if status is OutcomeStatus.PENDING:
                 self._rollover(shard)

@@ -27,7 +27,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.distributed.faults import FaultPlan, parse_fault_spec
 from repro.errors import ConfigError
-from repro.service.config import ControllerSpec, SessionConfig
+from repro.service.config import (ControllerSpec, SessionConfig,
+                                  _require_int, _require_stagger)
 from repro.sim.delays import DELAY_MODELS
 from repro.sim.scheduler import SCHEDULE_POLICIES
 
@@ -142,11 +143,12 @@ class AppSpec:
             raise ConfigError(
                 f"unknown delay model {self.delay_model!r}; "
                 f"known: {', '.join(DELAY_MODELS)}")
+        _require_int("seed", self.seed)
+        _require_int("max_in_flight", self.max_in_flight)
         if self.max_in_flight < 1:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.stagger < 0:
-            raise ConfigError(f"stagger must be >= 0, got {self.stagger}")
+        _require_stagger(self.stagger)
         faults = self.faults
         if isinstance(faults, str):
             faults = parse_fault_spec(faults)

@@ -20,6 +20,8 @@ bench grid, logged into a JSON report via :meth:`SessionConfig.snapshot`,
 and never mutated behind a running session's back.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -51,6 +53,15 @@ def _require_int(name: str, value: Any) -> None:
     not: ``True`` would pass every range check as 1)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def _require_stagger(value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``stagger`` is a finite real
+    >= 0 (a bool is not a spacing)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        raise ConfigError(
+            f"stagger must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,11 +169,12 @@ class SessionConfig:
             raise ConfigError(
                 f"unknown delay model {self.delay_model!r}; "
                 f"known: {', '.join(DELAY_MODELS)}")
+        _require_int("seed", self.seed)
+        _require_int("max_in_flight", self.max_in_flight)
         if self.max_in_flight < 1:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.stagger < 0:
-            raise ConfigError(f"stagger must be >= 0, got {self.stagger}")
+        _require_stagger(self.stagger)
         if isinstance(self.faults, str):
             object.__setattr__(self, "faults", parse_fault_spec(self.faults))
         plan = self.fault_plan

@@ -107,9 +107,10 @@ class Outbox:
         """One clock tick, then the tallied record, settled now and not
         queued (``outcome=None``: backpressure)."""
         self.clock += 1
-        # OutcomeStatus values are a subset of SessionVerdict values.
+        # OutcomeStatus values are a subset of SessionVerdict values
+        # (``_value_``: the ``value`` property costs two frames).
         self.verdicts[_BACKPRESSURE if outcome is None
-                      else outcome.status.value] += 1
+                      else outcome.status._value_] += 1
         # ``now`` inlined: this runs once per request on every surface.
         scheduler, trace = self._scheduler, self._trace
         return OutcomeRecord((

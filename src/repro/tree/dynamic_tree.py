@@ -108,8 +108,7 @@ class DynamicTree:
         self.store_slot_owner: Optional[object] = None
         # Ancestry cache state: ``_anc_epoch`` is bumped to invalidate
         # every table at once (large-subtree splices); ``anc_generation``
-        # counts every splice, so depth caches layered on top (e.g. the
-        # controller's parked-host depths) know when to refresh.
+        # counts every splice (the centralized ancestry window reads it).
         self._anc_epoch = 0
         self.anc_generation = 0
         self.root = self._new_node(parent=None)

@@ -11,7 +11,7 @@ from repro import (
     RequestKind,
 )
 from repro.workloads import build_path, build_random_tree
-from tests.drivers import drive_handle
+from tests.drivers import drive_handle, store_map
 
 
 def make_controller(tree, m=100, w=20, u=1000, **kwargs):
@@ -262,6 +262,96 @@ def test_a_budget_cut_takes_at_most_the_root_storage():
     assert controller.storage == 0
     assert controller.granted + controller.unused_permits() == \
         controller.params.m
+
+
+# ----------------------------------------------------------------------
+# The inline level-0 grant and the kernel-planned path.
+# ----------------------------------------------------------------------
+def controller_pair(build, **kwargs):
+    """One controller per grant path, on twin trees: the first holds
+    its tree's node slots (level-0 grants run inline in ``handle``), a
+    decoy holds the second one's (every grant takes ``_fetch_permits``)."""
+    inline = make_controller(build(), **kwargs)
+    general_tree = build()
+    CentralizedController(general_tree, m=1, w=1, u=4)
+    general = make_controller(general_tree, **kwargs)
+    assert inline._inline and not general._inline
+    return inline, general
+
+
+@pytest.mark.parametrize("path", [0, 1], ids=["inline", "general"])
+def test_a_meaningless_request_is_cancelled_without_a_store(path):
+    def build():
+        tree = DynamicTree()
+        tree.add_leaf(tree.add_leaf(tree.root))
+        tree.add_leaf(tree.root)
+        return tree
+
+    controller = controller_pair(build)[path]
+    tree = controller.tree
+    root = tree.root
+    a, c = root.children
+    (b,) = a.children
+    gone = tree.add_leaf(root)
+    tree.remove_leaf(gone)
+    requests = [
+        Request(RequestKind.REMOVE_LEAF, a),         # has a child
+        Request(RequestKind.REMOVE_INTERNAL, c),     # a leaf
+        Request(RequestKind.REMOVE_INTERNAL, root),  # the root
+        Request(RequestKind.ADD_INTERNAL, root, child=b),  # not its edge
+        Request(RequestKind.ADD_INTERNAL, root, child=gone),  # removed
+        plain(gone),                                 # removed
+        plain(DynamicTree().root),                   # another tree's
+    ]
+    outcomes = [controller.handle(request) for request in requests]
+    assert [o.status for o in outcomes] == [OutcomeStatus.CANCELLED] * 7
+    assert store_map(controller) == {}
+    assert controller.granted == 0 and controller.counters.total == 0
+
+
+@pytest.mark.parametrize("path", [0, 1], ids=["inline", "general"])
+def test_the_grant_enforces_safety_on_both_paths(path):
+    controller = controller_pair(lambda: build_path(5), m=10)[path]
+    controller.granted = controller.params.m  # doctored: M spent
+    leaf = list(controller.tree.nodes())[-1]
+    with pytest.raises(ControllerError, match="safety violated"):
+        controller.handle(plain(leaf))
+
+
+@pytest.mark.parametrize("reject", [True, False])
+def test_funding_and_exhaustion_match_on_both_paths(reject):
+    """The root asks its owner before it exhausts, on either path, and
+    exhaustion is the reject wave or PENDING exactly as in
+    ``_fetch_permits``: same asks, verdicts, ledger, flags and stores."""
+    runs = []
+    for controller in controller_pair(
+            lambda: build_random_tree(25, seed=7), m=10, w=20, u=200,
+            reject_on_exhaustion=reject):
+        asks = []
+
+        def fund(shortfall, asks=asks):
+            asks.append(shortfall)
+            return 5 if len(asks) <= 4 else 0
+
+        controller._fund = fund
+        nodes = list(controller.tree.nodes())
+        statuses = []
+        for step in range(40):
+            statuses.append(controller.handle(
+                plain(nodes[step % len(nodes)])).status)
+            if statuses[-1] is not OutcomeStatus.GRANTED:
+                break
+        runs.append((asks, statuses, controller.params.m,
+                     controller.granted, controller.rejected,
+                     controller.storage, controller.exhausted,
+                     controller.rejecting, controller.counters.snapshot(),
+                     store_map(controller)))
+    assert runs[0] == runs[1]
+    asks, statuses, m, granted, rejected = runs[0][:5]
+    assert asks == [1] * 5 and m == granted == 30
+    assert statuses[-1] is (OutcomeStatus.REJECTED if reject
+                            else OutcomeStatus.PENDING)
+    assert rejected == int(reject) and runs[0][7] is reject
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,10 @@ driving twin trees (identical construction => identical node ids) with
 a recorded stream, across every initial topology of
 ``workloads/scenarios.py``, every request mix, and all four controller
 flavours — plus a second controller on an already-claimed tree (dict
-store lookups and parent-pointer walks), so the slot fast path and the
-skip-pointer queries are proven behaviour-preserving too.
+store lookups, parent-pointer walks and the kernel-planned
+``_fetch_permits`` for every grant), so the slot fast path, the inline
+level-0 grant and the skip-pointer queries are proven
+behaviour-preserving too.
 """
 
 import random
@@ -32,6 +34,7 @@ from repro.workloads import (
     random_request,
     request_spec,
 )
+from tests.drivers import store_map
 
 TOPOLOGIES = {
     "random": lambda n: build_random_tree(n, seed=11),
@@ -125,26 +128,64 @@ def test_terminating_batch_equals_sequential():
     assert len(a[0].pending) == len(b[0].pending)
 
 
-def test_engine_off_matches_engine_on():
+#: Flavour -> (factory, the live CentralizedController under it).
+FLAVOURS = {
+    "centralized": (CentralizedController, lambda ctrl: ctrl),
+    "terminating": (TerminatingController, lambda ctrl: ctrl.inner),
+    "iterated": (IteratedController, lambda ctrl: ctrl._inner),
+}
+
+#: (m, w, u): phi = max(W // 2U, 1) is 1, then 2 (W >= 4U).  M runs
+#: out within the stream either way: the reject wave (centralized),
+#: termination (terminating) and the final stages (iterated) are part
+#: of every run.
+BUDGETS = {"phi=1": (150, 20, 600), "phi=2": (300, 2400, 600)}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_engine_off_matches_engine_on(topology, flavour, budget):
     """A controller that finds the tree's store slots already claimed
-    runs dict lookups and parent-pointer walks; it must reproduce the
-    slot-holding run's outcomes and counters exactly (the fast paths
-    are pure optimizations)."""
+    runs dict lookups, parent-pointer walks and the kernel-planned
+    ``_fetch_permits`` for every grant; the slot-holding run serves
+    the level-0 grants inline.  Both must leave the same outcomes,
+    counters, ledger, flags and store map, node by node."""
+    factory, core_of = FLAVOURS[flavour]
+    m, w, u = BUDGETS[budget]
     decoys = []
 
     def decoy(tree):
-        decoys.append(CentralizedController(tree, m=1, w=1, u=4 * 250))
+        decoys.append(CentralizedController(tree, m=1, w=1, u=4 * u))
 
     def make(tree):
-        ctrl = IteratedController(tree, m=800, w=50, u=800)
+        ctrl = factory(tree, m=m, w=w, u=u)
         return ctrl, ctrl.handle
-    a, b = drive_twins(make, TOPOLOGIES["path"], n=250, steps=500,
+    a, b = drive_twins(make, TOPOLOGIES[topology], n=120, steps=400,
                        batch_size=32, mix=default_mix(), seed=13,
                        decoy=decoy)
     assert_equivalent(a, b)
-    assert a[0]._inner._fast
-    assert not b[0]._inner._fast and not b[0]._inner._tables_on
-    assert b[2].store_slot_owner is decoys[0]
+    (ctrl_a, outcomes_a, tree_a), (ctrl_b, outcomes_b, tree_b) = a, b
+    assert ([(o.status, getattr(o.new_node, "node_id", None))
+             for o in outcomes_a]
+            == [(o.status, getattr(o.new_node, "node_id", None))
+                for o in outcomes_b])
+    core_a, core_b = core_of(ctrl_a), core_of(ctrl_b)
+    assert core_a._inline and not core_b._inline
+    assert not core_b._fast and not core_b._tables_on
+    assert tree_b.store_slot_owner is decoys[0]
+    assert core_a.params.phi == core_b.params.phi == max(w // (2 * u), 1)
+    for name in ("storage", "granted", "rejected", "exhausted",
+                 "rejecting"):
+        assert getattr(core_a, name) == getattr(core_b, name), name
+    assert store_map(core_a) == store_map(core_b)
+    # The stream runs the budget out.
+    if flavour == "terminating":
+        assert ctrl_a.terminated and ctrl_b.terminated
+    else:
+        assert ctrl_a.rejecting and ctrl_b.rejecting
+    if flavour == "iterated":
+        assert ctrl_a.stages_run == ctrl_b.stages_run
 
 
 def test_exhaustion_and_reject_wave_through_batches():

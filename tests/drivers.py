@@ -60,3 +60,13 @@ def churn_app(tree, app, steps, seed=0, mix=None, on_step=None):
                 on_step(done)
     finally:
         picker.detach()
+
+
+def store_map(controller):
+    """A centralized controller's store map, node by node: static pool,
+    parked ``(level, size)`` list and reject flag of every node that
+    has a store (twin trees share node ids, so maps compare)."""
+    return {node.node_id: (store.static_permits,
+                           [(p.level, p.size) for p in store.mobile],
+                           store.has_reject)
+            for node, store in controller.stores.items()}

@@ -60,6 +60,25 @@ def test_session_knob_validation():
         AppSpec("size_estimation", stagger=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_in_flight", 2.5),
+    ("max_in_flight", True),
+    ("seed", "x"),
+    ("seed", 1.5),
+    ("seed", True),
+    ("stagger", float("nan")),
+    ("stagger", float("inf")),
+    ("stagger", "1"),
+    ("stagger", False),
+])
+def test_app_knobs_take_the_types_they_document(field, value):
+    """The app-level window and seed are ints and ``stagger`` a finite
+    real >= 0, checked when the spec is built (a bad seed used to
+    surface as a raw TypeError when the first iteration was wired)."""
+    with pytest.raises(ConfigError, match=field):
+        AppSpec("size_estimation", **{field: value})
+
+
 def test_faults_need_the_event_driven_engine():
     with pytest.raises(ConfigError, match="event-driven"):
         AppSpec("size_estimation", faults="stall=0.05")

@@ -67,10 +67,32 @@ def test_known_options_still_pass_through():
     (dict(delay_model="wrong"), "delay model"),
     (dict(max_in_flight=0), "max_in_flight"),
     (dict(stagger=-1.0), "stagger"),
+    # Count knobs take ints and ``stagger`` a finite real >= 0: a
+    # bool, a string or a non-finite value is named, never a raw
+    # TypeError or a session running on it.
+    (dict(max_in_flight=2.5), "max_in_flight"),
+    (dict(max_in_flight=True), "max_in_flight"),
+    (dict(max_in_flight="8"), "max_in_flight"),
+    (dict(seed="x"), "seed"),
+    (dict(seed=1.5), "seed"),
+    (dict(seed=False), "seed"),
+    (dict(stagger=float("nan")), "stagger"),
+    (dict(stagger=float("inf")), "stagger"),
+    (dict(stagger="1"), "stagger"),
+    (dict(stagger=True), "stagger"),
+    (dict(stagger=None), "stagger"),
 ])
 def test_session_knob_validation(knobs, match):
     with pytest.raises(ConfigError, match=match):
         SessionConfig.of("centralized", m=10, w=1, u=64, **knobs)
+
+
+def test_integral_and_real_knobs_still_pass():
+    config = SessionConfig.of("terminating", m=3, w=1, u=10, seed=-4,
+                              max_in_flight=1, stagger=0)
+    assert (config.seed, config.max_in_flight, config.stagger) == (-4, 1, 0)
+    assert SessionConfig.of("distributed", m=3, w=1, u=10,
+                            stagger=0.25).stagger == 0.25
 
 
 def test_fault_spec_string_is_parsed():

@@ -1,0 +1,57 @@
+"""The committed bench artifacts regenerate exactly from the code.
+
+``BENCH_move_complexity.json`` and the synchronous (``iterated``) cells
+of ``BENCH_scenario_grid.json`` are exact protocol counts: moves,
+grants, rejects and cancellations of seeded streams.  Regenerating
+them here turns any change to what the protocol pays into a tier-1
+failure instead of a stale artifact.  Only wall-clock fields may move.
+
+The two runs cover both grant paths of the centralized controller:
+deep paths reach past ``2 psi`` and park packages (the kernel-planned
+path), the catalogue trees are served mostly by the inline level-0
+grant.
+"""
+
+import json
+import os
+
+from repro.bench.runner import run_move_complexity, run_scenario_grid
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Fields that measure the host, not the protocol.
+TIMINGS = frozenset(["wall_ms", "wall_s"])
+
+
+def load(name):
+    with open(os.path.join(ROOT, name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def exact(value):
+    """``value`` with every timing field dropped, recursively."""
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()
+                if key not in TIMINGS}
+    if isinstance(value, list):
+        return [exact(item) for item in value]
+    return value
+
+
+def test_move_complexity_regenerates():
+    committed = load("BENCH_move_complexity.json")
+    assert exact(run_move_complexity()) == exact(committed)
+
+
+def test_the_grid_iterated_cells_regenerate():
+    committed = load("BENCH_scenario_grid.json")
+    params = committed["params"]
+    document = run_scenario_grid(
+        name=",".join(params["names"]),
+        policy=",".join(params["policies"]),
+        seeds=",".join(str(seed) for seed in params["seeds"]),
+        engines="iterated")
+    expected = [cell for cell in committed["cells"]
+                if cell["engine"] == "iterated"]
+    assert len(expected) == 25
+    assert exact(document["cells"]) == exact(expected)
