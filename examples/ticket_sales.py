@@ -18,6 +18,7 @@ Run:  python examples/ticket_sales.py
 import random
 
 from repro import ControllerSession, Request, RequestKind, SessionConfig
+from repro.tree.paths import depth
 from repro.workloads import build_random_tree
 
 
@@ -56,7 +57,7 @@ def main():
     msgs = session.controller.counters.total
     print(f"messages: {msgs} ({msgs / 12_000:.2f} per purchase; "
           f"a root round-trip per purchase would cost "
-          f"~{2 * sum(offices.depth(n) for n in nodes) / len(nodes):.1f})")
+          f"~{2 * sum(depth(n) for n in nodes) / len(nodes):.1f})")
     report = session.audit()
     print(f"invariant audit passed={report.passed}")
     session.close()

@@ -1,9 +1,9 @@
 """Hot-path hygiene rules for the fast-path modules.
 
-The scheduler, the agent hop loop and the settlement outbox hold their
-speed by keeping the per-event (per-request) work allocation-free:
-``__slots__`` classes (no per-instance dict), no closures or
-``functools.partial`` objects built per call.
+The scheduler, the agent hop loop, the settlement outbox and the tree
+mutations hold their speed by keeping the per-event (per-request) work
+allocation-free: ``__slots__`` classes (no per-instance dict), no
+closures or ``functools.partial`` objects built per call.
 Those are conventions a profiler only re-discovers after they regress,
 so the fast-path modules are enforced statically:
 
@@ -31,6 +31,8 @@ FAST_PATH_MODULES: FrozenSet[str] = frozenset({
     "repro.distributed.agent",
     "repro.distributed.whiteboard",
     "repro.service.outbox",
+    "repro.tree.dynamic_tree",
+    "repro.tree.node",
 })
 
 #: Base-class names exempt from the slots requirement: not per-event

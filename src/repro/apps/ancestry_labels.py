@@ -209,16 +209,14 @@ class AncestryLabeling(TreeListener):
         # a full relabel, which the amortized accounting reports).
         self._relabel()
 
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
+    def on_remove_internal(self, node: TreeNode, parent: TreeNode,
+                           children: Optional[List[TreeNode]] = None
+                           ) -> None:
         self.labels.pop(node, None)
         self._cursor.pop(node, None)
         self._maybe_relabel()
 
-    def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children: List[TreeNode]) -> None:
-        self.labels.pop(node, None)
-        self._cursor.pop(node, None)
-        self._maybe_relabel()
+    on_remove_leaf = on_remove_internal
 
     def detach(self) -> None:
         self.tree.remove_listener(self)

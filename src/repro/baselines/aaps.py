@@ -33,6 +33,7 @@ from typing import Dict, Optional
 from repro.errors import ControllerError, TopologyError
 from repro.metrics.counters import MoveCounters
 from repro.tree.dynamic_tree import DynamicTree
+from repro.tree import paths
 from repro.tree.node import TreeNode
 from repro.core.requests import (
     Outcome,
@@ -119,7 +120,7 @@ class AAPSController:
             take = min(want, self.storage)
             self.storage -= take
             self._bins[bin_key] = self._bins.get(bin_key, 0) + take
-            self.counters.package_moves += self.tree.depth(node)
+            self.counters.package_moves += paths.depth(node)
             return
         sup_node = self._supervisor_host(node, level + 1)
         sup_key = (sup_node, level + 1)
@@ -135,7 +136,7 @@ class AAPSController:
         """Nearest ancestor (inclusive) whose depth is a multiple of 2^level."""
         stride = 1 << level
         current = node
-        depth = self.tree.depth(node)
+        depth = paths.depth(node)
         while depth % stride != 0:
             current = current.parent
             depth -= 1

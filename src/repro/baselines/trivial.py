@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional
 
 from repro.metrics.counters import MoveCounters
 from repro.protocol import ControllerView
+from repro.tree import paths
 from repro.tree.dynamic_tree import DynamicTree
 from repro.core.requests import (
     Outcome,
@@ -60,7 +61,7 @@ class TrivialController:
         if node not in self.tree or not self._still_meaningful(request):
             return Outcome(OutcomeStatus.CANCELLED, request)
         # Round trip to the root, permit or reject riding back.
-        self.counters.package_moves += 2 * self.tree.depth(node)
+        self.counters.package_moves += 2 * paths.depth(node)
         if self.storage == 0:
             self.rejected += 1
             return Outcome(OutcomeStatus.REJECTED, request)

@@ -152,17 +152,6 @@ class CentralizedController(TreeListener):
                         and permit_flow_observer is None
                         and kernel_trace is None)
         self._level0_reach = 2 * self.params.psi
-        # Adaptive ancestry policy: skip-pointer tables pay off only
-        # while splices are rare (a splice invalidates the caches of a
-        # whole subtree).  Every 64 requests we look at how far the
-        # tree's splice generation moved and enable/disable the
-        # table-based paths accordingly; correctness is unaffected
-        # either way (both paths are exact), only constants change.
-        # Starts conservative (walks) until the first window proves the
-        # churn is low.
-        self._tables_on = False
-        self._req_count = 0
-        self._win_gen = tree.anc_generation
         self._attached = True
         tree.add_listener(self)
 
@@ -204,19 +193,14 @@ class CentralizedController(TreeListener):
             raise ControllerError("controller has been detached")
         tree = self.tree
         fast = self._fast
-        if fast:
-            self._req_count += 1
-            if not self._req_count & 63:
-                gen = tree.anc_generation
-                self._tables_on = gen - self._win_gen <= 2
-                self._win_gen = gen
         node = request.node
         # A node holding this controller's store slot is alive in its
         # tree: stores are made only for the tree's live nodes and are
-        # discarded when their node is removed.
+        # discarded when their node is removed.  Otherwise membership
+        # is ``node in tree``, read inline.
         if fast and node._store_owner is self:
             store = node._store
-        elif node in tree:
+        elif node.tree is tree and node.alive:
             store = None
         else:
             return Outcome(_CANCELLED, request)
@@ -334,7 +318,7 @@ class CentralizedController(TreeListener):
         """
         package, dist = self._find_filler(node)
         if package is None:
-            dist_to_root = self._depth(node)
+            dist_to_root = paths.depth(node)
             level = self.params.creation_level(dist_to_root)
             need = self.params.mobile_size(level)
             if not self._ledger.covers(need) and not self._funded(need):
@@ -414,13 +398,13 @@ class CentralizedController(TreeListener):
         ``dist`` is the package's current distance above ``node``.  The
         split schedule comes from the kernel's distribution plan; this
         executor applies each step synchronously, resolving the step's
-        distance to a node via the ancestry structure and charging one
-        package move per hop travelled.
+        distance to a node by a parent walk and charging one package
+        move per hop travelled.
         """
         plan = kernel.plan_distribution(self.params, package.level,
                                         package.size, dist)
         for step in plan.steps:
-            target = self._ancestor_at(node, step.dist)
+            target = paths.ancestor_at(node, step.dist)
             self.counters.package_moves += dist - step.dist
             self._observe_flow(node, dist - 1, step.dist, package.size)
             if self.domains is not None:
@@ -455,28 +439,13 @@ class CentralizedController(TreeListener):
         """
         if self.permit_flow_observer is None or from_dist < to_dist:
             return
-        current = self._ancestor_at(node, to_dist)
+        current = paths.ancestor_at(node, to_dist)
         for _ in range(from_dist - to_dist + 1):
             self.permit_flow_observer(current, permits)
             parent = current.parent
             if parent is None:
                 break
             current = parent
-
-    def _depth(self, node: TreeNode) -> int:
-        """Depth of ``node``, honouring the adaptive ancestry policy."""
-        if self._tables_on:
-            return self.tree.depth(node)
-        return paths.depth(node)
-
-    def _ancestor_at(self, node: TreeNode, hops: int) -> TreeNode:
-        """Exact ancestor query, honouring the adaptive ancestry policy.
-
-        Callers guarantee ``hops <= depth(node)``.
-        """
-        if self._tables_on:
-            return self.tree.ancestor_at(node, hops)
-        return paths.ancestor_at(node, hops)
 
     def _broadcast_reject_wave(self) -> None:
         """Place a reject package at every node (item 3b).
@@ -495,26 +464,32 @@ class CentralizedController(TreeListener):
     # Tree listener: graceful hand-over on deletions; reject propagation
     # to newborn nodes (the parent "informs" the child, item 2b).
     # ------------------------------------------------------------------
-    def on_add_leaf(self, node: TreeNode) -> None:
+    def on_add_internal(self, node: TreeNode,
+                        parent: Optional[TreeNode] = None,
+                        child: Optional[TreeNode] = None) -> None:
+        """Both addition hooks: a node born during the reject wave
+        holds a reject package at once."""
         if self.rejecting:
             self.stores.get(node).has_reject = True
 
-    def on_add_internal(self, node: TreeNode, parent: TreeNode,
-                        child: TreeNode) -> None:
-        if self.rejecting:
-            self.stores.get(node).has_reject = True
-
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        self._relocate_store(node, parent)
+    on_add_leaf = on_add_internal
 
     def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children) -> None:
-        self._relocate_store(node, parent)
-
-    def _relocate_store(self, node: TreeNode, parent: TreeNode) -> None:
-        store = self.stores.discard(node)
-        self._mobile_hosts.pop(node, None)
-        if store is None or store.is_empty:
+                           children: Optional[List[TreeNode]] = None
+                           ) -> None:
+        """Both removal hooks: the removed node's store moves to its
+        parent, in this one frame on the slot-holding path."""
+        if node._store_owner is self:
+            # ``self.stores.discard(node)`` for a pinned slot.
+            store = node._store
+            node._store_owner = node._store = None
+            del self.stores._items[id(node)]
+        else:
+            store = self.stores.discard(node)
+        if self._mobile_hosts:
+            self._mobile_hosts.pop(node, None)
+        if store is None or not (store.mobile or store.static_permits
+                                 or store.has_reject):
             return
         # One move carries the whole set of packages one hop (Section 2.2
         # allows moving a set of objects in one move).
@@ -526,3 +501,5 @@ class CentralizedController(TreeListener):
         parent_store.merge_from(store)
         if parent_store.mobile:
             self._mobile_hosts[parent] = parent_store
+
+    on_remove_leaf = on_remove_internal

@@ -31,6 +31,7 @@ from typing import Iterable, List, Optional
 from repro.errors import ControllerError
 from repro.metrics.counters import MoveCounters
 from repro.protocol import BudgetSplit, ControllerView
+from repro.tree import paths
 from repro.tree.dynamic_tree import DynamicTree
 from repro.core.centralized import CentralizedController
 from repro.core.requests import (
@@ -222,7 +223,7 @@ class IteratedController:
             self.rejected += 1
             return Outcome(OutcomeStatus.REJECTED, request)
         # The request walks to the root and back: 2 * depth moves.
-        self.counters.package_moves += 2 * self.tree.depth(node)
+        self.counters.package_moves += 2 * paths.depth(node)
         if self._trivial_storage > 0:
             self._trivial_storage -= 1
             self._granted_before_stage += 1

@@ -33,7 +33,8 @@ on identical scenarios — and, transition-for-transition, by the kernel
 trace equality of ``tests/test_kernel_equivalence.py``.
 """
 
-from typing import Callable, Iterable, List, Optional, Tuple, cast
+from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
+                    cast)
 
 from repro.errors import ControllerError, ProtocolError
 from repro.metrics.counters import MessageCounters
@@ -738,15 +739,10 @@ class DistributedController(TreeListener):
             holder.path.append(node)
             self.boards.get(node).locked_by = holder
 
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        self._graceful_removal(node, parent, 0)
-
     def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children: List[TreeNode]) -> None:
-        self._graceful_removal(node, parent, len(children))
-
-    def _graceful_removal(self, node: TreeNode, parent: TreeNode,
-                          degree: int) -> None:
+                           children: Sequence[TreeNode] = ()) -> None:
+        """Both removal hooks: the removed node's board (packages, lock
+        and queue) moves to its parent."""
         board = self.boards.discard(node)
         if board is None:
             return
@@ -755,7 +751,7 @@ class DistributedController(TreeListener):
         # O(log N) bits (see the discussion following Lemma 4.5).
         if not board.store.is_empty:
             self.counters.relocation_messages += (
-                1 + degree + len(board.store.mobile)
+                1 + len(children) + len(board.store.mobile)
             )
             parent_board.store.merge_from(board.store)
         # The deleting agent holds the node's lock and pops it from its
@@ -786,6 +782,8 @@ class DistributedController(TreeListener):
             waiter = parent_board.queue.popleft()
             parent_board.locked_by = waiter
             self._schedule_resume(waiter, parent)
+
+    on_remove_leaf = on_remove_internal
 
     def _rehome_fresh_waiter(self, waiter: Agent, removed: TreeNode,
                              parent: TreeNode, parent_board: Whiteboard

@@ -187,62 +187,74 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Churn storms.
     # ------------------------------------------------------------------
+    @staticmethod
+    def _census(controller: "DistributedController"
+                ) -> List[Tuple["TreeNode", bool, bool]]:
+        """Every node of the tree in preorder (the order of
+        ``tree.nodes()``), with whether it is unlocked (no whiteboard,
+        or one not locked) and whether its parent is (False for the
+        root, which has none), in one pass."""
+        boards = controller.boards
+        pinned = boards.holds_slots
+        census: List[Tuple["TreeNode", bool, bool]] = []
+        stack = [(controller.tree.root, False)]
+        while stack:
+            node, parent_free = stack.pop()
+            if node._store_owner is controller:
+                board = node._store
+            else:
+                board = None if pinned else boards.peek(node)
+            free = board is None or board.locked_by is None
+            census.append((node, free, parent_free))
+            # Reversed so that the census visits children left-to-right.
+            for child in reversed(node.children):
+                stack.append((child, free))
+        return census
+
     def _run_storm(self) -> None:
         controller = self._controller
         assert controller is not None  # storms are scheduled by attach()
         tree = controller.tree
-        boards = controller.boards
         rng = self._rng
-
-        def unlocked(node: "TreeNode") -> bool:
-            board = boards.peek(node)
-            return board is None or board.locked_by is None
-
         performed = 0
         budget = self.plan.storm_size
         attempts = 0
         while performed < budget and attempts < budget * 8:
             attempts += 1
-            nodes = [n for n in tree.nodes()]
-            if len(nodes) < 2:
+            census = self._census(controller)
+            if len(census) < 2:
                 break
             roll = rng.random()
             if roll < 0.40:
                 # Splice: prefer an edge whose child endpoint is locked —
                 # that is exactly the Section 4.2 hand-over case the
-                # storm exists to provoke.
-                locked_children = [
-                    n for n in nodes
-                    if not n.is_root and not unlocked(n)
-                    and unlocked(n.parent)
-                ]
-                pool = locked_children or [
-                    n for n in nodes
-                    if not n.is_root and unlocked(n.parent)
-                ]
+                # storm exists to provoke.  The root's parent counts as
+                # locked, so no pool holds the root.
+                pool = ([n for n, free, parent_free in census
+                         if parent_free and not free]
+                        or [n for n, _free, parent_free in census
+                            if parent_free])
                 if not pool:
                     continue
                 child = pool[rng.randrange(len(pool))]
                 tree.add_internal(child.parent, child)
                 self.stats["storm_splices"] += 1
             elif roll < 0.65:
-                leaves = [n for n in nodes
-                          if not n.is_root and not n.children
-                          and unlocked(n)]
+                leaves = [n for n, free, _parent_free in census
+                          if free and not n.children and n.parent is not None]
                 if not leaves:
                     continue
                 tree.remove_leaf(leaves[rng.randrange(len(leaves))])
                 self.stats["storm_removals"] += 1
             elif roll < 0.85:
-                internals = [n for n in nodes
-                             if not n.is_root and n.children
-                             and unlocked(n)]
+                internals = [n for n, free, _parent_free in census
+                             if free and n.children and n.parent is not None]
                 if not internals:
                     continue
                 tree.remove_internal(internals[rng.randrange(len(internals))])
                 self.stats["storm_removals"] += 1
             else:
-                tree.add_leaf(nodes[rng.randrange(len(nodes))])
+                tree.add_leaf(census[rng.randrange(len(census))][0])
                 self.stats["storm_additions"] += 1
             performed += 1
         self.stats["storm_ops"] += performed

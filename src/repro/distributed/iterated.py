@@ -22,6 +22,7 @@ from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.scheduler import Scheduler
+from repro.tree import paths
 from repro.tree.dynamic_tree import DynamicTree
 from repro.core.requests import (
     Outcome,
@@ -178,7 +179,7 @@ class DistributedIteratedController:
         if self.rejecting:
             self.rejected += 1
             return Outcome(OutcomeStatus.REJECTED, request)
-        self.counters.agent_hops += 2 * self.tree.depth(node)
+        self.counters.agent_hops += 2 * paths.depth(node)
         if self._trivial_storage > 0:
             self._trivial_storage -= 1
             self.granted += 1

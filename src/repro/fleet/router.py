@@ -8,10 +8,10 @@ gateway sits in front of a fleet unchanged.
 
 **Placement.**  Requests route by *origin* (any hashable client key)
 over a consistent-hash ring of shard virtual nodes, or — when no origin
-is given — by *node ownership*: every node that ever lived on a shard
-tree is registered (tree listeners keep the map live; node ids are
-never reused, so entries for removed nodes stay valid tombstones and
-dead-node requests still reach the right engine to be CANCELLED).  The
+is given — by *node ownership*: a node belongs to the shard whose tree
+made it (``TreeNode.tree``, read through a tree -> shard map; each
+shard has its own tree).  A removed node keeps its tree, so a late
+request for it still reaches the engine that answers CANCELLED.  The
 ``sticky`` policy pins an origin to its first ring answer for the
 fleet's lifetime — the locality contract that keeps one client's
 requests on one shard — and every placement is recorded so
@@ -70,7 +70,7 @@ from repro.service.config import ControllerSpec, SessionConfig
 from repro.service.envelopes import OutcomeRecord, SessionVerdict, Ticket
 from repro.service.outbox import Outbox
 from repro.service.session import ControllerSession
-from repro.tree.dynamic_tree import DynamicTree, TreeListener
+from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
 
 __all__ = ["FleetRouter", "Shard"]
@@ -104,29 +104,6 @@ def _funding_hook(router: "FleetRouter",
         return fleet._fund(fleet.shards[index], shortfall)
 
     return fund
-
-
-class _OwnershipListener(TreeListener):
-    """Registers every node added to a shard tree in the fleet map.
-
-    Keyed by object identity (``node_id`` counters are per-tree, so
-    twin trees collide on them); the map holds the node itself, which
-    keeps ``id()`` stable for the fleet's lifetime.  Removals keep
-    their entries as tombstones: a late request for a dead node still
-    routes to the engine that can answer CANCELLED for it.
-    """
-
-    def __init__(self, owned: Dict[int, Tuple[int, TreeNode]],
-                 index: int) -> None:
-        self._owned = owned
-        self._index = index
-
-    def on_add_leaf(self, node: TreeNode) -> None:
-        self._owned[id(node)] = (self._index, node)
-
-    def on_add_internal(self, node: TreeNode, parent: TreeNode,
-                        child: TreeNode) -> None:
-        self._owned[id(node)] = (self._index, node)
 
 
 class Shard:
@@ -338,9 +315,18 @@ class FleetRouter:
     def __init__(self, config: FleetConfig,
                  trees: Optional[Sequence[DynamicTree]] = None) -> None:
         self.config = config
-        if trees is not None and len(trees) != len(config.shards):
-            raise ConfigError(
-                f"got {len(trees)} trees for {len(config.shards)} shards")
+        if trees is not None:
+            if len(trees) != len(config.shards):
+                raise ConfigError(
+                    f"got {len(trees)} trees for {len(config.shards)} "
+                    "shards")
+            for index, tree in enumerate(trees):
+                first = trees.index(tree)
+                if first != index:
+                    raise ConfigError(
+                        f"shards {config.shards[first].name!r} and "
+                        f"{config.shards[index].name!r} were given the "
+                        "same tree; every shard needs its own")
         m_shares = config.budget_shares()
         w_shares = config.waste_shares()
         self.shards: List[Shard] = [
@@ -366,16 +352,10 @@ class FleetRouter:
         self.placements: Dict[str, int] = {}
         self._sticky = config.placement == "sticky"
 
-        # Node ownership: every node that ever lived on a shard tree
-        # (identity-keyed; see _OwnershipListener).
-        self._owned: Dict[int, Tuple[int, TreeNode]] = {}
-        self._listeners: List[_OwnershipListener] = []
-        for shard in self.shards:
-            for node in shard.tree.nodes():
-                self._owned[id(node)] = (shard.index, node)
-            listener = _OwnershipListener(self._owned, shard.index)
-            shard.tree.add_listener(listener)
-            self._listeners.append(listener)
+        # Node ownership: the shard whose tree made the node (a node
+        # built by hand is tagged None, which no shard owns).
+        self._shard_of: Dict[Optional[DynamicTree], int] = {
+            shard.tree: shard.index for shard in self.shards}
 
         # Settlement: one lock over admission, serving and the outbox.
         self._lock = threading.RLock()
@@ -419,15 +399,13 @@ class FleetRouter:
         return self.shards[self.place(origin)].tree
 
     def owner_of(self, node: TreeNode) -> Optional[int]:
-        """Shard index owning ``node``, or None if it never lived on a
-        shard tree (tombstones for removed nodes included)."""
-        entry = self._owned.get(id(node))
-        return entry[0] if entry is not None else None
+        """Shard index owning ``node``, or None if it was not made on a
+        shard tree (a removed node keeps its shard)."""
+        return self._shard_of.get(node.tree)
 
     def _route(self, request: Request, origin: Optional[Any]) -> int:
         """:meth:`owner_of` and :meth:`place` in one frame (locked)."""
-        entry = self._owned.get(id(request.node))
-        owner = entry[0] if entry is not None else None
+        owner = self._shard_of.get(request.node.tree)
         if origin is not None:
             index = self.placements.get(str(origin))
             if index is None or not self._sticky:
@@ -750,14 +728,13 @@ class FleetRouter:
         return self._closed
 
     def close(self) -> None:
-        """Close every shard session and detach the ownership
-        listeners.  Idempotent; in-flight requests are abandoned."""
+        """Close every shard session.  Idempotent; in-flight requests
+        are abandoned."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for shard, listener in zip(self.shards, self._listeners):
-                shard.tree.remove_listener(listener)
+            for shard in self.shards:
                 if shard.session is not None:
                     shard.session.close()
 

@@ -20,10 +20,16 @@ mode has its own verdict:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict
 
 from repro.errors import ConfigError
+from repro.service.config import _require_int
+
+#: The fields that count requests or pump cycles.
+_INT_FIELDS = ("queue_capacity", "batch_size", "burst", "breaker_failures",
+               "breaker_cooldown", "breaker_probes", "heartbeat_every")
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,14 @@ class GatewayConfig:
     record_latencies: bool = True
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            _require_int(name, getattr(self, name))
+        for name in ("rate", "breaker_latency"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or math.isnan(value)):
+                raise ConfigError(
+                    f"{name} must be a real number, got {value!r}")
         if self.queue_capacity < 1:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")

@@ -1,16 +1,30 @@
 """Tree node representation.
 
 A :class:`TreeNode` carries only topology (parent pointer, ordered child
-list) plus the port-number bookkeeping of Section 2.1.2.  Protocol state
-(packages, whiteboards, locks) lives in the controller layers, keyed by
-node object, so several protocols can share one tree — the unknown-U
-distributed controller of Appendix A runs *two* controllers on the same
-tree simultaneously and relies on this separation.
+list, the tree it belongs to) plus the port-number bookkeeping of
+Section 2.1.2.  Protocol state (packages, whiteboards, locks) lives in
+the controller layers, keyed by node object, so several protocols can
+share one tree — the unknown-U distributed controller of Appendix A
+runs *two* controllers on the same tree simultaneously and relies on
+this separation.
 """
 
-from typing import Any, Dict, KeysView, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, KeysView, List, Optional
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    from repro.tree.dynamic_tree import DynamicTree
+
+
+def port_in_use(node: "TreeNode", port: int) -> TopologyError:
+    """The error for binding ``port`` twice at ``node``."""
+    return TopologyError(f"port {port} already in use at node {node.node_id}")
+
+
+def port_not_bound(node: "TreeNode", port: Optional[int]) -> TopologyError:
+    """The error for unbinding ``port`` where it is not bound."""
+    return TopologyError(f"port {port} is not bound at node {node.node_id}")
 
 
 class TreeNode:
@@ -32,6 +46,13 @@ class TreeNode:
         Flips to ``False`` on deletion; layers use it to detect stale
         references (a deleted node may still appear in package *domains*,
         which is exactly what Case 5 of the domain rules prescribes).
+    tree:
+        The :class:`~repro.tree.dynamic_tree.DynamicTree` that made the
+        node (``None`` for a node built by hand).  It is never cleared:
+        ``node in tree`` is ``node.tree is tree and node.alive``, and a
+        removed node still names the tree it lived on, which is how the
+        fleet routes a late request for it to the engine that answers
+        CANCELLED.
     """
 
     __slots__ = (
@@ -39,21 +60,22 @@ class TreeNode:
         "parent",
         "children",
         "alive",
+        "tree",
         "port_to_parent",
         "port_at_parent",
         "_ports",
-        "_anc_jumps",
-        "_anc_epoch",
         "_store_owner",
         "_store",
     )
 
     def __init__(self, node_id: int,
-                 parent: Optional["TreeNode"] = None) -> None:
+                 parent: Optional["TreeNode"] = None,
+                 tree: Optional["DynamicTree"] = None) -> None:
         self.node_id = node_id
         self.parent = parent
         self.children: List["TreeNode"] = []
         self.alive = True
+        self.tree = tree
         # Port bookkeeping: every incident tree edge has a port number at
         # each endpoint; each node knows the port leading to its parent,
         # and the parent's port leading back to it (``port_at_parent``),
@@ -62,16 +84,6 @@ class TreeNode:
         self.port_to_parent: Optional[int] = None
         self.port_at_parent: Optional[int] = None
         self._ports: Dict[int, "TreeNode"] = {}
-        # Skip-pointer ancestry cache, owned by DynamicTree (see
-        # ``DynamicTree.ancestor_at``): the jump table (``_anc_jumps[i]``
-        # is the ancestor ``2^i`` hops up; depth is derived by climbing
-        # the maximal jumps) plus the tree epoch it was built under —
-        # the cache is fresh iff the epochs match (-1 = never built /
-        # explicitly invalidated).  Simulation-local bookkeeping: the
-        # distributed protocols never read it, so the memory bounds of
-        # Section 4.4 are unaffected.
-        self._anc_jumps: List["TreeNode"] = []
-        self._anc_epoch = -1
         # Per-node state slot (see ``repro.core.packages.SlotMap``):
         # one controller at a time may pin its per-node state here (a
         # centralized engine's store, a distributed engine's
@@ -88,15 +100,13 @@ class TreeNode:
     def attach_port(self, port: int, neighbor: "TreeNode") -> None:
         """Bind ``port`` to ``neighbor``; ports must be locally distinct."""
         if port in self._ports:
-            raise TopologyError(
-                f"port {port} already in use at node {self.node_id}")
+            raise port_in_use(self, port)
         self._ports[port] = neighbor
 
     def detach_port(self, port: Optional[int]) -> None:
         """Unbind ``port`` in O(1); it must be bound."""
         if port is None or port not in self._ports:
-            raise TopologyError(
-                f"port {port} is not bound at node {self.node_id}")
+            raise port_not_bound(self, port)
         del self._ports[port]
 
     def port_of(self, neighbor: "TreeNode") -> Optional[int]:

@@ -41,9 +41,11 @@ def depth(node: TreeNode) -> int:
 def ancestor_at(node: TreeNode, hops: int) -> TreeNode:
     """The ancestor exactly ``hops`` edges above ``node``.
 
-    Raises :class:`~repro.errors.TopologyError` when the root is
-    closer than ``hops``.
+    Raises :class:`~repro.errors.TopologyError` when ``hops`` is
+    negative or the root is closer than ``hops``.
     """
+    if hops < 0:
+        raise TopologyError(f"negative hop count {hops}")
     current = node
     for _ in range(hops):
         if current.parent is None:

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.core.requests import Request, RequestKind
+from repro.tree import paths
 from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
 from repro.workloads.scenarios import (
@@ -119,7 +120,7 @@ def _gen_hot_spot(spec: "ScenarioSpec", tree: DynamicTree,
 
 def _gen_deep_burst(spec: "ScenarioSpec", tree: DynamicTree,
                     rng: random.Random) -> List[Request]:
-    by_depth = sorted(tree.nodes(), key=lambda n: (tree.depth(n), n.node_id))
+    by_depth = sorted(tree.nodes(), key=lambda n: (paths.depth(n), n.node_id))
     deep = by_depth[-max(len(by_depth) // 4, 1):]
     nodes = list(by_depth)
     calm_mix = default_mix()

@@ -95,43 +95,42 @@ def build_caterpillar(n: int, legs_per_node: int = 2,
 # Alive-node sampling with O(1) updates.
 # ----------------------------------------------------------------------
 class NodePicker(TreeListener):
-    """Maintains an indexable list of alive nodes for O(1) random picks."""
+    """Maintains an indexable list of alive nodes for O(1) random picks.
+
+    The position index is keyed by ``id(node)``: every indexed node is
+    held by the list, so its id is unique, and no update calls
+    ``TreeNode.__hash__``.
+    """
 
     def __init__(self, tree: DynamicTree) -> None:
         self._tree = tree
         self._nodes: List[TreeNode] = list(tree.nodes())
-        self._index: Dict[TreeNode, int] = {
-            node: i for i, node in enumerate(self._nodes)
+        self._index: Dict[int, int] = {
+            id(node): i for i, node in enumerate(self._nodes)
         }
         tree.add_listener(self)
 
     def pick(self, rng: random.Random) -> TreeNode:
         return self._nodes[rng.randrange(len(self._nodes))]
 
-    def on_add_leaf(self, node: TreeNode) -> None:
-        self._add(node)
-
-    def on_add_internal(self, node: TreeNode, parent: TreeNode,
-                        child: TreeNode) -> None:
-        self._add(node)
-
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        self._remove(node)
-
-    def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children: List[TreeNode]) -> None:
-        self._remove(node)
-
-    def _add(self, node: TreeNode) -> None:
-        self._index[node] = len(self._nodes)
+    def on_add_internal(self, node: TreeNode,
+                        parent: Optional[TreeNode] = None,
+                        child: Optional[TreeNode] = None) -> None:
+        self._index[id(node)] = len(self._nodes)
         self._nodes.append(node)
 
-    def _remove(self, node: TreeNode) -> None:
-        index = self._index.pop(node)
+    def on_remove_internal(self, node: TreeNode,
+                           parent: Optional[TreeNode] = None,
+                           children: Optional[List[TreeNode]] = None
+                           ) -> None:
+        index = self._index.pop(id(node))
         last = self._nodes.pop()
         if last is not node:
             self._nodes[index] = last
-            self._index[last] = index
+            self._index[id(last)] = index
+
+    on_add_leaf = on_add_internal
+    on_remove_leaf = on_remove_internal
 
     def detach(self) -> None:
         self._tree.remove_listener(self)
@@ -236,12 +235,12 @@ class TreeMirror(TreeListener):
         }
         tree.add_listener(self)
 
-    def on_add_leaf(self, node: TreeNode) -> None:
+    def on_add_internal(self, node: TreeNode,
+                        parent: Optional[TreeNode] = None,
+                        child: Optional[TreeNode] = None) -> None:
         self._map[node.node_id] = node
 
-    def on_add_internal(self, node: TreeNode, parent: TreeNode,
-                        child: TreeNode) -> None:
-        self._map[node.node_id] = node
+    on_add_leaf = on_add_internal
 
     def node(self, node_id: int) -> TreeNode:
         return self._map[node_id]

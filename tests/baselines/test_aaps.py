@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TopologyError
 from repro import DynamicTree, Request, RequestKind
 from repro.baselines import AAPSController
+from repro.tree import paths
 from repro.workloads import (
     build_path,
     build_random_tree,
@@ -57,7 +58,7 @@ def test_bin_locality_amortizes_deep_requests():
     """Repeated requests at a deep node must not pay the full depth each
     time (the supervisor chain refills local bins)."""
     tree = build_path(200)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = AAPSController(tree, m=10_000, w=5000, u=400)
     costs = []
     for _ in range(20):

@@ -2,6 +2,7 @@
 
 from repro import DynamicTree, OutcomeStatus, Request, RequestKind
 from repro.baselines import TrivialController
+from repro.tree import paths
 from repro.workloads import build_path, build_random_tree
 from tests.drivers import drive_handle
 
@@ -17,7 +18,7 @@ def test_exact_m_semantics():
 
 def test_cost_is_two_depth_per_request():
     tree = build_path(50)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = TrivialController(tree, m=100)
     controller.handle(Request(RequestKind.PLAIN, deep))
     assert controller.counters.package_moves == 2 * 49

@@ -10,6 +10,7 @@ from repro import (
     Request,
     RequestKind,
 )
+from repro.tree import paths
 from repro.workloads import build_path, build_random_tree
 from tests.drivers import drive_handle, store_map
 
@@ -64,7 +65,7 @@ def test_static_pool_served_locally_after_first_fetch():
     """The first request at a node pays for a package; the next phi-1
     requests at the same node are free (static pool)."""
     tree = build_path(20)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = make_controller(tree, m=1000, w=500, u=40)
     assert controller.params.phi > 1
     controller.handle(plain(deep))
@@ -76,13 +77,13 @@ def test_static_pool_served_locally_after_first_fetch():
 def test_filler_reused_by_nearby_request():
     """A second deep request finds the parked packages of the first."""
     tree = build_path(600)
-    nodes = sorted(tree.nodes(), key=tree.depth)
+    nodes = sorted(tree.nodes(), key=paths.depth)
     deep = nodes[-1]
     neighbor = nodes[-2]
     controller = make_controller(tree, m=5000, w=2500, u=1200)
     controller.handle(plain(deep))
     first_cost = controller.counters.package_moves
-    assert first_cost >= tree.depth(deep)  # paid the full climb
+    assert first_cost >= paths.depth(deep)  # paid the full climb
     controller.handle(plain(neighbor))
     second_cost = controller.counters.package_moves - first_cost
     # The neighbour must be served from parked packages, far cheaper
@@ -158,7 +159,7 @@ def test_remove_leaf_of_node_with_children_cancelled():
 
 def test_deletion_relocates_packages_to_parent():
     tree = build_path(40)
-    nodes = sorted(tree.nodes(), key=tree.depth)
+    nodes = sorted(tree.nodes(), key=paths.depth)
     deep = nodes[-1]
     controller = make_controller(tree, m=1000, w=500, u=80)
     controller.handle(plain(deep))  # leaves static permits at deep
@@ -360,8 +361,8 @@ def test_funding_and_exhaustion_match_on_both_paths(reject):
 def test_deep_request_parks_packages_at_uk_positions():
     tree = build_path(1000)
     controller = make_controller(tree, m=4000, w=2000, u=2000)
-    deep = max(tree.nodes(), key=tree.depth)
-    depth = tree.depth(deep)
+    deep = max(tree.nodes(), key=paths.depth)
+    depth = paths.depth(deep)
     level = controller.params.creation_level(depth)
     assert level >= 2  # the interesting multi-level regime
     controller.handle(plain(deep))
@@ -378,9 +379,9 @@ def test_deep_request_parks_packages_at_uk_positions():
 def test_move_cost_of_single_deep_request_is_linear_in_depth():
     tree = build_path(800)
     controller = make_controller(tree, m=4000, w=2000, u=1600)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller.handle(plain(deep))
-    depth = tree.depth(deep)
+    depth = paths.depth(deep)
     # Proc moves the package along the path with geometrically shrinking
     # segments: total < 2 * depth.
     assert depth <= controller.counters.package_moves <= 2 * depth

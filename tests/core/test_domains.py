@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import CentralizedController, Request, RequestKind
 from repro.core.domains import DomainTracker
 from repro.errors import InvariantViolation
+from repro.tree import paths
 from repro.workloads import build_path, build_random_tree
 from tests.drivers import drive_handle
 
@@ -47,9 +48,9 @@ def test_domains_created_by_deep_distribution():
     tree = build_path(900)
     controller = CentralizedController(tree, m=4000, w=2000, u=1800,
                                        track_domains=True)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller.handle(Request(RequestKind.PLAIN, deep))
-    level = controller.params.creation_level(tree.depth(deep))
+    level = controller.params.creation_level(paths.depth(deep))
     tracked = controller.domains.tracked_packages()
     assert len(tracked) == level  # one parked package per level < j(u)
     for package in tracked:
@@ -63,7 +64,7 @@ def test_internal_insert_updates_domain():
     tree = build_path(900)
     controller = CentralizedController(tree, m=4000, w=2000, u=1800,
                                        track_domains=True)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller.handle(Request(RequestKind.PLAIN, deep))
     package = max(controller.domains.tracked_packages(),
                   key=lambda p: p.level)
@@ -82,7 +83,7 @@ def test_deleted_nodes_stay_in_domains():
     tree = build_path(900)
     controller = CentralizedController(tree, m=4000, w=2000, u=1800,
                                        track_domains=True)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller.handle(Request(RequestKind.PLAIN, deep))
     package = max(controller.domains.tracked_packages(),
                   key=lambda p: p.level)
@@ -99,7 +100,7 @@ def test_corrupted_domain_is_detected():
     tree = build_path(900)
     controller = CentralizedController(tree, m=4000, w=2000, u=1800,
                                        track_domains=True)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller.handle(Request(RequestKind.PLAIN, deep))
     tracker: DomainTracker = controller.domains
     package = tracker.tracked_packages()[0]

@@ -8,9 +8,8 @@ driving twin trees (identical construction => identical node ids) with
 a recorded stream, across every initial topology of
 ``workloads/scenarios.py``, every request mix, and all four controller
 flavours — plus a second controller on an already-claimed tree (dict
-store lookups, parent-pointer walks and the kernel-planned
-``_fetch_permits`` for every grant), so the slot fast path, the inline
-level-0 grant and the skip-pointer queries are proven
+store lookups and the kernel-planned ``_fetch_permits`` for every
+grant), so the slot fast path and the inline level-0 grant are proven
 behaviour-preserving too.
 """
 
@@ -172,7 +171,7 @@ def test_engine_off_matches_engine_on(topology, flavour, budget):
                 for o in outcomes_b])
     core_a, core_b = core_of(ctrl_a), core_of(ctrl_b)
     assert core_a._inline and not core_b._inline
-    assert not core_b._fast and not core_b._tables_on
+    assert not core_b._fast
     assert tree_b.store_slot_owner is decoys[0]
     assert core_a.params.phi == core_b.params.phi == max(w // (2 * u), 1)
     for name in ("storage", "granted", "rejected", "exhausted",

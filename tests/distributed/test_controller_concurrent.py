@@ -17,6 +17,7 @@ from repro import OutcomeStatus, Request, RequestKind
 from repro.core.kernel import KernelTrace
 from repro.distributed import DistributedController
 from repro.sim.delays import HeavyTailDelay, UniformDelay, UnitDelay
+from repro.tree import paths
 from repro.workloads import NodePicker, build_path, build_random_tree, random_request
 
 
@@ -109,7 +110,7 @@ def test_concurrent_requests_at_same_node_fifo():
     """Many plain requests at one deep node: each should be served, the
     first paying the climb and the rest from the static pool."""
     tree = build_path(60)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = DistributedController(tree, m=2000, w=1000, u=120)
     phi = controller.params.phi
     assert phi >= 3

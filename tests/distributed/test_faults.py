@@ -22,6 +22,7 @@ from repro.distributed import (
 from repro.metrics import audit_controller
 from repro.sim import Scheduler
 from repro.sim.delays import UnitDelay
+from repro.tree import paths
 from repro.workloads import NodePicker, build_path, build_random_tree, random_request
 
 
@@ -107,7 +108,7 @@ def test_delivery_pause_delays_but_never_drops():
     injector = FaultInjector(plan)
     controller = DistributedController(tree, m=100, w=25, u=60,
                                        delays=UnitDelay(), faults=injector)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     outcomes = controller.submit_batch(
         [Request(RequestKind.PLAIN, deep) for _ in range(5)], stagger=1.0)
     assert all(o.granted for o in outcomes)
@@ -163,7 +164,7 @@ def test_storm_respects_locking_discipline():
     injector = FaultInjector(plan)
     controller = DistributedController(tree, m=400, w=100, u=2000,
                                        delays=UnitDelay(), faults=injector)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     # A deep climb keeps a long path locked across the storm window.
     outcomes = controller.submit_batch(
         [Request(RequestKind.PLAIN, deep) for _ in range(10)], stagger=2.0)

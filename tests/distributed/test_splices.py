@@ -11,6 +11,7 @@ import random
 from repro import OutcomeStatus, Request, RequestKind
 from repro.distributed import DistributedController
 from repro.sim.delays import UnitDelay
+from repro.tree import paths
 from repro.workloads import NodePicker, build_path, build_random_tree, random_request
 
 
@@ -18,7 +19,7 @@ def test_insert_below_waiting_agent_keeps_distances_consistent():
     """Agent B waits at v while agent I inserts a node between v and B's
     topmost locked node w; B's path and Distance must absorb the splice."""
     tree = build_path(8)
-    nodes = sorted(tree.nodes(), key=tree.depth)
+    nodes = sorted(tree.nodes(), key=paths.depth)
     v, w = nodes[3], nodes[4]
     deep = nodes[-1]
     controller = DistributedController(tree, m=100, w=50, u=50,
@@ -36,12 +37,12 @@ def test_insert_below_waiting_agent_keeps_distances_consistent():
     for node, board in controller.boards.items():
         assert board.locked_by is None and not board.queue
     tree.validate()
-    assert tree.depth(deep) == 8  # one deeper than built
+    assert paths.depth(deep) == 8  # one deeper than built
 
 
 def test_self_deletion_of_origin():
     tree = build_path(10)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = DistributedController(tree, m=100, w=50, u=50)
     outcome = controller.submit_and_run(
         Request(RequestKind.REMOVE_LEAF, deep))
@@ -54,7 +55,7 @@ def test_self_deletion_of_origin():
 
 def test_deletion_relocates_packages_and_static_pool():
     tree = build_path(30)
-    nodes = sorted(tree.nodes(), key=tree.depth)
+    nodes = sorted(tree.nodes(), key=paths.depth)
     deep = nodes[-1]
     controller = DistributedController(tree, m=1000, w=500, u=60)
     controller.submit_and_run(Request(RequestKind.PLAIN, deep))
@@ -71,7 +72,7 @@ def test_fresh_waiter_rehomed_on_origin_deletion():
     """A plain request created at a node being deleted migrates to the
     parent and is eventually granted there."""
     tree = build_path(12)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     parent = deep.parent
     controller = DistributedController(tree, m=100, w=50, u=50,
                                        delays=UnitDelay())
@@ -93,7 +94,7 @@ def test_topological_waiter_cancelled_on_origin_deletion():
     """A second deletion request for the same node is cancelled when the
     node disappears under it."""
     tree = build_path(12)
-    deep = max(tree.nodes(), key=tree.depth)
+    deep = max(tree.nodes(), key=paths.depth)
     controller = DistributedController(tree, m=100, w=50, u=50,
                                        delays=UnitDelay())
     outcomes = []

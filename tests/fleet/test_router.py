@@ -6,7 +6,8 @@ import random
 import pytest
 
 from repro.core.requests import Request, RequestKind
-from repro.errors import ControllerError, FleetError, ProtocolError
+from repro.errors import (ConfigError, ControllerError, FleetError,
+                          ProtocolError)
 from repro.fleet import FleetConfig, FleetRouter
 from repro.service import ControllerSession, SessionConfig
 from repro.service.config import ControllerSpec
@@ -95,11 +96,26 @@ def test_removed_node_tombstone_routes_to_cancel():
     leaf = record.outcome.new_node
     assert fleet.serve(Request(RequestKind.REMOVE_LEAF,
                                leaf)).outcome.granted
-    # The node is gone, but its tombstone still routes the request to
-    # the owning engine, which answers CANCELLED.
+    # The node is gone, but it still names its tree, which routes the
+    # request to the owning engine, which answers CANCELLED.
+    assert leaf not in shard.tree
+    assert fleet.owner_of(leaf) == shard.index
     late = fleet.serve(Request(RequestKind.ADD_LEAF, leaf))
     assert late.outcome.status.value == "cancelled"
     fleet.close()
+
+
+def test_a_tree_given_to_two_shards_is_a_config_error():
+    """Routing reads a node's tree, so each shard needs its own: one
+    tree on two shards is rejected before any shard is built on it."""
+    from repro.tree.dynamic_tree import DynamicTree
+    tree = DynamicTree()
+    config = FleetConfig.of(shards=2, m_total=40, w_total=4, u=200,
+                            tranche=0, seed=0)
+    names = [spec.name for spec in config.shards]
+    with pytest.raises(ConfigError, match=f"{names[0]!r} and {names[1]!r}"):
+        FleetRouter(config, trees=[tree, tree])
+    assert not tree._listeners and tree.store_slot_owner is None
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 health probes, lifecycle, and both serving modes (worker and asyncio)."""
 
 import asyncio
+import math
 import threading
 
 import pytest
@@ -123,13 +124,25 @@ def test_session_window_narrower_than_batch_is_a_config_error():
         Gateway(session, GatewayConfig(batch_size=8))
 
 
-def test_bad_gateway_config_raises_eagerly():
-    with pytest.raises(ConfigError):
-        GatewayConfig(queue_capacity=0)
-    with pytest.raises(ConfigError):
-        GatewayConfig(rate=-1.0)
-    with pytest.raises(ConfigError):
-        GatewayConfig(breaker_latency=0.0)
+@pytest.mark.parametrize("field, value", [
+    ("queue_capacity", 0), ("rate", -1.0), ("breaker_latency", 0.0),
+    # Each int field takes ints only (a bool is not a count).
+    ("queue_capacity", "8"), ("queue_capacity", 2.5),
+    ("batch_size", True), ("burst", 2.5), ("breaker_failures", 1.5),
+    ("breaker_cooldown", "2"), ("breaker_probes", "1"),
+    ("heartbeat_every", 1.5),
+    # The rate and the breaker threshold are reals, never bools or NaN.
+    ("rate", True), ("rate", float("nan")), ("rate", "1"),
+    ("breaker_latency", "x"), ("breaker_latency", float("nan")),
+])
+def test_bad_gateway_config_raises_eagerly(field, value):
+    with pytest.raises(ConfigError, match=field):
+        GatewayConfig(**{field: value})
+
+
+def test_an_infinite_breaker_latency_disables_the_breaker():
+    assert not GatewayConfig(breaker_latency=math.inf).breaker_enabled
+    assert GatewayConfig(breaker_latency=300).breaker_enabled
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro import (
 )
 from repro.errors import ConfigError, ControllerError
 from repro.protocol import SessionProtocol
+from repro.tree import paths
 from repro.workloads import build_random_tree
 
 
@@ -161,7 +162,7 @@ def test_drain_quiesces_cleanup_walks():
     a direct submit_batch would leave them (regression: drain used to
     stop at the last settlement, stranding cleanup hops)."""
     session = _session("distributed", tree_n=24)
-    deep = max(session.tree.nodes(), key=session.tree.depth)
+    deep = max(session.tree.nodes(), key=paths.depth)
     session.submit(Request(RequestKind.PLAIN, deep))
     records = session.settle_all()
     assert records[0].granted
@@ -239,7 +240,7 @@ def test_abandoned_ticket_does_not_block_ready_compaction():
 
 def test_distributed_ticket_result_pumps_scheduler():
     session = _session("distributed", tree_n=24)
-    deep = max(session.tree.nodes(), key=session.tree.depth)
+    deep = max(session.tree.nodes(), key=paths.depth)
     ticket = session.submit(Request(RequestKind.PLAIN, deep))
     assert not ticket.done
     assert ticket.result().granted

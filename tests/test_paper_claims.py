@@ -33,6 +33,7 @@ from repro.bench import run_move_complexity
 from repro.core.requests import perform_event
 from repro.distributed import DistributedController
 from repro.metrics.fitting import theorem_3_5_bound
+from repro.tree import paths
 from repro.workloads import (
     NodePicker,
     build_caterpillar,
@@ -401,8 +402,8 @@ def test_section_1_repeated_requests_at_one_deep_node():
     phi permits (phi = 10 here)."""
     n = 1000
     tree_a, tree_b = build_path(n), build_path(n)
-    deep_a = max(tree_a.nodes(), key=tree_a.depth)
-    deep_b = max(tree_b.nodes(), key=tree_b.depth)
+    deep_a = max(tree_a.nodes(), key=paths.depth)
+    deep_b = max(tree_b.nodes(), key=paths.depth)
     ours = CentralizedController(tree_a, m=80_000, w=40_000, u=2 * n)
     trivial = TrivialController(tree_b, m=80_000)
     for _ in range(500):
@@ -417,7 +418,7 @@ def test_waste_buys_traffic_through_phi_and_psi():
     costs = []
     for w in (1, 1_200, 12_000, 60_000, 110_000):
         tree = build_path(600)
-        deep = max(tree.nodes(), key=tree.depth)
+        deep = max(tree.nodes(), key=paths.depth)
         controller = CentralizedController(tree, m=120_000, w=w, u=1200)
         for _ in range(400):
             controller.handle(Request(RequestKind.PLAIN, deep))

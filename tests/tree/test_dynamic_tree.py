@@ -1,9 +1,13 @@
 """Tests for the dynamic tree substrate and its listener contract."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 
 from repro.errors import TopologyError
-from repro.tree import DynamicTree, TreeListener
+from repro.tree import DynamicTree, TreeListener, TreeNode, paths
 
 
 class RecordingListener(TreeListener):
@@ -36,7 +40,7 @@ def test_add_leaf_basics():
     assert tree.size == 2
     assert child.parent is tree.root
     assert tree.root.children == [child]
-    assert tree.depth(child) == 1
+    assert paths.depth(child) == 1
     tree.validate()
 
 
@@ -48,7 +52,7 @@ def test_add_internal_splits_edge_preserving_order():
     assert tree.root.children == [mid, b]
     assert mid.children == [a]
     assert a.parent is mid
-    assert tree.depth(a) == 2
+    assert paths.depth(a) == 2
     tree.validate()
 
 
@@ -221,3 +225,144 @@ def test_port_rewired_on_internal_insert():
     assert tree.root.port_of(mid) is not None
     assert tree.root.port_of(a) is None
     assert a.neighbor_on(a.port_to_parent) is mid
+
+
+# ----------------------------------------------------------------------
+# Per-hook dispatch.
+# ----------------------------------------------------------------------
+def _every_mutation(tree):
+    """One mutation of each kind, in hook order."""
+    a = tree.add_leaf(tree.root)
+    b = tree.add_leaf(a)
+    tree.add_internal(a, b)
+    tree.remove_leaf(b)
+    tree.remove_internal(a)
+
+
+def test_a_hook_the_class_does_not_override_is_never_called():
+    class Births(TreeListener):
+        def __init__(self):
+            self.births = 0
+
+        def on_add_leaf(self, node):
+            self.births += 1
+
+    base_hooks = {getattr(TreeListener, name).__code__ for name in (
+        "on_add_leaf", "on_add_internal", "on_remove_leaf",
+        "on_remove_internal")}
+    called = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in base_hooks:
+            called.append(frame.f_code.co_name)
+
+    tree = DynamicTree()
+    listener = Births()
+    tree.add_listener(listener)
+    sys.setprofile(profile)
+    try:
+        _every_mutation(tree)
+    finally:
+        sys.setprofile(None)
+    assert listener.births == 2
+    assert called == []
+
+
+def test_hooks_run_in_registration_order_for_every_event():
+    log = []
+
+    class Logger(TreeListener):
+        def __init__(self, tag):
+            self.tag = tag
+
+        def on_add_leaf(self, node):
+            log.append(("add_leaf", self.tag))
+
+        def on_add_internal(self, node, parent, child):
+            log.append(("add_internal", self.tag))
+
+        def on_remove_leaf(self, node, parent):
+            log.append(("remove_leaf", self.tag))
+
+        def on_remove_internal(self, node, parent, children):
+            log.append(("remove_internal", self.tag))
+
+    class LeafLogger(TreeListener):
+        def on_add_leaf(self, node):
+            log.append(("add_leaf", "leaf-only"))
+
+    tree = DynamicTree()
+    for listener in (Logger("first"), LeafLogger(), Logger("last")):
+        tree.add_listener(listener)
+    _every_mutation(tree)
+    assert log == [
+        ("add_leaf", "first"), ("add_leaf", "leaf-only"),
+        ("add_leaf", "last"),
+        ("add_leaf", "first"), ("add_leaf", "leaf-only"),
+        ("add_leaf", "last"),
+        ("add_internal", "first"), ("add_internal", "last"),
+        ("remove_leaf", "first"), ("remove_leaf", "last"),
+        ("remove_internal", "first"), ("remove_internal", "last")]
+
+
+def test_a_listener_detaching_inside_a_hook_does_not_hide_the_event():
+    class OneShot(TreeListener):
+        def __init__(self, tree):
+            self.tree = tree
+
+        def on_add_leaf(self, node):
+            self.tree.remove_listener(self)
+
+    tree = DynamicTree()
+    tree.add_listener(OneShot(tree))
+    later = RecordingListener()
+    tree.add_listener(later)
+    leaf = tree.add_leaf(tree.root)
+    assert later.events == [("add_leaf", leaf)]
+    assert len(tree._listeners) == 1
+    tree.add_leaf(tree.root)
+    assert len(later.events) == 2
+
+
+def test_a_removed_listener_is_not_referenced_by_the_tree():
+    tree = DynamicTree()
+    listener = RecordingListener()
+    tree.add_listener(listener)
+    tree.add_leaf(tree.root)
+    ref = weakref.ref(listener)
+    tree.remove_listener(listener)
+    gc.disable()
+    try:
+        del listener
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Membership: the tree tag plus the alive flag.
+# ----------------------------------------------------------------------
+def test_membership_reads_the_tree_tag_and_the_alive_flag():
+    tree, twin = DynamicTree(), DynamicTree()
+    leaf, twin_leaf = tree.add_leaf(tree.root), twin.add_leaf(twin.root)
+    assert leaf.node_id == twin_leaf.node_id
+    assert leaf in tree and twin_leaf not in tree and tree.root in tree
+    assert TreeNode(leaf.node_id) not in tree
+    tree.remove_leaf(leaf)
+    assert leaf not in tree
+    assert leaf.tree is tree  # a removed node keeps its tag
+    with pytest.raises(TopologyError, match="not in the tree"):
+        tree.add_leaf(twin_leaf)
+
+
+@pytest.mark.parametrize("damage", ["tag", "size"])
+def test_validate_checks_tags_and_the_size_counter(damage):
+    tree = DynamicTree()
+    leaf = tree.add_leaf(tree.add_leaf(tree.root))
+    tree.validate()
+    if damage == "tag":
+        leaf.tree = DynamicTree()
+    else:
+        tree.size += 1
+    with pytest.raises(TopologyError, match=damage):
+        tree.validate()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TopologyError
 from repro.tree import (
     DynamicTree,
     ancestor_at,
@@ -70,3 +71,35 @@ def test_path_between(chain):
     assert path_between(nodes[3], nodes[3]) == [nodes[3]]
     with pytest.raises(ValueError):
         path_between(nodes[1], nodes[3])
+
+
+def test_ancestor_at_error_semantics():
+    tree = DynamicTree()
+    node = tree.root
+    for _ in range(10):
+        node = tree.add_leaf(node)
+    assert ancestor_at(node, 10) is tree.root
+    with pytest.raises(TopologyError, match="no ancestor 11 hops up"):
+        ancestor_at(node, 11)
+    with pytest.raises(TopologyError, match="negative hop count"):
+        ancestor_at(node, -1)
+
+
+def test_walks_beyond_recursion_limit_after_a_root_splice():
+    """The walks are iterative: a path far deeper than the interpreter
+    recursion limit, spliced just below the root, still answers."""
+    tree = DynamicTree()
+    node = tree.root
+    chain = [node]
+    for _ in range(5000):
+        node = tree.add_leaf(node)
+        chain.append(node)
+    assert depth(node) == 5000
+    tree.add_internal(tree.root, chain[1])
+    assert depth(node) == 5001
+    assert ancestor_at(node, 5001) is tree.root
+    # The splice sits *above* chain[1]: its distance from the deep node
+    # is unchanged, while its own depth grew by one.
+    assert distance_to_ancestor(node, chain[1]) == 4999
+    assert depth(chain[1]) == 2
+    tree.validate()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
-from repro.tree import DynamicTree
+from repro.tree import DynamicTree, paths
 from repro.tree.ports import AdversarialPortAssigner, SequentialPortAssigner
 from repro.workloads import build_random_tree
 
@@ -86,7 +86,7 @@ def test_depths_consistent_with_parent_chain(seed, steps):
     apply_random_mutations(tree, rng, steps)
     for node in tree.nodes():
         if node.parent is not None:
-            assert tree.depth(node) == tree.depth(node.parent) + 1
+            assert paths.depth(node) == paths.depth(node.parent) + 1
 
 
 def _port_digest(tree):

@@ -6,6 +6,7 @@ from repro.core.iterated import IteratedController
 from repro.core.requests import RequestKind
 from repro.metrics import audit_controller
 from repro.errors import ConfigError
+from repro.tree import paths
 from repro.workloads import CATALOGUE, get_scenario, scenario_names
 from repro.workloads.catalogue import _subtree_nodes
 from repro.workloads.scenarios import request_spec
@@ -66,9 +67,9 @@ def test_deep_burst_targets_the_deep_quarter():
     spec = get_scenario("deep_burst")
     tree = spec.build_tree(seed=0)
     stream = spec.stream(tree, seed=0)
-    depths = sorted(tree.depth(n) for n in tree.nodes())
+    depths = sorted(paths.depth(n) for n in tree.nodes())
     threshold = depths[-max(len(depths) // 4, 1)]
-    deep_hits = sum(1 for r in stream if tree.depth(r.node) >= threshold)
+    deep_hits = sum(1 for r in stream if paths.depth(r.node) >= threshold)
     # Bursts are 25 of every 40 steps, all aimed at the deep quarter.
     assert deep_hits >= 0.5 * len(stream)
 

@@ -15,6 +15,7 @@ from repro.workloads import (
     random_request,
 )
 from repro.service import ControllerSession, SessionConfig, drive_scenario
+from repro.tree import paths
 
 
 def test_builders_produce_requested_sizes():
@@ -29,7 +30,7 @@ def test_builders_produce_requested_sizes():
 
 def test_path_shape():
     tree = build_path(10)
-    depths = sorted(tree.depth(n) for n in tree.nodes())
+    depths = sorted(paths.depth(n) for n in tree.nodes())
     assert depths == list(range(10))
 
 
