@@ -20,6 +20,7 @@ the amortized accounting also covers.
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ControllerError, InvariantViolation
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
@@ -151,7 +152,7 @@ class AncestryLabeling(TreeListener):
         """Assign fresh intervals: one DFS traversal (2(n-1) messages)."""
         self.relabels += 1
         self.labeled_size = self.tree.size
-        self.counters.reset_moves += 2 * max(self.tree.size - 1, 0)
+        self.counters.reset_moves += waves.dfs_traversal(self.tree.size)
         self.labels.clear()
         self._cursor.clear()
         sizes: Dict[TreeNode, int] = {}

@@ -16,6 +16,7 @@ light-depth.
 import math
 from typing import ClassVar, Dict, List, Optional
 
+from repro.metrics import waves
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
@@ -50,7 +51,7 @@ class HeavyChildApp(SubtreeEstimatorApp):
         super()._on_iteration_start(n_i)
         # Refresh every mu pointer against the fresh omega_0 values
         # (one extra message per node, on the counting upcast).
-        self.counters.reset_moves += self.tree.size
+        self.counters.reset_moves += waves.node_wave(self.tree.size)
         self._rebuild_all()
 
     def _observe_permits(self, node: TreeNode, permits: int) -> None:

@@ -25,6 +25,7 @@ This implementation layers directly on
 from typing import ClassVar, Optional
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.service.appspec import AppSpec
 from repro.service.envelopes import OutcomeRecord
 from repro.tree.dynamic_tree import DynamicTree
@@ -93,7 +94,7 @@ class MajorityCommitApp(SizeEstimationApp):
 
     def commit_exact(self) -> bool:
         """Exact counting round (one upcast): decide at the boundary."""
-        self.counters.reset_moves += max(self.tree.size - 1, 0)
+        self.counters.reset_moves += waves.convergecast(self.tree.size)
         if self.tree.size > self.total / 2:
             self.committed = True
         return self.committed

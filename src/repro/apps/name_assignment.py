@@ -26,6 +26,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.apps.base import AppSession
 from repro.errors import ControllerError, InvariantViolation
+from repro.metrics import waves
 from repro.protocol import AppView
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree
@@ -65,9 +66,12 @@ class NameAssignmentApp(AppSession):
 
     def _on_iteration_start(self, n_i: int) -> None:
         super()._on_iteration_start(n_i)
-        # Count N_i (upcast + broadcast).
-        self.counters.reset_moves += 2 * max(n_i - 1, 0)
+        # Broadcast N_i.  Only N_1 needs a convergecast of its own: every
+        # later N_i rode the convergecast that confirmed the previous
+        # iteration's termination (Observation 2.1).
+        self.counters.reset_moves += waves.broadcast(n_i)
         if self._first_iteration:
+            self.counters.reset_moves += waves.convergecast(n_i)
             # The initial identities are assumed to be [1, n_0]
             # (Section 5.2); a DFS assignment realizes the assumption.
             self._first_iteration = False
@@ -79,7 +83,7 @@ class NameAssignmentApp(AppSession):
     def _two_stage_relabel(self, n_i: int) -> None:
         """The two DFS traversals of Section 5.2 (same DFS order; one
         full traversal — 2(n-1) messages — each)."""
-        self.counters.reset_moves += 4 * max(n_i - 1, 0)
+        self.counters.reset_moves += 2 * waves.dfs_traversal(n_i)
         order = list(self.tree.nodes())
         # Stage 1: move everyone into the temporary range (3N_i, 4N_i].
         for index, node in enumerate(order, start=1):

@@ -23,6 +23,7 @@ child tables that routing needs).
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
@@ -165,7 +166,7 @@ class RoutingLabeling(TreeListener):
         """One DFS traversal: tight intervals, 2(n-1) messages."""
         self.relabels += 1
         self.labeled_size = self.tree.size
-        self.counters.reset_moves += 2 * max(self.tree.size - 1, 0)
+        self.counters.reset_moves += waves.dfs_traversal(self.tree.size)
         self.labels.clear()
         sizes: Dict[TreeNode, int] = {}
         order = list(self.tree.nodes())

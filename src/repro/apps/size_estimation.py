@@ -3,8 +3,11 @@
 Every node maintains ``n_tilde`` with ``n/beta <= n_tilde <= beta*n``
 at all times.  The protocol runs in iterations:
 
-* at the start of iteration i the exact size ``N_i`` is counted and
-  broadcast (all nodes adopt ``n_tilde = N_i``);
+* at the start of iteration i the exact size ``N_i`` is broadcast
+  (all nodes adopt ``n_tilde = N_i``).  A convergecast counts ``N_1``;
+  every later ``N_i`` rides the convergecast that confirmed the
+  previous iteration's termination (Observation 2.1), which completes
+  only once every granted event has occurred;
 * with ``alpha = 1 - 1/beta``, a terminating
   ``(alpha*N_i, alpha*N_i/2)``-controller guards all topological
   changes during the iteration;
@@ -29,6 +32,7 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.apps.base import AppSession
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.protocol import AppView
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree
@@ -77,8 +81,10 @@ class SizeEstimationApp(AppSession):
     def _on_iteration_start(self, n_i: int) -> None:
         super()._on_iteration_start(n_i)
         self.estimate = n_i
-        # Count and broadcast N_i: upcast + broadcast.
-        self.counters.reset_moves += 2 * max(n_i - 1, 0)
+        # Broadcast N_i.  Only N_1 needs a convergecast of its own.
+        self.counters.reset_moves += waves.broadcast(n_i)
+        if self.iterations_run == 1:
+            self.counters.reset_moves += waves.convergecast(n_i)
 
     # ------------------------------------------------------------------
     # Public queries (the Theorem 5.1 guarantee).

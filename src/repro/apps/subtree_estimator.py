@@ -7,9 +7,13 @@ since iteration i began.  The estimator maintains at each node
     ``omega_tilde(v) = omega_0(v, i) + S(v)``
 
 where ``omega_0`` is the exact descendant count at the iteration start
-(one broadcast + upcast) and ``S(v)`` counts the permits that passed
-down through ``v`` since — every grant below ``v`` sent its permit
-through ``v`` exactly once, so ``S`` tracks subtree growth.
+and ``S(v)`` counts the permits that passed down through ``v`` since —
+every grant below ``v`` sent its permit through ``v`` exactly once, so
+``S`` tracks subtree growth.  ``omega_0`` costs no message of its own:
+the convergecast that counts ``N_i`` (the size-estimation count before
+the first iteration, the termination convergecast of Observation 2.1
+after) sums every node's children's reports, so each node learns its
+exact subtree count on the way.
 
 The estimator piggybacks on the size-estimation protocol's controller
 via the ``permit_flow_observer`` hook; it adds **zero** extra messages
@@ -60,9 +64,8 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
 
     def _on_iteration_start(self, n_i: int) -> None:
         super()._on_iteration_start(n_i)
-        # One broadcast + upcast delivers every node its exact subtree
-        # count at iteration start.
-        self.counters.reset_moves += 2 * max(self.tree.size - 1, 0)
+        # Every node learned its exact subtree count while summing its
+        # children's reports in the convergecast that counted N_i.
         self._omega0.clear()
         self._passed.clear()
         self._true_sw.clear()

@@ -26,6 +26,7 @@ grants), so the composite is a genuine (M,W)-Controller.
 from typing import Iterable, List, Optional
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.protocol import BudgetSplit, ControllerView
 from repro.tree.dynamic_tree import DynamicTree
@@ -115,8 +116,10 @@ class AdaptiveController:
         leftover = inner.unused_permits()
         self._granted_before_epoch += inner.granted
         inner.detach()
-        # Clearing plus the N_{i+1}/Y_i counting broadcast+upcast.
-        self.counters.reset_moves += 2 * self.tree.size
+        # Clearing the structure, and counting N_{i+1} and Y_i: two
+        # per-node waves (no termination precedes a synchronous epoch's
+        # end, so nothing carries the counts for free).
+        self.counters.reset_moves += 2 * waves.node_wave(self.tree.size)
         self._start_epoch(leftover)
 
     def unused_permits(self) -> int:

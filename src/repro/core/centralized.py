@@ -129,6 +129,12 @@ class CentralizedController(TreeListener):
         #: the owner adds to M (0 when it cannot fund).  ``None``
         #: exhausts at once, as the paper's controller does.
         self._fund: Optional[Callable[[int], int]] = None
+        #: The owner's termination hook (Observation 2.1): with
+        #: ``reject_on_exhaustion`` off it answers the request that
+        #: exhausts the controller, and every request once the owner
+        #: has detached it.  ``None`` answers ``PENDING`` at exhaustion
+        #: and raises once detached.
+        self._terminate: Optional[Callable[[Request], Outcome]] = None
         self._ledger = PermitLedger(
             params=self.params, storage=m,
             track_intervals=track_intervals, interval_base=interval_base,
@@ -190,6 +196,8 @@ class CentralizedController(TreeListener):
     def handle(self, request: Request) -> Outcome:
         """Run ``GrantOrReject`` for one request, synchronously."""
         if not self._attached:
+            if self._terminate is not None:
+                return self._terminate(request)
             raise ControllerError("controller has been detached")
         tree = self.tree
         fast = self._fast
@@ -258,6 +266,8 @@ class CentralizedController(TreeListener):
                 if self.reject_on_exhaustion:
                     ledger.count_reject()
                     return Outcome(_REJECTED, request)
+                if self._terminate is not None:
+                    return self._terminate(request)
                 return Outcome(_PENDING, request)
 
         # Item 2: grant one static permit and perform the event.

@@ -29,6 +29,7 @@ remaining budget is smaller than the package a deep request needs).
 from typing import Iterable, List, Optional
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.protocol import BudgetSplit, ControllerView
 from repro.tree import paths
@@ -200,8 +201,8 @@ class IteratedController:
         )
 
     def _reset_inner(self) -> None:
-        """Clearing the data structure costs one broadcast (~n moves)."""
-        self.counters.reset_moves += self.tree.size
+        """Clearing the data structure costs one per-node wave."""
+        self.counters.reset_moves += waves.node_wave(self.tree.size)
         self._inner.detach()
         self._inner = None
 
@@ -231,7 +232,7 @@ class IteratedController:
             return Outcome(OutcomeStatus.GRANTED, request, new_node=new_node)
         if self.reject_on_exhaustion:
             self.rejecting = True
-            self.counters.reject_moves += self.tree.size
+            self.counters.reject_moves += waves.node_wave(self.tree.size)
             self.rejected += 1
             return Outcome(OutcomeStatus.REJECTED, request)
         return Outcome(OutcomeStatus.PENDING, request)

@@ -11,12 +11,17 @@ granted after ``t``, and all granted events have occurred.
 This is the form all Section 5 applications consume: they run in
 iterations, each iteration driven by one terminating controller; the
 requests still pending at termination are resubmitted by the application
-to the next iteration's controller.
+to the next iteration's controller.  The confirming convergecast also
+counts the tree on its way up, so the next iteration's ``N_{i+1}``
+reaches the root with it and an application pays only the broadcast
+that starts the next iteration.
 """
 
-from typing import Iterable, List, Optional
+import weakref
+from typing import Callable, Iterable, List, Optional
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.protocol import ControllerView
 from repro.tree.dynamic_tree import DynamicTree
@@ -30,6 +35,13 @@ class TerminatingController:
     Parameters mirror :class:`CentralizedController`; the wrapped inner
     controller is created with ``reject_on_exhaustion=False`` so that
     exhaustion surfaces as ``PENDING`` instead of a reject wave.
+
+    :attr:`handle` is the inner controller's own bound ``handle``, so
+    serving a request costs no wrapper frame.  The inner controller
+    terminates its owner through a private hook at exhaustion; from
+    then on every request (one a static pool could still serve, one
+    whose event lost its meaning) comes back ``PENDING`` and is queued
+    on :attr:`pending`.
     """
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
@@ -50,37 +62,37 @@ class TerminatingController:
         )
         self.terminated = False
         self.pending: List[Request] = []
+        self.inner._terminate = _termination_hook(self)
+        # Serve with the inner controller's own bound ``handle``: it
+        # shadows the class's alias, so a request costs no frame here.
+        self.handle = self.inner.handle
 
     @property
     def granted(self) -> int:
         return self.inner.granted
 
     def submit(self, request: Request) -> Outcome:
-        """Serve a request, or queue it if the controller terminated."""
-        if self.terminated:
-            self.pending.append(request)
-            return Outcome(OutcomeStatus.PENDING, request)
+        """Serve a request, or queue it if the controller terminated:
+        :attr:`handle`, checking that the inner controller never
+        rejects."""
         outcome = self.inner.handle(request)
         if outcome.status is OutcomeStatus.REJECTED:
             raise ControllerError(
                 "terminating controller's inner controller rejected; "
                 "it must be configured with reject_on_exhaustion=False"
             )
-        if outcome.status is OutcomeStatus.PENDING:
-            self._terminate()
-            self.pending.append(request)
         return outcome
 
-    #: Protocol alias for :meth:`submit` — the same function object, so
-    #: the applications' per-request hot path pays no wrapper hop.
+    #: The class-level protocol alias of :meth:`submit`; every instance
+    #: shadows it with its inner controller's ``handle`` (see above).
     handle = submit
 
     def handle_batch(self, requests: Iterable[Request]) -> List[Outcome]:
         """Serve a batch in order.  Requests past the termination point
         come back ``PENDING`` and are queued on :attr:`pending`, exactly
-        as sequential :meth:`submit` calls would leave them — the
+        as sequential :attr:`handle` calls would leave them — the
         application resubmits them to its next iteration's controller."""
-        return [self.submit(request) for request in requests]
+        return self.inner.handle_batch(requests)
 
     def unused_permits(self) -> int:
         return self.inner.unused_permits()
@@ -101,17 +113,42 @@ class TerminatingController:
         )
 
     def _terminate(self) -> None:
-        """Broadcast the termination signal and upcast acknowledgements.
+        """Broadcast the termination signal and converge the
+        acknowledgements.
 
         Centrally both phases are instantaneous; their cost is one
         message per node each (the additive linear term allowed by
-        Observation 2.1).
+        Observation 2.1).  The detached inner controller hands every
+        later request to the termination hook.
         """
         self.terminated = True
-        self.counters.reset_moves += 2 * self.tree.size
+        self.counters.reset_moves += waves.termination(self.tree.size)
         self.inner.detach()
 
     def detach(self) -> None:
         if not self.terminated:
             self.inner.detach()
         self.terminated = True
+
+
+def _termination_hook(owner: TerminatingController
+                      ) -> Callable[[Request], Outcome]:
+    """The inner controller's hook at exhaustion and after it: the
+    owner terminates (once) and queues the request, which comes back
+    ``PENDING``.
+
+    It holds the owner weakly: the owner owns the inner controller and
+    the inner controller this hook, so a strong reference would close
+    a cycle that only the cyclic collector frees.
+    """
+    ref = weakref.ref(owner)
+
+    def terminate(request: Request) -> Outcome:
+        controller = ref()
+        if controller is not None:
+            if not controller.terminated:
+                controller._terminate()
+            controller.pending.append(request)
+        return Outcome(OutcomeStatus.PENDING, request)
+
+    return terminate

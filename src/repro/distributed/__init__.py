@@ -17,7 +17,6 @@ agents and the whiteboard to the parent.
 from repro.distributed.whiteboard import Whiteboard
 from repro.distributed.agent import Agent, AgentState
 from repro.distributed.controller import DistributedController
-from repro.distributed.broadcast import broadcast_cost, upcast_cost
 from repro.distributed.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.distributed.iterated import DistributedIteratedController
 from repro.distributed.adaptive import DistributedAdaptiveController
@@ -29,8 +28,6 @@ __all__ = [
     "DistributedController",
     "DistributedIteratedController",
     "DistributedAdaptiveController",
-    "broadcast_cost",
-    "upcast_cost",
     "FaultPlan",
     "FaultInjector",
     "parse_fault_spec",

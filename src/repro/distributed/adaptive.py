@@ -10,9 +10,10 @@ When no bound U is known, the distributed controller runs in epochs:
   controller's termination is the epoch-end signal (it fires after
   between U_i/4 and U_i/2 changes — the paper's relaxation of the
   exact-U_i/4 cut of the centralized version);
-* at the epoch boundary, broadcast/upcast rounds count ``N_{i+1}`` and
-  ``Y_i``, the data structure is reset, and epoch i+1 starts with
-  ``M_{i+1} = M_i − Y_i``.
+* at the epoch boundary, the counting controller's termination
+  convergecast (Observation 2.1) has already counted ``N_{i+1}`` and
+  ``Y_i``; one broadcast carries them out and resets the data
+  structure, and epoch i+1 starts with ``M_{i+1} = M_i − Y_i``.
 
 The two controllers ignore each other's locks (they run on disjoint
 whiteboard state); both must grant before the requesting entity
@@ -22,6 +23,7 @@ performs the change, exactly as Appendix A prescribes.
 from typing import Callable, Iterable, List, Optional
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
@@ -166,9 +168,10 @@ class DistributedAdaptiveController:
     def _rollover(self) -> None:
         leftover = self.m - self._total_main_granted()
         self._detach_epoch()
-        # Count N_{i+1} and Y_i, reset the structures: 3 broadcast/upcast
-        # rounds over the tree.
-        self.counters.broadcast_messages += 3 * max(self.tree.size - 1, 0)
+        # N_{i+1} and Y_i rode the convergecast that confirmed the
+        # change counter's termination (Observation 2.1); one broadcast
+        # carries them out and resets the structures.
+        self.counters.broadcast_messages += waves.broadcast(self.tree.size)
         self._start_epoch(leftover)
 
     def _total_main_granted(self) -> int:
@@ -185,7 +188,7 @@ class DistributedAdaptiveController:
 
     def _enter_reject_mode(self) -> None:
         self.rejecting = True
-        self.counters.reject_messages += self.tree.size
+        self.counters.reject_messages += waves.node_wave(self.tree.size)
         self._detach_epoch()
 
     def detach(self) -> None:

@@ -37,6 +37,7 @@ from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     cast)
 
 from repro.errors import ControllerError, ProtocolError
+from repro.metrics import waves
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
@@ -422,8 +423,9 @@ class DistributedController(TreeListener):
         if self.terminate_on_exhaustion:
             if not self.terminated:
                 self.terminated = True
-                # Termination broadcast + upcast (Observation 2.1).
-                self.counters.broadcast_messages += 2 * self.tree.size
+                # Termination broadcast + convergecast (Observation 2.1).
+                self.counters.broadcast_messages += waves.termination(
+                    self.tree.size)
                 if self.tracer.enabled:
                     self.tracer.emit(self.scheduler.now, "terminated")
             agent.final_outcome = Outcome(OutcomeStatus.PENDING,

@@ -1,10 +1,11 @@
 """Distributed halving iterations (Theorem 4.7).
 
 The distributed equivalent of Observation 3.4: run terminating
-``(M_i, M_i/2)``-stages; when stage i terminates, count the unused
-permits L with a broadcast/upcast round (O(U) messages of O(log M)
-bits), reset the data structure with another broadcast, and start stage
-i+1 with ``M_{i+1} = L``.  After O(log(M/(W+1))) stages the final
+``(M_i, M_i/2)``-stages; when stage i terminates, the convergecast that
+confirms the termination (Observation 2.1) also counts the unused
+permits L (O(U) messages of O(log M) bits), one broadcast carries L out
+and resets the data structure, and stage i+1 starts with
+``M_{i+1} = L``.  After O(log(M/(W+1))) stages the final
 ``(L, W)``-stage runs with real rejects.  For W = 0 the final permits
 are served by the trivial root-walk controller (2·depth messages per
 request), as prescribed at the end of Section 4.4.1.
@@ -18,6 +19,7 @@ the stage boundary from the harness is faithful to the protocol.
 from typing import Callable, Iterable, List, Optional, Tuple, cast
 
 from repro.errors import ControllerError
+from repro.metrics import waves
 from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
@@ -157,9 +159,10 @@ class DistributedIteratedController:
         self.granted += stage.granted
         leftover = self.m - self.granted
         stage.detach()
-        # Count L (broadcast + upcast) and reset the data structure
-        # (broadcast): 3(n-1) messages.
-        self.counters.broadcast_messages += 3 * max(self.tree.size - 1, 0)
+        # L rode the convergecast that confirmed the stage's
+        # termination (Observation 2.1); one broadcast carries it out
+        # and resets the data structure.
+        self.counters.broadcast_messages += waves.broadcast(self.tree.size)
         if self._halving_stage:
             self._spawn_stage(leftover)
         elif self.w == 0:
@@ -187,7 +190,7 @@ class DistributedIteratedController:
             return Outcome(OutcomeStatus.GRANTED, request, new_node=new_node)
         self.rejecting = True
         self.rejected += 1
-        self.counters.reject_messages += self.tree.size
+        self.counters.reject_messages += waves.node_wave(self.tree.size)
         return Outcome(OutcomeStatus.REJECTED, request)
 
     def detach(self) -> None:

@@ -63,6 +63,7 @@ from repro.core.terminating import TerminatingController
 from repro.errors import ConfigError, ControllerError, FleetError, ProtocolError
 from repro.fleet.config import FleetConfig, ShardSpec
 from repro.fleet.rebalancer import REBALANCERS, TransferLedger
+from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.metrics.invariants import InvariantReport, audit_fleet
 from repro.protocol import BudgetSplit
@@ -297,7 +298,7 @@ class Shard:
         parked across a live tree costs a collection wave, the same
         price the terminating engine pays on its own termination.
         """
-        self.counters.reset_moves += self.tree.size
+        self.counters.reset_moves += waves.node_wave(self.tree.size)
         self.bank()
 
 

@@ -203,13 +203,6 @@ class GatewayTicket:
     def done(self) -> bool:
         return self._done
 
-    @property
-    def latency_wall(self) -> Optional[float]:
-        """Wall-clock submit-to-settle, in gateway clock units."""
-        if self.settle_wall is None:
-            return None
-        return self.settle_wall - self.submit_wall
-
     def _settle(self, verdict: SessionVerdict,
                 record: Optional[OutcomeRecord], wall: float) -> bool:
         """Resolve the ticket (caller holds the gateway lock); False

@@ -11,6 +11,10 @@ and pins:
 * at most :data:`HANDLE_BUDGET` calls per ``handle`` call inside it,
   not counting the tree's mutation methods and what they call (the
   granted event itself, and the listeners it notifies);
+* at most :data:`AROUND_BUDGET` calls per served request around
+  ``handle``: the surface's own frames, with rollovers and fundings
+  amortized.  The terminating controller adds none, since its
+  ``handle`` is its inner controller's own;
 * one ``Outbox.record`` per served request on both surfaces (the fleet
   calls its shard engines directly, so a fleet request has one record);
 * no ``MobilePackage`` and no ``DistributionPlan`` built: nothing is
@@ -45,6 +49,11 @@ from repro.workloads import (NodePicker, build_path, build_random_tree,
 
 #: Calls per ``handle`` call inside it, tree mutations excluded.
 HANDLE_BUDGET = 5
+#: Calls per served request inside ``serve`` but outside ``handle``.
+#: The app stamps and records (2.20 here); the fleet also routes and
+#: funds (5.04).  A terminating wrapper frame per request would make
+#: them 3.24 and 6.03.
+AROUND_BUDGET = {"app": 2.5, "fleet": 5.5}
 
 _REPRO = os.path.dirname(repro.__file__) + os.sep
 _MUTATIONS = frozenset(getattr(DynamicTree, name).__code__ for name in (
@@ -59,11 +68,15 @@ _BUILT = {MobilePackage.__init__.__code__: "MobilePackage",
 class CallCounter:
     """A ``sys.setprofile`` hook counting ``repro`` call events."""
 
-    def __init__(self) -> None:
+    def __init__(self, serve_code) -> None:
         self.handles = 0
         self.in_handle = Counter()
+        self.serves = 0
+        self.around = Counter()
         self.records = 0
         self.built = Counter()
+        self._serve_code = serve_code
+        self._serve_depth = 0
         self._handle_depth = 0
         self._mutation_depth = 0
 
@@ -72,6 +85,8 @@ class CallCounter:
         if event == "return":
             if code is _HANDLE:
                 self._handle_depth -= 1
+            elif code is self._serve_code:
+                self._serve_depth -= 1
             elif code in _MUTATIONS and self._mutation_depth:
                 self._mutation_depth -= 1
             return
@@ -84,18 +99,27 @@ class CallCounter:
         if code is _HANDLE:
             self._handle_depth += 1
             self.handles += 1
+        elif code is self._serve_code:
+            self._serve_depth += 1
+            self.serves += 1
         elif code in _MUTATIONS:
             self._mutation_depth += 1
-        elif (self._handle_depth and not self._mutation_depth
+        elif (not self._mutation_depth
               and code.co_filename.startswith(_REPRO)):
-            self.in_handle[code.co_name] += 1
+            if self._handle_depth:
+                self.in_handle[code.co_name] += 1
+            elif self._serve_depth:
+                self.around[code.co_name] += 1
 
     def per_handle(self) -> float:
         return sum(self.in_handle.values()) / self.handles
 
+    def around_per_serve(self) -> float:
+        return sum(self.around.values()) / self.serves
+
 
 def profiled(serve, requests) -> CallCounter:
-    counter = CallCounter()
+    counter = CallCounter(getattr(serve, "__func__", serve).__code__)
     sys.setprofile(counter)
     try:
         for request in requests:
@@ -118,10 +142,13 @@ def churn(tree: DynamicTree, steps: int, seed: int):
 
 
 def assert_within_budget(counter: CallCounter, served: int,
-                         granted: int) -> None:
+                         granted: int, surface: str) -> None:
     assert counter.handles >= granted  # every grant went through handle
     assert counter.per_handle() <= HANDLE_BUDGET, (
         counter.per_handle(), counter.in_handle.most_common(8))
+    assert counter.serves == served
+    assert counter.around_per_serve() <= AROUND_BUDGET[surface], (
+        counter.around_per_serve(), counter.around.most_common(8))
     assert counter.records == served
     assert not counter.built, counter.built
 
@@ -135,7 +162,7 @@ def test_an_app_grant_is_one_frame_and_one_record():
     assert app.tally()["granted"] == steps
     assert app.audit().passed
     app.close()
-    assert_within_budget(counter, steps, granted=steps)
+    assert_within_budget(counter, steps, granted=steps, surface="app")
 
 
 def test_a_fleet_grant_is_one_frame_and_one_record():
@@ -166,7 +193,8 @@ def test_a_fleet_grant_is_one_frame_and_one_record():
     assert tally["rejected"] == 100
     assert fleet.audit().passed
     fleet.close()
-    assert_within_budget(counter, steps, granted=steps - 100)
+    assert_within_budget(counter, steps, granted=steps - 100,
+                         surface="fleet")
 
 
 def test_the_counter_sees_the_general_path_build_and_park():

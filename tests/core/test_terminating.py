@@ -1,5 +1,8 @@
 """Tests for the terminating controller (Observation 2.1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ControllerError
@@ -57,6 +60,54 @@ def test_no_grant_after_termination():
     for _ in range(5):
         controller.submit(plain(tree.root))
     assert controller.granted == granted_at_termination
+
+
+def test_a_terminated_controller_queues_every_request():
+    """After termination every request comes back PENDING and is
+    queued: one the child's static pool could still serve (phi = 2),
+    one whose event lost its meaning, through ``handle``, ``submit``,
+    ``handle_batch`` and a ``handle`` read before termination."""
+    tree = DynamicTree()
+    child = tree.add_leaf(tree.root)
+    controller = TerminatingController(tree, m=4, w=8, u=2)
+    assert controller.inner.params.phi == 2
+    early_handle = controller.handle
+    assert controller.handle(plain(child)).granted  # child keeps 1
+    while not controller.terminated:
+        controller.handle(plain(tree.root))
+    granted, charged = controller.granted, controller.counters.total
+    queued = list(controller.pending)
+    late = []
+
+    def batch_of_one(request):
+        return controller.handle_batch([request])[0]
+
+    for serve in (controller.handle, controller.submit, batch_of_one,
+                  early_handle):
+        for request in (plain(child),
+                        Request(RequestKind.REMOVE_LEAF, tree.root)):
+            assert serve(request).status is OutcomeStatus.PENDING
+            late.append(request)
+    assert controller.granted == granted
+    assert controller.counters.total == charged  # terminated once
+    assert controller.pending == queued + late
+
+
+def test_a_terminated_controller_is_freed_by_reference_counting():
+    """The inner controller's termination hook holds its owner weakly:
+    a strong reference would leave every terminated iteration's
+    controller, stores and all, to the cyclic collector."""
+    tree = build_random_tree(10, seed=2)
+    gc.disable()
+    try:
+        controller = TerminatingController(tree, m=3, w=1, u=40)
+        while not controller.terminated:
+            controller.handle(plain(tree.root))
+        owner, inner = weakref.ref(controller), weakref.ref(controller.inner)
+        del controller
+        assert owner() is None and inner() is None
+    finally:
+        gc.enable()
 
 
 def test_termination_charges_broadcast_and_upcast():

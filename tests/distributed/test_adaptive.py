@@ -30,6 +30,22 @@ def test_epochs_roll_with_churn():
     tree.validate()
 
 
+def test_an_epoch_rollover_pays_the_termination_pair_and_one_broadcast():
+    """N_{i+1} and Y_i ride the convergecast that confirms the change
+    counter's termination (Observation 2.1): the epoch rollover adds
+    one broadcast to the termination pair, 2|T| + (n - 1) in all."""
+    tree = build_random_tree(20, seed=5)
+    controller = DistributedAdaptiveController(tree, m=5000, w=50)
+    counters = controller.counters
+    while controller.epochs_run == 1:
+        size, charged = tree.size, counters.broadcast_messages
+        assert charged == 0
+        outcome = controller.handle(Request(RequestKind.ADD_LEAF, tree.root))
+        assert outcome.granted
+    assert controller.epochs_run == 2
+    assert counters.broadcast_messages - charged == 2 * size + (size - 1)
+
+
 def test_safety():
     tree = build_random_tree(10, seed=3)
     controller = DistributedAdaptiveController(tree, m=80, w=10)

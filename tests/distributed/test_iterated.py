@@ -53,17 +53,28 @@ def test_dynamic_batches_across_stages():
     tree.validate()
 
 
-def test_stage_resets_are_charged():
-    tree = DynamicTree()
-    controller = DistributedIteratedController(tree, m=100, w=1, u=100)
-    controller.process(
-        [Request(RequestKind.PLAIN, tree.root) for _ in range(120)]
-    )
-    assert controller.stages_run >= 2
-    # broadcast_messages includes 2(n-1) per stage termination plus
-    # 3(n-1) per rollover; with n == 1 that is 0, so instead verify the
-    # stage count implies terminations happened.
-    assert controller.granted >= 99
+def test_a_stage_rollover_pays_the_termination_pair_and_one_broadcast():
+    """L rides the convergecast that confirms a stage's termination
+    (Observation 2.1): a stage rollover adds one broadcast to the
+    termination pair, 2|T| + (n - 1) in all.  PLAIN requests keep n
+    fixed; the first stage's phi = 5 static pools hold permits past
+    its termination, so a second halving stage runs."""
+    tree = build_random_tree(30, seed=4)
+    n = tree.size
+    controller = DistributedIteratedController(tree, m=600, w=1, u=30)
+    counters = controller.counters
+    rng = random.Random(2)
+    nodes = list(tree.nodes())
+    rollovers = 0
+    for _ in range(700):
+        stages, charged = controller.stages_run, counters.broadcast_messages
+        controller.handle(Request(RequestKind.PLAIN, rng.choice(nodes)))
+        rolled = controller.stages_run - stages
+        assert counters.broadcast_messages - charged == (
+            rolled * (2 * n + (n - 1)))
+        rollovers += rolled
+    assert rollovers >= 2
+    assert controller.granted == 600
 
 
 def test_process_returns_outcomes_by_input_position():

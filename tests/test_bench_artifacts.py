@@ -1,10 +1,11 @@
 """The committed bench artifacts regenerate exactly from the code.
 
-``BENCH_move_complexity.json`` and the synchronous (``iterated``) cells
-of ``BENCH_scenario_grid.json`` are exact protocol counts: moves,
-grants, rejects and cancellations of seeded streams.  Regenerating
-them here turns any change to what the protocol pays into a tier-1
-failure instead of a stale artifact.  Only wall-clock fields may move.
+``BENCH_move_complexity.json``, the synchronous (``iterated``) cells
+of ``BENCH_scenario_grid.json`` and ``BENCH_apps.json`` are exact
+protocol counts: moves, messages, grants, rejects and cancellations of
+seeded streams.  Regenerating them here turns any change to what the
+protocol pays into a tier-1 failure instead of a stale artifact.  Only
+wall-clock fields may move.
 
 The two runs cover both grant paths of the centralized controller:
 deep paths reach past ``2 psi`` and park packages (the kernel-planned
@@ -15,7 +16,8 @@ grant.
 import json
 import os
 
-from repro.bench.runner import run_move_complexity, run_scenario_grid
+from repro.bench.runner import (run_apps, run_move_complexity,
+                                run_scenario_grid)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,3 +57,14 @@ def test_the_grid_iterated_cells_regenerate():
                 if cell["engine"] == "iterated"]
     assert len(expected) == 25
     assert exact(document["cells"]) == exact(expected)
+
+
+def test_apps_bench_regenerates():
+    committed = load("BENCH_apps.json")
+    params = committed["params"]
+    document = run_apps(
+        apps=",".join(params["apps"]), sizes=params["sizes"],
+        steps_per_node=params["steps_per_node"], seed=params["seed"],
+        policies=",".join(params["policies"]), faults=params["faults"],
+        grid_n=params["grid_n"], grid_steps=params["grid_steps"])
+    assert exact(document) == exact(committed)
