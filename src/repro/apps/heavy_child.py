@@ -16,7 +16,6 @@ light-depth.
 import math
 from typing import ClassVar, Dict, List, Optional
 
-from repro.metrics import waves
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
@@ -32,8 +31,9 @@ class HeavyChildApp(SubtreeEstimatorApp):
     estimate change notifies the node's parent (one message), and each
     node points ``mu`` at the child with the largest reported
     estimate.  At iteration boundaries the estimates reset to fresh
-    ``omega_0`` values, so every ``mu`` pointer is refreshed
-    (piggybacking on the iteration's counting upcast).
+    ``omega_0`` values and every ``mu`` pointer is refreshed at no
+    charge of its own: the convergecast that counts ``N_i`` already
+    hands every parent each child's subtree count.
     """
 
     name: ClassVar[str] = "heavy_child"
@@ -49,9 +49,6 @@ class HeavyChildApp(SubtreeEstimatorApp):
     # ------------------------------------------------------------------
     def _on_iteration_start(self, n_i: int) -> None:
         super()._on_iteration_start(n_i)
-        # Refresh every mu pointer against the fresh omega_0 values
-        # (one extra message per node, on the counting upcast).
-        self.counters.reset_moves += waves.node_wave(self.tree.size)
         self._rebuild_all()
 
     def _observe_permits(self, node: TreeNode, permits: int) -> None:

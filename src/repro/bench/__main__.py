@@ -24,9 +24,8 @@ from repro.errors import ConfigError, InvariantViolation
 from repro.registry import CONTROLLER_FLAVORS
 from repro.sim.scheduler import SCHEDULE_POLICIES
 
-
-def _int_list(text: str):
-    return [int(part) for part in text.split(",") if part]
+#: The catalogue grid runner, reached as ``scenario --name``.
+_GRID = "scenario_grid"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("move_complexity",
                        help="Observation 3.4 move-complexity sweep on "
                             "deep paths")
-    p.add_argument("--sizes", type=_int_list, default=None)
+    p.add_argument("--sizes", default=None,
+                   help="path lengths, comma-separated (default: "
+                        "200,400,800,1600,3200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", **common_out)
 
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fault grid (invariant-audited)")
     p.add_argument("--apps", default="all",
                    help="app name(s), comma-separated, or 'all'")
-    p.add_argument("--sizes", type=_int_list, default=None,
+    p.add_argument("--sizes", default=None,
                    help="complexity sweep sizes (default: 100,200,400)")
     p.add_argument("--steps-per-node", type=int, default=3,
                    dest="steps_per_node")
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Claim 4.8 per-node memory audit under a "
                             "concurrent storm (raises if any node "
                             "exceeds the bound)")
-    p.add_argument("--sizes", type=_int_list, default=None,
+    p.add_argument("--sizes", default=None,
                    help="tree sizes (default: 100,400,1600)")
     p.add_argument("--stagger", type=float, default=0.25)
     p.add_argument("--out", **common_out)
@@ -191,12 +192,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         for name, fn in SCENARIOS.items():
+            if name == _GRID:
+                continue  # a mode of ``scenario``, not a command
             summary = (inspect.getdoc(fn) or "").splitlines()[0]
             print(f"{name:20s} {summary}")
         return 0
     command = args.command
     if command == "scenario" and getattr(args, "name", None):
-        command = "scenario_grid"
+        command = _GRID
     runner = SCENARIOS[command]
     accepted = set(inspect.signature(runner).parameters)
     kwargs = {k: v for k, v in vars(args).items()

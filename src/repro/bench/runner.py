@@ -45,7 +45,6 @@ from repro.service import (
     ControllerSpec,
     SessionConfig,
     drive_scenario,
-    replay_stream,
 )
 from repro.sim.scheduler import SCHEDULE_POLICIES
 from repro.workloads.catalogue import CATALOGUE, get_scenario
@@ -61,8 +60,6 @@ from repro.workloads.scenarios import (
     random_request,
     request_spec,
 )
-
-DEFAULT_SIZES = [200, 400, 800, 1600, 3200]  # path lengths of the sweep
 
 _TOPOLOGIES = {
     "path": build_path,
@@ -128,18 +125,20 @@ def _session(kind: str, tree, m: int, w: int, u: int, *,
 # ----------------------------------------------------------------------
 # move_complexity — the Observation 3.4 sweep on deep paths.
 # ----------------------------------------------------------------------
-def run_move_complexity(sizes: Optional[List[int]] = None,
+def run_move_complexity(sizes: str = "200,400,800,1600,3200",
                         seed: int = 0) -> Dict:
     """Observation 3.4 on deep paths: moves vs ``O(U log^2 U log(M/W))``.
 
-    Sweep the path length under the default churn mix and report
-    measured/bound ratios plus the log-log slope (near-linear growth
-    expected; ``tests/test_paper_claims.py`` gates both).
+    Sweep the path length (``sizes``, comma-separated) under the
+    default churn mix and report measured/bound ratios plus the log-log
+    slope (near-linear growth expected; ``tests/test_paper_claims.py``
+    gates both).
     """
-    sizes = sizes or DEFAULT_SIZES
+    size_list = _int_csv(sizes, "sizes")
+    _at_least_one(sizes=min(size_list))
     rows = []
     measured = []
-    for n in sizes:
+    for n in size_list:
         tree = build_path(n)
         u, m, w = 2 * n, 4 * n, n // 4
         session = _session("iterated", tree, m=m, w=w, u=u)
@@ -160,9 +159,9 @@ def run_move_complexity(sizes: Optional[List[int]] = None,
         })
     return {
         "scenario": "move_complexity",
-        "params": {"sizes": sizes, "seed": seed},
+        "params": {"sizes": size_list, "seed": seed},
         "rows": rows,
-        "log_log_slope": round(log_log_slope(sizes, measured), 4),
+        "log_log_slope": round(log_log_slope(size_list, measured), 4),
         "max_ratio": max(r["ratio"] for r in rows),
     }
 
@@ -175,6 +174,7 @@ def run_scenario_bench(topology: str = "random", controller: str = "iterated",
                        batch_size: int = 1, seed: int = 0,
                        m_factor: int = 4, w_divisor: int = 4) -> Dict:
     """Run one controller/topology/mix combination at a given scale."""
+    _at_least_one(steps=steps)
     tree = _build(topology, n, seed)
     u = 4 * n
     m = m_factor * n
@@ -522,7 +522,8 @@ def run_profile(scenario: str = "deep_burst", seed: int = 0,
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
-    records = replay_stream(session, requests, stagger=stagger)
+    session.submit_many(requests, stagger=stagger)
+    records = session.settle_all()
     profile.disable()
     wall = time.perf_counter() - start
     tally = _tally(r.outcome for r in records)
@@ -590,7 +591,7 @@ def _audit_boards(controller, audit: MemoryAudit,
                          _encoded_bits(board, log_n, log_u))
 
 
-def run_memory(sizes: Optional[List[int]] = None,
+def run_memory(sizes: str = "100,400,1600",
                stagger: float = 0.25) -> Dict:
     """Per-node memory vs the Claim 4.8 bound, audited at peak load.
 
@@ -604,9 +605,10 @@ def run_memory(sizes: Optional[List[int]] = None,
     would then be mis-stated); the JSON document records the per-size
     evidence.
     """
-    sizes = sizes or [100, 400, 1600]
+    size_list = _int_csv(sizes, "sizes")
+    _at_least_one(sizes=min(size_list))
     rows = []
-    for n in sizes:
+    for n in size_list:
         tree = build_random_tree(n, seed=n)
         u = 4 * n
         session = _session("distributed", tree, m=6 * n, w=n, u=u)
@@ -645,7 +647,7 @@ def run_memory(sizes: Optional[List[int]] = None,
     growth_ok = ratios[-1] <= 2.0 * max(ratios[0], 1e-6)
     document = {
         "scenario": "memory",
-        "params": {"sizes": sizes, "stagger": stagger},
+        "params": {"sizes": size_list, "stagger": stagger},
         "rows": rows,
         "worst_ratio": max(ratios),
         "within_bound": all(row["within_bound"] for row in rows),
@@ -803,7 +805,7 @@ def _drive_app_grid_cell(name: str, policy: str, faults: Optional[str],
     return cell
 
 
-def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
+def run_apps(apps: str = "all", sizes: str = "100,200,400",
              steps_per_node: int = 3, seed: int = 0,
              policies: str = "fifo,random,adversary",
              faults: str = "stall=0.05",
@@ -834,7 +836,9 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
         raise ConfigError(
             f"apps must list one or more app names (or 'all'): "
             f"{', '.join(APP_NAMES)}")
-    sizes = sizes or [100, 200, 400]
+    size_list = _int_csv(sizes, "sizes")
+    _at_least_one(sizes=min(size_list), steps_per_node=steps_per_node,
+                  grid_n=grid_n, grid_steps=grid_steps)
     policy_list = [p.strip() for p in policies.split(",") if p.strip()]
     if not policy_list:
         raise ConfigError(
@@ -847,7 +851,8 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
                 f"{', '.join(SCHEDULE_POLICIES)}")
     _fault_plan(faults)  # fail before the sweeps, not at the grid
 
-    complexity = [_drive_app_complexity(name, sizes, steps_per_node, seed)
+    complexity = [_drive_app_complexity(name, size_list, steps_per_node,
+                                        seed)
                   for name in names]
 
     grid_report = InvariantReport()
@@ -862,7 +867,7 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
     document = {
         "scenario": "apps",
         "params": {
-            "apps": names, "sizes": sizes,
+            "apps": names, "sizes": size_list,
             "steps_per_node": steps_per_node, "seed": seed,
             "policies": policy_list, "faults": faults,
             "grid_n": grid_n, "grid_steps": grid_steps,
@@ -1157,16 +1162,18 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
       :class:`~repro.service.session.ControllerSession` twin:
       tallies, move counters, and the verdict sequence must be
       bit-for-bit identical.
-    * **stress** — skewed-weight fleets driven through exhaustion:
-      must produce >= 1 cross-shard ``BudgetTransfer`` (including a
-      live-session ``reclaim`` at ``tranche=0``), end in a global reject
-      wave with fleet-level waste zero (granted == m_total before any
-      client reject), and audit clean.  At ``tranche > 0`` a shard
-      funds its live session instead of rolling it over, so no shard
-      of the tranche cell spawns more than 2 sessions (the funded one
-      and the mop-up), and a staged cell drives one shard to its wave
-      within both that and Observation 3.4's stage count of
-      ceil(log2(allocation / tranche)) + 2 sessions.
+    * **stress** — fleets driven through exhaustion, each auditing
+      clean.  The tranche cell (skewed weights) must produce >= 1
+      cross-shard ``BudgetTransfer`` and end in a global reject wave
+      with fleet-level waste zero (granted == m_total before any
+      client reject); a shard funds its live session instead of
+      rolling it over, so none spawns more than 2 sessions (the funded
+      one and the mop-up).  The reclaim cell parks permits below one
+      shard's root (one request at the foot of a 100-node path) and
+      starves its sibling until root loans run dry, so a live-session
+      ``reclaim`` must flow.  The staged cell drives one shard to its
+      wave within both 2 sessions and Observation 3.4's stage count of
+      ceil(log2(allocation / tranche)) + 2.
 
     Violations raise ``InvariantViolation`` with the JSON document
     attached (the bench CLI prints it before failing).
@@ -1264,11 +1271,17 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         f"stress cell: a shard spawned {most} sessions; a funded "
         "session and the mop-up need 2", sessions=most)
 
+    # A package served at the foot of a path parks permits in the
+    # static pools below shard 0's root, where no root loan reaches;
+    # shard 1 then borrows until only a drain can pay it.
+    parked_tree = build_path(100)
     reclaim = FleetRouter(FleetConfig.of(
-        shards=2, m_total=40, w_total=4, u=2048, weights=[39, 1],
-        seed=seed))
+        shards=2, m_total=40, w_total=1024, u=512, seed=seed),
+        trees=[parked_tree, build_path(1)])
+    foot = next(node for node in parked_tree.nodes() if node.is_leaf)
+    reclaim.serve(Request(RequestKind.PLAIN, foot))
     starved = reclaim.shards[1]
-    for _ in range(10):
+    for _ in range(reclaim.config.m_total - 1):
         reclaim.serve(Request(RequestKind.ADD_LEAF, starved.tree.root))
     reclaim_kinds = sorted({entry.kind
                             for entry in reclaim.ledger.entries})
@@ -1322,6 +1335,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
             "transfers": [e.snapshot() for e in reclaim.ledger.entries],
             "sessions_spawned": [s.sessions_spawned
                                  for s in reclaim.shards],
+            "moves": [s.counters.snapshot() for s in reclaim.shards],
         },
         "staged_cell": {
             "m_total": staged.config.m_total,

@@ -24,17 +24,11 @@ Quickstart::
         report = fleet.audit()                 # 0 violations or it says why
 """
 
-from repro.fleet.config import (PLACEMENT_POLICIES, REBALANCE_POLICIES,
-                                SHARD_FLAVORS, FleetConfig, ShardSpec, carve)
-from repro.fleet.rebalancer import (REBALANCERS, BudgetTransfer,
-                                    TransferLedger, plan_greedy,
-                                    plan_proportional)
+from repro.fleet.config import SHARD_FLAVORS, FleetConfig, ShardSpec, carve
+from repro.fleet.rebalancer import BudgetTransfer, TransferLedger, plan_greedy
 from repro.fleet.router import FleetRouter, Shard
 
 __all__ = [
-    "PLACEMENT_POLICIES",
-    "REBALANCE_POLICIES",
-    "REBALANCERS",
     "SHARD_FLAVORS",
     "BudgetTransfer",
     "FleetConfig",
@@ -44,5 +38,4 @@ __all__ = [
     "TransferLedger",
     "carve",
     "plan_greedy",
-    "plan_proportional",
 ]

@@ -21,11 +21,8 @@ Two frozen values describe a fleet:
   must be 0: the fleet owns the budget), and a ``weight`` that scales
   both its ring share and its slice of the carve;
 * :class:`FleetConfig` adds the global knobs — ``m_total``/``w_total``,
-  the ``tranche`` that floors each shard's funding stages, the
-  rebalance policy (greedy richest-sibling vs. proportional), the
-  placement policy
-  (pure ``hash`` vs. ``sticky`` locality), ring geometry, and the
-  fleet-level admission window.
+  the ``tranche`` that floors each funding stage of a shard's live
+  session, and the fleet-level admission window.
 
 Both validate eagerly in ``__post_init__`` (every mistake raises
 :class:`repro.errors.ConfigError` naming the valid choices) and
@@ -39,8 +36,6 @@ from repro.errors import ConfigError
 from repro.service.config import ControllerSpec, _require_int
 
 __all__ = [
-    "PLACEMENT_POLICIES",
-    "REBALANCE_POLICIES",
     "SHARD_FLAVORS",
     "FleetConfig",
     "ShardSpec",
@@ -55,22 +50,11 @@ __all__ = [
 #: budget is nearly spent — those are fleet-internal, not templates.)
 SHARD_FLAVORS: Tuple[str, ...] = ("terminating",)
 
-#: Rebalance policies plan live reclaims: ``greedy`` drains the richest
-#: sibling first, ``proportional`` spreads the need across all live
-#: siblings by their offers.
-REBALANCE_POLICIES: Tuple[str, ...] = ("greedy", "proportional")
-
-#: Placement policies: ``hash`` recomputes the ring for every origin,
-#: ``sticky`` pins an origin to its first placement (ring answer) for
-#: the fleet's lifetime.  Under a fixed ring the two agree; the sticky
-#: table is what makes the locality contract auditable.
-PLACEMENT_POLICIES: Tuple[str, ...] = ("hash", "sticky")
-
 
 #: FleetConfig fields that must hold an int (bools excluded), checked
 #: before any range check compares them.
 _INT_FIELDS: Tuple[str, ...] = ("m_total", "w_total", "tranche",
-                                 "ring_replicas", "max_in_flight", "seed")
+                                 "max_in_flight", "seed")
 
 
 def carve(total: int, weights: Sequence[int]) -> Tuple[int, ...]:
@@ -169,16 +153,8 @@ class FleetConfig:
         never less than ``tranche`` permits; a shard whose reserve
         falls below ``tranche`` borrows from its siblings.  The
         remainder stays in the shard's reserve (borrowable by siblings
-        without touching a live engine).  ``0`` issues each shard its
-        entire carve up front as one session per carve, with no
-        funding — required for the single-shard arm to be
-        bit-identical to a plain session.
-    rebalance / placement:
-        Policy names from :data:`REBALANCE_POLICIES` /
-        :data:`PLACEMENT_POLICIES`.
-    ring_replicas:
-        Virtual nodes per unit of shard weight on the consistent-hash
-        ring.
+        without touching a live engine).  At least 1; the default 1
+        leaves the root's shortfall as the only floor on a funding.
     max_in_flight:
         The fleet-level admission window (mirrors
         :attr:`~repro.service.config.SessionConfig.max_in_flight`; the
@@ -190,10 +166,7 @@ class FleetConfig:
     shards: Tuple[ShardSpec, ...]
     m_total: int
     w_total: int
-    tranche: int = 0
-    rebalance: str = "greedy"
-    placement: str = "sticky"
-    ring_replicas: int = 32
+    tranche: int = 1
     max_in_flight: int = 1024
     seed: int = 0
 
@@ -219,19 +192,8 @@ class FleetConfig:
                 f"w_total must cover >= 1 per shard ({len(self.shards)} "
                 f"shards; every terminating session needs w >= 1), "
                 f"got {self.w_total}")
-        if self.tranche < 0:
-            raise ConfigError(f"tranche must be >= 0, got {self.tranche}")
-        if self.rebalance not in REBALANCE_POLICIES:
-            raise ConfigError(
-                f"unknown rebalance policy {self.rebalance!r} "
-                f"(valid: {', '.join(REBALANCE_POLICIES)})")
-        if self.placement not in PLACEMENT_POLICIES:
-            raise ConfigError(
-                f"unknown placement policy {self.placement!r} "
-                f"(valid: {', '.join(PLACEMENT_POLICIES)})")
-        if self.ring_replicas < 1:
-            raise ConfigError(
-                f"ring_replicas must be >= 1, got {self.ring_replicas}")
+        if self.tranche < 1:
+            raise ConfigError(f"tranche must be >= 1, got {self.tranche}")
         if self.max_in_flight < 1:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
@@ -271,7 +233,8 @@ class FleetConfig:
 
         ``u`` is the per-shard node bound; ``weights`` (default: all 1)
         skews the carve and the ring; remaining keywords pass through
-        to :class:`FleetConfig` (``tranche=``, ``rebalance=``, ...).
+        to :class:`FleetConfig` (``tranche=``, ``max_in_flight=``,
+        ``seed=``).
         """
         _require_int("shards", shards)
         valid = [field.name for field in fields(FleetConfig)
@@ -306,8 +269,6 @@ class FleetConfig:
         return {
             "shards": [spec.snapshot() for spec in self.shards],
             "m_total": self.m_total, "w_total": self.w_total,
-            "tranche": self.tranche, "rebalance": self.rebalance,
-            "placement": self.placement,
-            "ring_replicas": self.ring_replicas,
+            "tranche": self.tranche,
             "max_in_flight": self.max_in_flight, "seed": self.seed,
         }

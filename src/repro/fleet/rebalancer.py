@@ -1,7 +1,7 @@
-"""Cross-shard permit rebalancing: the transfer ledger and policies.
+"""Cross-shard permit rebalancing: the transfer ledger and the planner.
 
-When a shard's live session terminates and its reserve is short of a
-``tranche`` (of its whole carve with ``tranche=0``), the router lends
+When a shard's reserve is short of a ``tranche`` (its live session
+needs funding, or a refill follows a termination), the router lends
 it half of each sibling's spare (reserve plus the unused permits of
 its live session), the lending side of the fleet's Observation 3.4
 halving stages.  Every permit that crosses a shard boundary is a :class:`BudgetTransfer` recorded in the
@@ -19,10 +19,11 @@ re-derives both sides from this ledger.
 
 Two donation sources exist, tagged on the transfer:
 
-* ``"reserve"`` — unissued permits sitting in a sibling's reserve; the
-  cheap path, no live engine is touched.  The receiver takes every
-  sibling's half-spare offer, as far as the sibling's reserve covers it;
-* ``"reclaim"`` — spare locked inside a sibling's *live* session, taken
+* ``"reserve"`` — permits from a sibling's reserve, topped up from its
+  live session's root storage (that session's M drops in place, with
+  no reset); no engine is drained.  The receiver takes every sibling's
+  half-spare offer, as far as those two cover it;
+* ``"reclaim"`` — spare parked below a sibling's *live* root, taken
   only when the receiver's reserve is still empty after the reserve
   loans.  The router gracefully drains that session (grants are
   banked, the leftover returns to the sibling's reserve — the same
@@ -31,24 +32,18 @@ Two donation sources exist, tagged on the transfer:
   drive waste to zero: a reject wave starts only when no permit remains
   unspent anywhere.
 
-Policies plan *which live sessions to reclaim, and how much from each*,
-over the siblings' half-spare offers (both deterministic):
-
-* ``greedy`` — drain the richest offer first (ties by name), then the
-  next; minimizes the number of sessions drained;
-* ``proportional`` — spread the need across all offers proportionally
-  (largest-remainder rounding); minimizes how lopsided donors end up.
+:func:`plan_greedy` plans *which live sessions to reclaim, and how much
+from each*, over the siblings' half-spare offers: the richest offer
+first (ties by name), which drains the fewest sessions.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
-    "REBALANCERS",
     "BudgetTransfer",
     "TransferLedger",
     "plan_greedy",
-    "plan_proportional",
 ]
 
 #: A rebalance plan: ``(donor_name, take)`` pairs, Σ take <= need.
@@ -62,8 +57,9 @@ Donors = Sequence[Tuple[str, int]]
 class BudgetTransfer:
     """One ledger entry: ``permits`` moved ``donor`` → ``receiver``.
 
-    ``kind`` is ``"reserve"`` (from the donor's unissued reserve) or
-    ``"reclaim"`` (recovered by draining the donor's live session).
+    ``kind`` is ``"reserve"`` (from the donor's reserve, topped up
+    from its live root storage) or ``"reclaim"`` (recovered by
+    draining the donor's live session).
     ``serial`` is the ledger position — strictly increasing, so the
     auditor can prove every borrowed permit was debited exactly once.
     """
@@ -123,45 +119,3 @@ def plan_greedy(need: int, donors: Donors) -> Plan:
         plan.append((name, take))
         need -= take
     return plan
-
-
-def plan_proportional(need: int, donors: Donors) -> Plan:
-    """Spread the need across donors proportionally to their spare.
-
-    Largest-remainder rounding (like the config carve), each take
-    capped at the donor's spare; any cap-induced shortfall is swept up
-    greedily so the plan always moves ``min(need, Σ spare)`` permits.
-    """
-    live = [(name, available) for name, available in donors if available > 0]
-    if not live or need <= 0:
-        return []
-    pool = sum(available for _, available in live)
-    goal = min(need, pool)
-    base = {name: goal * available // pool for name, available in live}
-    remainder = goal - sum(base.values())
-    order = sorted(live, key=lambda d: (-((goal * d[1]) % pool), d[0]))
-    for name, available in order[:remainder]:
-        base[name] += 1
-    # Cap at spare and sweep any shortfall (rounding may overshoot a
-    # small donor) from donors with headroom, richest first.
-    takes = {name: min(amount, dict(live)[name])
-             for name, amount in base.items()}
-    short = goal - sum(takes.values())
-    if short > 0:
-        for name, available in sorted(live, key=lambda d: (-d[1], d[0])):
-            if short <= 0:
-                break
-            headroom = available - takes[name]
-            if headroom > 0:
-                grab = min(short, headroom)
-                takes[name] += grab
-                short -= grab
-    return [(name, take) for name, take in sorted(takes.items())
-            if take > 0]
-
-
-#: Policy registry keyed by :data:`repro.fleet.config.REBALANCE_POLICIES`.
-REBALANCERS: Dict[str, Callable[[int, Donors], Plan]] = {
-    "greedy": plan_greedy,
-    "proportional": plan_proportional,
-}

@@ -11,10 +11,10 @@ over a consistent-hash ring of shard virtual nodes, or — when no origin
 is given — by *node ownership*: a node belongs to the shard whose tree
 made it (``TreeNode.tree``, read through a tree -> shard map; each
 shard has its own tree).  A removed node keeps its tree, so a late
-request for it still reaches the engine that answers CANCELLED.  The
-``sticky`` policy pins an origin to its first ring answer for the
-fleet's lifetime — the locality contract that keeps one client's
-requests on one shard — and every placement is recorded so
+request for it still reaches the engine that answers CANCELLED.  An
+origin is pinned to its first ring answer for the fleet's lifetime —
+the locality contract that keeps one client's requests on one shard —
+and every placement is recorded so
 :func:`~repro.metrics.invariants.audit_fleet` can replay the ring and
 prove determinism.
 
@@ -23,7 +23,7 @@ prove determinism.
 client-visible reject) against its carved slice of ``M_total``, in the
 halving stages of Observation 3.4: the first session takes half the
 slice and every later stage half of the shard's reserve, never less
-than ``tranche``.  With ``tranche > 0`` a stage *funds the live
+than ``tranche``.  A stage *funds the live
 session* instead of starting a new one: φ and ψ depend only on W and
 U, so a live (M, W) controller given k more root permits is exactly an
 (M + k, W) controller, and the session's root asks its shard for the
@@ -36,13 +36,12 @@ lending halves too: each sibling lends at most half its spare, from
 its reserve first and then from its live session's root storage (that
 session's M drops in place, again with no reset); only a shard left
 with nothing *reclaims* spare locked in a sibling's live session —
-with root loans, only spare parked below its root — by gracefully
+only spare parked below its root — by gracefully
 draining it.  A session terminates only when nothing can be funded;
 the shard then *banks* its grants and recovers the leftover into its
 reserve — the exact stage-rollover algebra of
-:class:`~repro.core.iterated.IteratedController` — and refills
-(``tranche=0`` issues the whole slice as one session, with no funding
-and no root loans).  Only when no permit remains unspent anywhere
+:class:`~repro.core.iterated.IteratedController` — and refills.
+Only when no permit remains unspent anywhere
 does the fleet enter its **reject wave**: the mop-up ``trivial``
 sessions answer exact (M, 0) rejects, so at the first client-visible
 REJECTED the fleet has granted its entire global budget — fleet-level
@@ -62,7 +61,7 @@ from repro.core.requests import Outcome, OutcomeStatus, Request
 from repro.core.terminating import TerminatingController
 from repro.errors import ConfigError, ControllerError, FleetError, ProtocolError
 from repro.fleet.config import FleetConfig, ShardSpec
-from repro.fleet.rebalancer import REBALANCERS, TransferLedger
+from repro.fleet.rebalancer import TransferLedger, plan_greedy
 from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.metrics.invariants import InvariantReport, audit_fleet
@@ -75,6 +74,9 @@ from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
 
 __all__ = ["FleetRouter", "Shard"]
+
+#: Virtual nodes per unit of shard weight on the consistent-hash ring.
+RING_REPLICAS = 32
 
 
 def _stage(pool: int, tranche: int) -> int:
@@ -120,7 +122,7 @@ class Shard:
     def __init__(self, index: int, spec: ShardSpec, allocation: int,
                  waste: int, *, tranche: int, seed: int,
                  tree: Optional[DynamicTree] = None,
-                 fund: Optional[Callable[[int], int]] = None) -> None:
+                 fund: Callable[[int], int]) -> None:
         self.index = index
         self.spec = spec
         self.name = spec.name
@@ -143,14 +145,12 @@ class Shard:
         self.last_granted = -1
         self._seed = seed
         self.session: Optional[ControllerSession] = None
-        #: The funding hook every terminating session gets (``None``
-        #: with ``tranche=0``), and the live one's controller, whose
-        #: root storage siblings borrow from.
+        #: The funding hook every terminating session gets, and the
+        #: live one's controller, whose root storage siblings borrow
+        #: from.
         self._fund = fund
         self._root: Optional[CentralizedController] = None
-        first = (allocation if tranche == 0
-                 else min(_stage(allocation, tranche), allocation))
-        self.spawn_terminating(first)
+        self.spawn_terminating(min(_stage(allocation, tranche), allocation))
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -216,10 +216,9 @@ class Shard:
         session = self._spawn(ControllerSpec(template.flavor, m=template.m,
                                              w=template.w, u=template.u,
                                              options=options), m_live)
-        if self._fund is not None:
-            root = cast(TerminatingController, session.controller).inner
-            root._fund = self._fund
-            self._root = root
+        root = cast(TerminatingController, session.controller).inner
+        root._fund = self._fund
+        self._root = root
 
     def spawn_trivial(self, m_live: int) -> None:
         """Mop-up mode: an exact (M, 0) engine over the whole reserve.
@@ -334,24 +333,21 @@ class FleetRouter:
             Shard(index, spec, m_shares[index], w_shares[index],
                   tranche=config.tranche, seed=config.seed,
                   tree=None if trees is None else trees[index],
-                  fund=(_funding_hook(self, index) if config.tranche
-                        else None))
+                  fund=_funding_hook(self, index))
             for index, spec in enumerate(config.shards)]
         self._by_name = {shard.name: shard for shard in self.shards}
         self.ledger = TransferLedger()
-        self._rebalance = REBALANCERS[config.rebalance]
 
-        # Consistent-hash ring: ``ring_replicas`` virtual nodes per
+        # Consistent-hash ring: ``RING_REPLICAS`` virtual nodes per
         # unit of shard weight, CRC32-placed (stable across processes,
         # unlike ``hash()``), ties broken by shard index.
         self._ring: List[Tuple[int, int]] = sorted(
             (crc32(f"{spec.name}#{vnode}".encode("utf-8")), index)
             for index, spec in enumerate(config.shards)
-            for vnode in range(config.ring_replicas * spec.weight))
-        #: Every origin ever placed -> shard index (the sticky table;
-        #: also the auditor's replay record under the hash policy).
+            for vnode in range(RING_REPLICAS * spec.weight))
+        #: Every origin ever placed -> its pinned shard index (also
+        #: the auditor's replay record).
         self.placements: Dict[str, int] = {}
-        self._sticky = config.placement == "sticky"
 
         # Node ownership: the shard whose tree made the node (a node
         # built by hand is tagged None, which no shard owns).
@@ -379,20 +375,14 @@ class FleetRouter:
         return self._ring[position][1]
 
     def place(self, origin: Any) -> int:
-        """Shard index for ``origin`` under the configured policy.
-
-        ``sticky`` pins the first answer for the fleet's lifetime;
-        ``hash`` recomputes every time (identical under a fixed ring).
-        Either way the placement is recorded for the determinism audit.
-        """
+        """Shard index for ``origin``: its first ring answer, pinned
+        for the fleet's lifetime and recorded for the determinism
+        audit."""
         key = str(origin)
         with self._lock:
-            pinned = self.placements.get(key)
-            if pinned is not None and self.config.placement == "sticky":
-                return pinned
-            index = self.ring_place(key)
-            if pinned is None:
-                self.placements[key] = index
+            index = self.placements.get(key)
+            if index is None:
+                index = self.placements[key] = self.ring_place(key)
             return index
 
     def tree_of(self, origin: Any) -> DynamicTree:
@@ -409,7 +399,7 @@ class FleetRouter:
         owner = self._shard_of.get(request.node.tree)
         if origin is not None:
             index = self.placements.get(str(origin))
-            if index is None or not self._sticky:
+            if index is None:
                 index = self.place(origin)
             if owner is not None and owner != index:
                 raise FleetError(
@@ -457,14 +447,14 @@ class FleetRouter:
         live session; it lends at most half, rounded up, and keeps the
         rest for its own next stages.  ``shard`` takes every offer a
         sibling can pay from its reserve and, for the rest, from its
-        live session's root storage (the session's M drops in place;
-        with ``tranche=0`` there is no such loan).  Either way it is
+        live session's root storage (the session's M drops in
+        place).  Either way it is
         one ``reserve`` transfer, so a shard carrying most of the
         traffic spends the fleet's leftover in halving stages, not
         ``tranche`` at a time.  Only a shard still holding nothing
-        *reclaims*: the configured policy picks the sibling live
+        *reclaims*: :func:`plan_greedy` picks the sibling live
         sessions to drain for ``need`` permits (their grants bank,
-        their leftover becomes reserve) — with root loans, that is
+        their leftover becomes reserve) — that is
         only spare parked below their roots.  Spending a few permits
         before draining a sibling keeps busy shards from draining each
         other in turn at the end of the budget.
@@ -486,7 +476,7 @@ class FleetRouter:
         # the donor's live spare.
         locked = [(name, offer) for name, offer in offers.items()
                   if offer > 0]
-        for name, take in self._rebalance(need, locked):
+        for name, take in plan_greedy(need, locked):
             donor = self._by_name[name]
             donor.reclaim()
             take = min(take, donor.reserve)
@@ -498,15 +488,12 @@ class FleetRouter:
 
         Runs when a session ended: exhausted with nothing left to fund
         it, or drained by a sibling.  A shard short of ``tranche``
-        (with ``tranche=0``: of its whole carve) borrows first.  The
-        stage then takes half the reserve, never less than
-        ``tranche``; with ``tranche=0`` it takes the whole carve back,
-        as one session.
+        borrows first.  The stage then takes half the reserve, never
+        less than ``tranche``.
         """
         tranche = self.config.tranche
-        floor = max(tranche or shard.allocation, 1)
-        if shard.reserve < floor:
-            self._borrow(shard, floor - shard.reserve)
+        if shard.reserve < tranche:
+            self._borrow(shard, tranche - shard.reserve)
         if shard.reserve == 0:
             # Global budget spent: an empty mop-up engine still answers
             # CANCELLED/REJECTED with exact semantics.
@@ -516,9 +503,8 @@ class FleetRouter:
             # below the needed package size) — grant the rest exactly.
             shard.spawn_trivial(shard.reserve)
         else:
-            stage = (_stage(shard.reserve, tranche) if tranche
-                     else shard.allocation)
-            shard.spawn_terminating(min(stage, shard.reserve))
+            shard.spawn_terminating(
+                min(_stage(shard.reserve, tranche), shard.reserve))
 
     def _fund(self, shard: Shard, shortfall: int) -> int:
         """Fund ``shard``'s live session: the body of its hook.

@@ -25,7 +25,7 @@ from repro.service.config import (
     ControllerSpec,
     SessionConfig,
 )
-from repro.service.driver import drive_scenario, replay_stream
+from repro.service.driver import drive_scenario
 from repro.service.envelopes import (
     IterationRecord,
     OutcomeRecord,
@@ -54,7 +54,6 @@ __all__ = [
     "TraceHandle",
     "verdict_of",
     "drive_scenario",
-    "replay_stream",
     "EVENT_DRIVEN_FLAVORS",
     "SCHEDULED_FLAVORS",
     "TRACED_FLAVORS",

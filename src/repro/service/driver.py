@@ -9,19 +9,13 @@ through a :class:`~repro.service.session.ControllerSession` —
 ``handle`` callable.  On the same seed and mix it produces the same
 tallies as the legacy driver did against the same flavour, which the
 equivalence property tests assert for every catalogue scenario.
-
-:func:`replay_stream` is the replay twin: it pushes a pre-generated
-request list (e.g. a catalogue scenario's stream resolved against a
-twin tree) through a session and returns the settled records in
-settlement order.
 """
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.core.requests import Outcome, Request, RequestKind
+from repro.core.requests import Outcome, RequestKind
 from repro.errors import ConfigError, ProtocolError
-from repro.service.envelopes import OutcomeRecord
 from repro.service.session import ControllerSession
 from repro.workloads.scenarios import (
     NodePicker,
@@ -92,15 +86,3 @@ def drive_scenario(session: ControllerSession, steps: int, seed: int = 0,
         picker.detach()
     return result
 
-
-def replay_stream(session: ControllerSession, requests: Iterable[Request],
-                  stagger: Optional[float] = None) -> List[OutcomeRecord]:
-    """Push a pre-generated request list through ``session``.
-
-    Submits everything up front (staggered arrivals on the event-driven
-    engine) and drains to quiescence; returns the records in settlement
-    order.  The caller sizes the admission window — replay harnesses
-    normally set ``max_in_flight >= len(requests)``.
-    """
-    session.submit_many(requests, stagger=stagger)
-    return session.settle_all()

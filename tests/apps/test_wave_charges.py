@@ -24,9 +24,11 @@ from repro.service.envelopes import IterationRecord
 from repro.workloads import NodePicker, build_random_tree, random_request
 
 #: Each app's own relabel at a rollover on ``n`` nodes: none, or the
-#: two DFS traversals of Section 5.2.
+#: two DFS traversals of Section 5.2.  The heavy-child refresh reads
+#: the subtree counts the counting convergecast already delivered.
 RELABEL = {"size_estimation": lambda n: 0,
-           "name_assignment": lambda n: 4 * (n - 1)}
+           "name_assignment": lambda n: 4 * (n - 1),
+           "heavy_child": lambda n: 0}
 
 
 def wave_charges(app) -> int:

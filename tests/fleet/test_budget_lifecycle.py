@@ -1,13 +1,12 @@
 """The fleet's budget lifecycle against a sequential permit counter.
 
 A Hypothesis state machine draws a fleet (1-4 shards over random
-trees of at most ``U`` nodes, weights 1-3, ``tranche`` 0-12 with most
-runs at 1 or more, either rebalance policy, a waste allowance that
-often passes 2U so packages carry several permits, a global budget
-that some runs exhaust) and serves PLAIN requests from random origins,
-so halving stages, fundings of a live session, reserve and
-root-storage loans, live reclaims of permits parked below a root and
-the reject wave interleave in every order the draws reach.  A
+trees of at most ``U`` nodes, weights 1-3, ``tranche`` 1-12, a waste
+allowance that often passes 2U so packages carry several permits, a
+global budget that some runs exhaust) and serves PLAIN requests from
+random origins, so halving stages, fundings of a live session,
+reserve and root-storage loans, live reclaims of permits parked below
+a root and the reject wave interleave in every order the draws reach.  A
 sequential model holding one permit counter predicts every verdict:
 while the counter is positive the fleet must grant (fleet waste is
 zero), and once it is spent the fleet must reject.  After every step
@@ -26,7 +25,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro import Request, RequestKind, SessionVerdict
-from repro.fleet import REBALANCE_POLICIES, FleetConfig, FleetRouter
+from repro.fleet import FleetConfig, FleetRouter
 from repro.workloads import build_random_tree
 
 pytestmark = pytest.mark.timeout(120)
@@ -39,19 +38,13 @@ GRANTED, REJECTED = SessionVerdict.GRANTED, SessionVerdict.REJECTED
 #: in static pools below the root, where no root loan reaches it.
 U = 8
 
-#: ``tranche`` 1-12, then 0 as the last choice: Hypothesis favours its
-#: first choices, and only ``tranche > 0`` funds a live session, so
-#: most runs fund (about 3 in 4) while ``0`` keeps the reclaim path.
-TRANCHES = st.integers(0, 12).map(lambda draw: (draw + 1) % 13)
-
 
 class BudgetLifecycleMachine(RuleBasedStateMachine):
 
     @initialize(data=st.data(), shards=st.integers(1, 4),
-                tranche=TRANCHES,
-                policy=st.sampled_from(REBALANCE_POLICIES),
+                tranche=st.integers(1, 12),
                 m_total=st.integers(0, 60), seed=st.integers(0, 99))
-    def build(self, data, shards, tranche, policy, m_total, seed):
+    def build(self, data, shards, tranche, m_total, seed):
         weights = data.draw(st.lists(st.integers(1, 3), min_size=shards,
                                      max_size=shards), label="weights")
         sizes = data.draw(st.lists(st.integers(1, U), min_size=shards,
@@ -62,8 +55,7 @@ class BudgetLifecycleMachine(RuleBasedStateMachine):
                  for index, size in enumerate(sizes)]
         self.fleet = FleetRouter(FleetConfig.of(
             shards=shards, m_total=m_total, w_total=w_total, u=U,
-            tranche=tranche, weights=weights, rebalance=policy,
-            seed=seed), trees=trees)
+            tranche=tranche, weights=weights, seed=seed), trees=trees)
         self.permits = m_total  # the sequential model's counter
 
     def teardown(self):

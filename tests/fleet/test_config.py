@@ -1,5 +1,7 @@
 """Fleet config validation and the budget carve."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError
@@ -57,12 +59,8 @@ def test_fleet_config_validates_eagerly():
         FleetConfig(shards=(specs[0], specs[0]), m_total=10, w_total=2)
     with pytest.raises(ConfigError, match="w_total"):
         FleetConfig(shards=specs, m_total=10, w_total=1)
-    with pytest.raises(ConfigError, match="rebalance"):
-        FleetConfig(shards=specs, m_total=10, w_total=2, rebalance="nope")
-    with pytest.raises(ConfigError, match="placement"):
-        FleetConfig(shards=specs, m_total=10, w_total=2, placement="nope")
-    with pytest.raises(ConfigError, match="tranche"):
-        FleetConfig(shards=specs, m_total=10, w_total=2, tranche=-1)
+    with pytest.raises(ConfigError, match="tranche must be >= 1, got 0"):
+        FleetConfig(shards=specs, m_total=10, w_total=2, tranche=0)
     with pytest.raises(ConfigError, match="max_in_flight"):
         FleetConfig(shards=specs, m_total=10, w_total=2, max_in_flight=0)
 
@@ -80,11 +78,12 @@ def test_budget_and_waste_shares_conserve():
 
 def test_of_builds_uniform_fleet_and_snapshot_roundtrips():
     config = FleetConfig.of(shards=3, m_total=60, w_total=6, u=512,
-                            tranche=5, rebalance="proportional")
+                            tranche=5)
     assert [spec.name for spec in config.shards] == [
         "shard-0", "shard-1", "shard-2"]
     snap = config.snapshot()
-    assert snap["m_total"] == 60 and snap["rebalance"] == "proportional"
+    assert sorted(snap) == sorted(field.name for field in fields(config))
+    assert snap["m_total"] == 60 and snap["tranche"] == 5
     assert len(snap["shards"]) == 3
     with pytest.raises(ConfigError):
         FleetConfig.of(shards=0, m_total=1, w_total=1, u=8)
@@ -96,7 +95,6 @@ def test_of_builds_uniform_fleet_and_snapshot_roundtrips():
     ("m_total", 1.5), ("m_total", True),
     ("w_total", "4"), ("w_total", True),
     ("tranche", 2.5), ("tranche", None),
-    ("ring_replicas", 1.5), ("ring_replicas", True),
     ("max_in_flight", "8"), ("max_in_flight", True),
     ("seed", 1.5), ("seed", False),
     ("shards", "2"), ("shards", True),
@@ -131,9 +129,18 @@ def test_fleet_config_rejects_malformed_shard_inputs():
         FleetConfig.of(shards=2, m_total=10, w_total=4, u="64")
 
 
+def test_fleet_config_fields_are_the_budget_and_the_window():
+    assert [field.name for field in fields(FleetConfig)] == [
+        "shards", "m_total", "w_total", "tranche", "max_in_flight", "seed"]
+    assert FleetConfig.of(shards=2, m_total=10, w_total=4,
+                          u=64).tranche == 1
+
+
 def test_fleet_config_of_rejects_unknown_knobs_naming_the_valid_ones():
-    with pytest.raises(ConfigError, match="bogus") as info:
-        FleetConfig.of(shards=2, m_total=10, w_total=4, u=64, bogus=1)
-    for knob in ("tranche", "rebalance", "placement", "ring_replicas",
-                 "max_in_flight", "seed"):
-        assert knob in str(info.value)
+    for knob in ("bogus", "placement", "rebalance", "ring_replicas"):
+        with pytest.raises(ConfigError, match=f"unknown FleetConfig "
+                           f"knob.*{knob}") as info:
+            FleetConfig.of(shards=2, m_total=10, w_total=4, u=64,
+                           **{knob: 1})
+        assert str(info.value).endswith(
+            "(valid: tranche, max_in_flight, seed)")

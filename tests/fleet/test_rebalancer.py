@@ -1,8 +1,8 @@
-"""Transfer-ledger bookkeeping and the rebalance planners."""
+"""Transfer-ledger bookkeeping and the reclaim planner."""
 
 import pytest
 
-from repro.fleet import TransferLedger, plan_greedy, plan_proportional
+from repro.fleet import TransferLedger, plan_greedy
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -30,26 +30,10 @@ def test_greedy_drains_richest_first():
     assert plan_greedy(100, donors) == [("b", 10), ("c", 5), ("a", 3)]
 
 
-def test_proportional_spreads_by_spare():
-    donors = [("a", 10), ("b", 10)]
-    assert sorted(plan_proportional(6, donors)) == [("a", 3), ("b", 3)]
-    # Proportionality: the bigger donor gives more.
-    plan = dict(plan_proportional(6, [("a", 20), ("b", 4)]))
-    assert plan["a"] > plan["b"]
-    # Conservation: exactly min(need, pool) moves.
-    for need in (1, 7, 24, 100):
-        plan = plan_proportional(need, [("a", 9), ("b", 3), ("c", 12)])
-        assert sum(take for _, take in plan) == min(need, 24)
-        assert all(take > 0 for _, take in plan)
-    assert plan_proportional(5, []) == []
-    assert plan_proportional(0, donors) == []
-
-
 def test_planners_never_exceed_spare():
     donors = [("a", 2), ("b", 1), ("c", 7)]
-    for planner in (plan_greedy, plan_proportional):
-        for need in range(0, 15):
-            plan = planner(need, donors)
-            spare = dict(donors)
-            for name, take in plan:
-                assert 0 < take <= spare[name]
+    for need in range(0, 15):
+        plan = plan_greedy(need, donors)
+        spare = dict(donors)
+        for name, take in plan:
+            assert 0 < take <= spare[name]

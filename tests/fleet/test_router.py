@@ -12,8 +12,9 @@ from repro.fleet import FleetConfig, FleetRouter
 from repro.service import ControllerSession, SessionConfig
 from repro.service.config import ControllerSpec
 from repro.workloads.catalogue import get_scenario
-from repro.workloads.scenarios import (TreeMirror, build_random_tree,
-                                       request_spec)
+from repro.tree.dynamic_tree import DynamicTree
+from repro.workloads.scenarios import (TreeMirror, build_path,
+                                       build_random_tree, request_spec)
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -48,16 +49,6 @@ def test_placement_is_deterministic_and_sticky():
     fleet.close(), twin.close()
 
 
-def test_hash_and_sticky_policies_agree_under_fixed_ring():
-    sticky = FleetRouter(FleetConfig.of(shards=3, m_total=90, w_total=6,
-                                        u=512, placement="sticky"))
-    hashed = FleetRouter(FleetConfig.of(shards=3, m_total=90, w_total=6,
-                                        u=512, placement="hash"))
-    for i in range(40):
-        assert sticky.place(f"o{i}") == hashed.place(f"o{i}")
-    sticky.close(), hashed.close()
-
-
 def test_node_ownership_routes_without_origin():
     config = FleetConfig.of(shards=2, m_total=100, w_total=4, u=512)
     fleet = FleetRouter(config)
@@ -72,7 +63,6 @@ def test_node_ownership_routes_without_origin():
 
 
 def test_foreign_node_and_cross_shard_origin_are_rejected_eagerly():
-    from repro.tree.dynamic_tree import DynamicTree
     config = FleetConfig.of(shards=2, m_total=100, w_total=4, u=512)
     fleet = FleetRouter(config)
     foreign = DynamicTree()
@@ -108,10 +98,9 @@ def test_removed_node_tombstone_routes_to_cancel():
 def test_a_tree_given_to_two_shards_is_a_config_error():
     """Routing reads a node's tree, so each shard needs its own: one
     tree on two shards is rejected before any shard is built on it."""
-    from repro.tree.dynamic_tree import DynamicTree
     tree = DynamicTree()
     config = FleetConfig.of(shards=2, m_total=40, w_total=4, u=200,
-                            tranche=0, seed=0)
+                            seed=0)
     names = [spec.name for spec in config.shards]
     with pytest.raises(ConfigError, match=f"{names[0]!r} and {names[1]!r}"):
         FleetRouter(config, trees=[tree, tree])
@@ -139,19 +128,19 @@ def test_tranche_rollover_borrows_from_siblings():
     fleet.close()
 
 
-@pytest.mark.parametrize("policy", ["greedy", "proportional"])
-def test_fleet_waste_is_zero_at_reject_wave(policy):
+def test_fleet_waste_is_zero_at_reject_wave():
     """The fleet rejects only once the global budget is fully granted:
     clawback recovers every unspent permit before the wave starts."""
     config = FleetConfig.of(shards=3, m_total=45, w_total=9, u=2048,
-                            tranche=6, rebalance=policy)
-    fleet = FleetRouter(config)
-    drive(fleet, 150, seed=policy == "greedy")
-    assert fleet.granted_total == config.m_total
-    assert fleet.tally()["rejected"] > 0
-    report = fleet.audit()
-    assert report.passed, report.violations[:3]
-    fleet.close()
+                            tranche=6)
+    for seed in (0, 1):
+        fleet = FleetRouter(config)
+        drive(fleet, 150, seed=seed)
+        assert fleet.granted_total == config.m_total
+        assert fleet.tally()["rejected"] > 0
+        report = fleet.audit()
+        assert report.passed, report.violations[:3]
+        fleet.close()
 
 
 @pytest.mark.parametrize("m_total,tranche", [(1000, 10), (999, 3),
@@ -266,7 +255,7 @@ def test_a_sibling_lends_at_most_half_its_spare_at_a_time():
         assert busy.sessions_spawned <= 2
 
 
-def _skewed_fleet_run(policy):
+def _skewed_fleet_run():
     """Four shards over random trees of 40; 32 sticky clients place
     unevenly, so one shard carries about half the traffic and borrows
     most of its siblings' slices; 2,400 requests against a budget of
@@ -274,7 +263,7 @@ def _skewed_fleet_run(policy):
     trees = [build_random_tree(40, seed=5 + index) for index in range(4)]
     fleet = FleetRouter(FleetConfig.of(
         shards=4, m_total=2000, w_total=16, u=4 * (2400 + 160),
-        tranche=10, rebalance=policy, seed=5), trees=trees)
+        tranche=10, seed=5), trees=trees)
     rng = random.Random(5)
     for _ in range(2400):
         client = f"client-{rng.randrange(32)}"
@@ -288,30 +277,38 @@ def _skewed_fleet_run(policy):
     return books
 
 
-@pytest.mark.parametrize("policy", ["greedy", "proportional"])
-def test_halving_halves_the_counted_reset_cost(policy):
+def test_halving_halves_the_counted_reset_cost():
     """Fixed tranche-sized sessions charged 85,122 reset moves on this
-    stream under either policy (35.5 per request); the halving stages
-    and loans must charge at most half.  The counts are exact, so two
-    runs agree move for move."""
-    books = _skewed_fleet_run(policy)
-    assert books == _skewed_fleet_run(policy)
+    stream (35.5 per request); the halving stages and loans must charge
+    at most half.  The counts are exact, so two runs agree move for
+    move."""
+    books = _skewed_fleet_run()
+    assert books == _skewed_fleet_run()
     reset_moves = sum(shard["moves"]["reset_moves"] for shard in books)
     assert reset_moves <= 85_122 / 2
 
 
 def test_reclaim_transfers_drain_live_siblings():
-    # Shard 1 gets nearly nothing; all load lands on it, so it must
-    # reclaim spare locked inside shard 0's live session.
-    config = FleetConfig.of(shards=2, m_total=40, w_total=4, u=2048,
-                            weights=[39, 1])
-    fleet = FleetRouter(config)
+    """One request at the foot of a path parks permits in the static
+    pools below shard 0's root, where no root loan reaches.  All later
+    load lands on shard 1, which borrows in halving reserve loans until
+    shard 0's root storage is spent; its last permit comes from
+    draining shard 0's live session."""
+    parked = build_path(100)
+    config = FleetConfig.of(shards=2, m_total=40, w_total=1024, u=512)
+    fleet = FleetRouter(config, trees=[parked, DynamicTree()])
+    foot = next(node for node in parked.nodes() if node.is_leaf)
+    assert fleet.serve(Request(RequestKind.PLAIN, foot)).outcome.granted
     starved = fleet.shards[1]
-    for _ in range(10):
+    for _ in range(config.m_total - 1):
         fleet.serve(Request(RequestKind.ADD_LEAF, starved.tree.root))
-    kinds = {entry.kind for entry in fleet.ledger.entries}
-    assert "reclaim" in kinds
-    assert starved.granted == 10
+    assert [(entry.kind, entry.permits)
+            for entry in fleet.ledger.entries] == [
+        ("reserve", 10), ("reserve", 5), ("reserve", 2), ("reserve", 1),
+        ("reclaim", 1)]
+    assert starved.granted == config.m_total - 1
+    assert fleet.granted_total == config.m_total
+    assert fleet.shards[0].session is None  # drained, not yet refilled
     assert fleet.audit().passed
     fleet.close()
 

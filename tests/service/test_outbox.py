@@ -324,8 +324,8 @@ SURFACES = {
         AppSpec("size_estimation", flavor="distributed")),
     "fleet": lambda: FleetRouter(
         FleetConfig.of(shards=2, m_total=50, w_total=2, u=100)),
-    # tranche > 0: every terminating shard session carries the funding
-    # hook back into the router.
+    # A tranche above the default: fundings exceed the root's
+    # shortfall, through the same hook back into the router.
     "fleet-funded": lambda: FleetRouter(
         FleetConfig.of(shards=2, m_total=50, w_total=2, u=100, tranche=2)),
 }

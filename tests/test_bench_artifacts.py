@@ -1,11 +1,12 @@
 """The committed bench artifacts regenerate exactly from the code.
 
 ``BENCH_move_complexity.json``, the synchronous (``iterated``) cells
-of ``BENCH_scenario_grid.json`` and ``BENCH_apps.json`` are exact
-protocol counts: moves, messages, grants, rejects and cancellations of
-seeded streams.  Regenerating them here turns any change to what the
-protocol pays into a tier-1 failure instead of a stale artifact.  Only
-wall-clock fields may move.
+of ``BENCH_scenario_grid.json``, ``BENCH_apps.json`` and
+``BENCH_fleet.json`` are exact protocol counts: moves, messages,
+grants, rejects and cancellations of seeded streams, and the fleet's
+transfers and sessions.  Regenerating them here turns any change to
+what the protocol or the fleet lifecycle pays into a tier-1 failure
+instead of a stale artifact.  Only wall-clock fields may move.
 
 The two runs cover both grant paths of the centralized controller:
 deep paths reach past ``2 psi`` and park packages (the kernel-planned
@@ -16,7 +17,7 @@ grant.
 import json
 import os
 
-from repro.bench.runner import (run_apps, run_move_complexity,
+from repro.bench.runner import (run_apps, run_fleet, run_move_complexity,
                                 run_scenario_grid)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,8 +64,13 @@ def test_apps_bench_regenerates():
     committed = load("BENCH_apps.json")
     params = committed["params"]
     document = run_apps(
-        apps=",".join(params["apps"]), sizes=params["sizes"],
+        apps=",".join(params["apps"]),
+        sizes=",".join(str(size) for size in params["sizes"]),
         steps_per_node=params["steps_per_node"], seed=params["seed"],
         policies=",".join(params["policies"]), faults=params["faults"],
         grid_n=params["grid_n"], grid_steps=params["grid_steps"])
     assert exact(document) == exact(committed)
+
+
+def test_fleet_bench_regenerates():
+    assert exact(run_fleet()) == exact(load("BENCH_fleet.json"))

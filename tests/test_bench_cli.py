@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.bench import SCENARIOS, run_scenario_bench
-from repro.bench.__main__ import main
+from repro.bench.__main__ import build_parser, main
 
 
 def test_registry_names():
@@ -56,7 +56,7 @@ def test_apps_bench_shape_and_equivalence():
     ``tests/apps/test_app_equivalence.py``.)"""
     from repro.bench import run_apps
     result = run_apps(apps="size_estimation,name_assignment",
-                      sizes=[48, 96], steps_per_node=2,
+                      sizes="48,96", steps_per_node=2,
                       policies="fifo,random", faults="stall=0.05",
                       grid_n=20, grid_steps=40)
     json.dumps(result)
@@ -104,7 +104,7 @@ def test_fleet_bench_shape_and_audit():
     for cell in ("tranche_cell", "reclaim_cell"):
         sessions = stress[cell]["sessions_spawned"]
         assert len(sessions) == 2 and all(n >= 1 for n in sessions)
-    # tranche > 0: the hot shard funds one live session, then mops up.
+    # The hot shard funds one live session, then mops up.
     assert max(stress["tranche_cell"]["sessions_spawned"]) <= 2
     staged = stress["staged_cell"]
     assert staged["tranche"] > 0 and staged["reject_wave"] is True
@@ -130,9 +130,13 @@ def test_cli_list_and_run(tmp_path):
     env_cmd = [sys.executable, "-m", "repro.bench"]
     listing = subprocess.run(env_cmd + ["list"], capture_output=True,
                              text=True, check=True, env=env)
-    assert [line.split()[0] for line in listing.stdout.splitlines()] == [
-        "move_complexity", "scenario", "scenario_grid", "profile",
-        "memory", "apps", "gateway", "fleet"]
+    names = [line.split()[0] for line in listing.stdout.splitlines()]
+    assert names == ["move_complexity", "scenario", "profile", "memory",
+                     "apps", "gateway", "fleet"]
+    # Every listed name is a command (the grid is ``scenario --name``).
+    parser = build_parser()
+    for name in names:
+        assert parser.parse_args([name]).command == name
     out = tmp_path / "bench.json"
     run = subprocess.run(
         env_cmd + ["scenario", "--n", "60", "--steps", "120",
@@ -167,6 +171,20 @@ def test_cli_reports_config_errors_like_argparse(capsys):
       "--engines", "distributed"], "fifo, random"),
     (["apps", "--apps", "size_estimation", "--sizes", "8",
       "--policies", ""], "fifo, random"),
+    (["move_complexity", "--sizes", ""], "comma-separated"),
+    (["move_complexity", "--sizes", ","], "comma-separated"),
+    (["move_complexity", "--sizes", "a"], "comma-separated"),
+    (["memory", "--sizes", "0,100"], "sizes must be >= 1"),
+    (["apps", "--sizes", "0", "--grid-n", "0", "--grid-steps", "0"],
+     "sizes must be >= 1"),
+    # Counts below 1 would run nothing, or report a negative rate.
+    (["scenario", "--steps", "-3"], "steps must be >= 1"),
+    (["apps", "--apps", "size_estimation", "--sizes", "8",
+      "--steps-per-node", "0"], "steps_per_node must be >= 1"),
+    (["apps", "--apps", "size_estimation", "--sizes", "8",
+      "--grid-n", "0"], "grid_n must be >= 1"),
+    (["apps", "--apps", "size_estimation", "--sizes", "8",
+      "--grid-steps", "0"], "grid_steps must be >= 1"),
 ])
 def test_cli_reports_bad_input_like_argparse(capsys, argv, names):
     """Malformed or empty values print one ``error:`` line naming the
