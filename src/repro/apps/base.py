@@ -33,9 +33,9 @@ Subclasses implement three hooks: :meth:`_iteration_contract` (the
 per-iteration (M, W, U) plus controller options such as interval mode
 or the permit-flow observer), :meth:`_on_iteration_start` (broadcasts,
 estimate refreshes, relabels — chained via ``super()``), and
-:meth:`_after_outcome` (id bookkeeping, tallies).  The legacy
-``*Protocol`` classes remain as deprecated shims; the per-seed
-equivalence of the two paths is property-tested.
+:meth:`_after_outcome` (id bookkeeping, tallies).  Every app is an
+``AppSession`` built by :func:`repro.apps.make_app`; 2.0 removed the
+legacy ``*Protocol`` classes.
 """
 
 from collections import deque

@@ -11,18 +11,22 @@ message count); each node points ``mu`` at the child with the largest
 reported estimate.  The β²-sandwich then forces every light child ``u``
 of ``v`` to satisfy ``SW(u) <= (3/4) SW(v)``, giving the logarithmic
 light-depth.
+
+The app's own tree hooks keep the ``mu`` pointers well formed; the
+super-weights the bound speaks of are checked from outside through
+:class:`repro.apps.subtree_estimator.SuperWeights`.
 """
 
 import math
 from typing import ClassVar, Dict, List, Optional
 
 from repro.service.appspec import AppSpec
-from repro.tree.dynamic_tree import DynamicTree
+from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 from repro.apps.subtree_estimator import SubtreeEstimatorApp
 
 
-class HeavyChildApp(SubtreeEstimatorApp):
+class HeavyChildApp(SubtreeEstimatorApp, TreeListener):
     """Heavy-child decomposition behind the app-session API.
 
     Heavy-child decomposition (Theorem
@@ -43,6 +47,7 @@ class HeavyChildApp(SubtreeEstimatorApp):
                  tree: Optional[DynamicTree] = None) -> None:
         self._mu: Dict[TreeNode, TreeNode] = {}
         super().__init__(spec, tree)
+        self.tree.add_listener(self)
 
     # ------------------------------------------------------------------
     # Iteration hooks.
@@ -119,10 +124,9 @@ class HeavyChildApp(SubtreeEstimatorApp):
             self._recompute_mu(node)
 
     # ------------------------------------------------------------------
-    # Topology events: ground truth (super) plus mu well-formedness.
+    # Topology events: mu well-formedness.
     # ------------------------------------------------------------------
     def on_add_leaf(self, node: TreeNode) -> None:
-        super().on_add_leaf(node)
         parent = node.parent
         if parent is not None and parent not in self._mu:
             self._mu[parent] = node
@@ -130,7 +134,6 @@ class HeavyChildApp(SubtreeEstimatorApp):
 
     def on_add_internal(self, node: TreeNode, parent: TreeNode,
                         child: TreeNode) -> None:
-        super().on_add_internal(node, parent, child)
         # The new node adopts the child as its (only) heavy child; the
         # parent's pointer is refreshed if it pointed at the child.
         self._mu[node] = child
@@ -139,14 +142,21 @@ class HeavyChildApp(SubtreeEstimatorApp):
         self._estimate_changed(node)
 
     def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        super().on_remove_leaf(node, parent)
         self._mu.pop(node, None)
         if self._mu.get(parent) is node:
             self._recompute_mu(parent)
 
     def on_remove_internal(self, node: TreeNode, parent: TreeNode,
                            children: List[TreeNode]) -> None:
-        super().on_remove_internal(node, parent, children)
         self._mu.pop(node, None)
         if self._mu.get(parent) is node or self._mu.get(parent) is None:
             self._recompute_mu(parent)
+
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Idempotent: the tree listener is removed with discard
+        semantics, so a second close/detach is a no-op."""
+        self.tree.remove_listener(self)
+        super().close()

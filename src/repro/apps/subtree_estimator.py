@@ -20,17 +20,22 @@ via the ``permit_flow_observer`` hook; it adds **zero** extra messages
 for monitoring (nodes watch traffic already passing through them), and
 the parent-notification messages of the heavy-child layer are counted
 there.
+
+The exact ``SW`` itself is no node's knowledge, so the app keeps none:
+:class:`SuperWeights` maintains it as a tree listener that tests and
+the apps bench attach from outside, to check the estimates against.
 """
 
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
+from repro.apps.base import AppSession
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 from repro.apps.size_estimation import SizeEstimationApp
 
 
-class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
+class SubtreeEstimatorApp(SizeEstimationApp):
     """β-approximate super-weights behind the app-session API.
 
     Subtree super-weight estimation (Lemma 5.3): the
@@ -47,11 +52,7 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
                  tree: Optional[DynamicTree] = None) -> None:
         self._omega0: Dict[TreeNode, int] = {}
         self._passed: Dict[TreeNode, int] = {}
-        # Ground truth for tests: descendants ever existing this
-        # iteration, maintained exactly (analysis-only, costs nothing).
-        self._true_sw: Dict[TreeNode, int] = {}
         super().__init__(spec, tree)
-        self.tree.add_listener(self)
 
     # ------------------------------------------------------------------
     # Iteration hooks.
@@ -68,7 +69,6 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
         # children's reports in the convergecast that counted N_i.
         self._omega0.clear()
         self._passed.clear()
-        self._true_sw.clear()
         self._compute_subtree_sizes()
 
     def _compute_subtree_sizes(self) -> None:
@@ -77,7 +77,6 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
         for node in reversed(order):
             total = 1 + sum(self._omega0.get(c, 0) for c in node.children)
             self._omega0[node] = total
-            self._true_sw[node] = total
 
     # ------------------------------------------------------------------
     # Permit-flow monitoring.
@@ -92,42 +91,72 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
         """``omega_tilde(node)``: the node's super-weight estimate."""
         return self._omega0.get(node, 1) + self._passed.get(node, 0)
 
-    def true_super_weight(self, node: TreeNode) -> int:
-        """Exact SW (test oracle; not available to the protocol)."""
-        return self._true_sw.get(node, 1)
 
-    # ------------------------------------------------------------------
-    # Ground-truth maintenance (test oracle only).
-    # ------------------------------------------------------------------
-    def _bump_ancestors(self, start: Optional[TreeNode]) -> None:
-        current = start
+class SuperWeights(TreeListener):
+    """The exact super-weights ``SW(u)`` of an app's live iteration.
+
+    No node can observe SW, so this is a ground truth for tests and
+    benches, fed from outside the app: build it before serving, read
+    :meth:`of`, and :meth:`detach` it when done.  It reads only the
+    tree and ``app.iterations_run``.  A changed iteration count means
+    a rollover happened, and every mutation since would have fired a
+    hook here, so only the mutation whose hook is running can follow
+    it.  The weights then restart from the live subtree sizes; if that
+    mutation is a removal, the removed node is added back to each of
+    its ancestors.
+    """
+
+    def __init__(self, app: AppSession) -> None:
+        self._app = app
+        self._weights: Dict[TreeNode, int] = {}
+        self._iteration = -1
+        self._rolled()
+        app.tree.add_listener(self)
+
+    def _rolled(self) -> bool:
+        """Restart at a rollover; True if it did."""
+        if self._app.iterations_run == self._iteration:
+            return False
+        self._iteration = self._app.iterations_run
+        weights = self._weights
+        weights.clear()
+        for node in reversed(list(self._app.tree.nodes())):
+            weights[node] = 1 + sum(weights[c] for c in node.children)
+        return True
+
+    def of(self, node: TreeNode) -> int:
+        """Exact SW of ``node`` (1 for a node removed this iteration)."""
+        self._rolled()
+        return self._weights.get(node, 1)
+
+    def _bump_ancestors(self, current: Optional[TreeNode]) -> None:
+        weights = self._weights
         while current is not None:
-            self._true_sw[current] = self._true_sw.get(current, 1) + 1
+            weights[current] += 1
             current = current.parent
 
     def on_add_leaf(self, node: TreeNode) -> None:
-        self._true_sw[node] = 1
-        self._bump_ancestors(node.parent)
+        if not self._rolled():
+            self._weights[node] = 1
+            self._bump_ancestors(node.parent)
 
     def on_add_internal(self, node: TreeNode, parent: TreeNode,
                         child: TreeNode) -> None:
-        # The new node inherits
-        # only the child's counted history, going forward.
-        self._true_sw[node] = 1 + self._true_sw.get(child, 1)
-        self._bump_ancestors(parent)
-
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        self._true_sw.pop(node, None)
+        # The new node inherits only the child's counted history.
+        if not self._rolled():
+            self._weights[node] = 1 + self._weights[child]
+            self._bump_ancestors(parent)
 
     def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children: List[TreeNode]) -> None:
-        self._true_sw.pop(node, None)
+                           children: Optional[List[TreeNode]] = None
+                           ) -> None:
+        """Both removal hooks: ancestors keep counting the node."""
+        if self._rolled():
+            self._bump_ancestors(parent)
+        self._weights.pop(node, None)
 
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Idempotent: the tree listener is removed with discard
-        semantics, so a second close/detach is a no-op."""
-        self.tree.remove_listener(self)
-        super().close()
+    on_remove_leaf = on_remove_internal
+
+    def detach(self) -> None:
+        """Stop counting (discard semantics: a second call is a no-op)."""
+        self._app.tree.remove_listener(self)

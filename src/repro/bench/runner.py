@@ -103,6 +103,21 @@ def _at_least_one(**values: int) -> None:
             raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
+def _audited(document: Dict, report: InvariantReport, where: str) -> Dict:
+    """Return ``document`` if ``report`` passed; otherwise raise an
+    ``InvariantViolation`` naming the first violation, with the document
+    attached so the CLI can still honour ``--out`` before re-raising
+    (the per-cell evidence matters most on failure)."""
+    if report.passed:
+        return document
+    first = report.violations[0]
+    error = InvariantViolation(
+        f"invariant violations in {where} ({len(report.violations)} "
+        f"total); first: [{first.invariant}] {first.message}")
+    error.document = document
+    raise error
+
+
 def _fault_plan(faults: Optional[str]) -> FaultPlan:
     """:func:`parse_fault_spec`, with a malformed spec reported as the
     ConfigError a bad option value is."""
@@ -136,6 +151,9 @@ def run_move_complexity(sizes: str = "200,400,800,1600,3200",
     """
     size_list = _int_csv(sizes, "sizes")
     _at_least_one(sizes=min(size_list))
+    if len(set(size_list)) < 2:
+        raise ConfigError(f"sizes needs two or more distinct sizes for "
+                          f"the log-log slope, got {sizes!r}")
     rows = []
     measured = []
     for n in size_list:
@@ -355,18 +373,7 @@ def run_scenario_grid(name: str = "all",
             "wall_s": round(wall_s, 3),
         },
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in scenario grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}"
-        )
-        # The per-cell evidence matters most on failure: attach the full
-        # document so the CLI can still honour --out before re-raising.
-        error.document = document
-        raise error
-    return document
+    return _audited(document, grid_report, "scenario grid")
 
 
 def _run_core_cell(spec, seed: int, engine: str, stream_specs,
@@ -696,12 +703,14 @@ def _drive_app_complexity(name: str, sizes: List[int],
     import math as _math
 
     from repro.apps import make_app
+    from repro.apps.subtree_estimator import SuperWeights
 
     rows = []
     totals = []
     for n in sizes:
         tree = build_random_tree(n, seed=seed + n)
         app = make_app(_app_spec_for(name), tree=tree)
+        weights = SuperWeights(app) if name == "subtree_estimator" else None
         rng = random.Random(seed + n + 1)
         picker = NodePicker(tree)
         worst: float = 0.0
@@ -715,13 +724,14 @@ def _drive_app_complexity(name: str, sizes: List[int],
             raise InvariantViolation(
                 f"app {name}: invariant audit failed at n={n}: "
                 f"{report.violations[0].message}")
-        if name == "subtree_estimator":
+        if weights is not None:
             # The Lemma 5.3 guarantee is about super-weights, not the
             # root size estimate: worst over-approximation over nodes
             # (estimates never undercount — every addition below v
             # shipped its permit through v first).
-            worst = max(app.estimate_of(node) / app.true_super_weight(node)
+            worst = max(app.estimate_of(node) / weights.of(node)
                         for node in tree.nodes())
+            weights.detach()
         elif name in ("size_estimation", "majority_commit",
                       "ancestry_labels", "routing_labels"):
             worst = app.check_approximation()
@@ -881,15 +891,7 @@ def run_apps(apps: str = "all", sizes: str = "100,200,400",
             "passed": grid_report.passed,
         },
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the apps grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _audited(document, grid_report, "the apps grid")
 
 
 # ----------------------------------------------------------------------
@@ -1071,15 +1073,7 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
         "violations": len(grid_report.violations),
         "passed": grid_report.passed,
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the gateway grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _audited(document, grid_report, "the gateway grid")
 
 
 # ----------------------------------------------------------------------
@@ -1363,15 +1357,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         "violations": len(grid_report.violations),
         "passed": grid_report.passed,
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the fleet bench "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _audited(document, grid_report, "the fleet bench")
 
 
 SCENARIOS = {

@@ -27,7 +27,6 @@ from repro.core.kernel import (
     PermitLedger,
     SplitStep,
 )
-from repro.core.domains import DomainTracker
 from repro.core.centralized import CentralizedController
 from repro.core.iterated import IteratedController
 from repro.core.adaptive import AdaptiveController
@@ -45,7 +44,6 @@ __all__ = [
     "KernelTrace",
     "PermitLedger",
     "SplitStep",
-    "DomainTracker",
     "CentralizedController",
     "IteratedController",
     "AdaptiveController",

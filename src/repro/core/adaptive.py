@@ -44,8 +44,7 @@ class AdaptiveController:
 
     def __init__(self, tree: DynamicTree, m: int, w: int,
                  counters: Optional[MoveCounters] = None,
-                 variant: str = "churn",
-                 track_domains: bool = False):
+                 variant: str = "churn"):
         if variant not in ("churn", "maxsize"):
             raise ControllerError(f"unknown variant {variant!r}")
         self.tree = tree
@@ -53,7 +52,6 @@ class AdaptiveController:
         self.w = w
         self.variant = variant
         self.counters = counters if counters is not None else MoveCounters()
-        self._track_domains = track_domains
         self.epochs_run = 0
         self.rejected = 0
         self.rejecting = False
@@ -106,8 +104,7 @@ class AdaptiveController:
         self._epoch_max_size = n_i
         self._inner = IteratedController(
             self.tree, m=budget, w=self.w, u=self._epoch_u,
-            counters=self.counters, track_domains=self._track_domains,
-            reject_on_exhaustion=True,
+            counters=self.counters, reject_on_exhaustion=True,
         )
 
     def _rollover(self) -> None:

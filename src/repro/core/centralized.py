@@ -47,7 +47,6 @@ from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 from repro.tree import paths
 from repro.core import kernel
-from repro.core.domains import DomainTracker
 from repro.core.kernel import KernelTrace, PermitLedger
 from repro.core.packages import MobilePackage, NodeStore, StoreMap
 from repro.core.params import ControllerParams
@@ -76,9 +75,6 @@ class CentralizedController(TreeListener):
     counters:
         Optional shared :class:`MoveCounters` (the iterated/adaptive
         wrappers pass one across their inner controllers).
-    track_domains:
-        Enable the analysis-only :class:`DomainTracker` so property tests
-        can check the Section 3.2 invariants.
     reject_on_exhaustion:
         When the root cannot cover a needed package, the paper's basic
         controller broadcasts a reject wave.  Wrappers set this to False
@@ -103,7 +99,6 @@ class CentralizedController(TreeListener):
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
                  counters: Optional[MoveCounters] = None,
-                 track_domains: bool = False,
                  reject_on_exhaustion: bool = True,
                  track_intervals: bool = False,
                  interval_base: int = 0,
@@ -144,17 +139,13 @@ class CentralizedController(TreeListener):
         self.exhausted = False
         self.reject_on_exhaustion = reject_on_exhaustion
         self.track_intervals = track_intervals
-        self.domains: Optional[DomainTracker] = (
-            DomainTracker(tree, self.params) if track_domains else None
-        )
         # Index of nodes currently parking >= 1 mobile package.  Empty
         # means no filler anywhere, without touching the tree.
         self._mobile_hosts: Dict[TreeNode, NodeStore] = {}
         # The inline grant needs the slots and no per-package
         # bookkeeping; 2 psi bounds its requesters' depth (funding
         # moves M only, so neither changes).
-        self._inline = (self._fast and not track_domains
-                        and not track_intervals
+        self._inline = (self._fast and not track_intervals
                         and permit_flow_observer is None
                         and kernel_trace is None)
         self._level0_reach = 2 * self.params.psi
@@ -309,8 +300,6 @@ class CentralizedController(TreeListener):
         """Unregister from the tree; the controller becomes inert."""
         if self._attached:
             self.tree.remove_listener(self)
-            if self.domains is not None:
-                self.domains.detach()
             if self._fast:
                 self.stores.release_slots()
                 self._fast = False
@@ -417,8 +406,6 @@ class CentralizedController(TreeListener):
             target = paths.ancestor_at(node, step.dist)
             self.counters.package_moves += dist - step.dist
             self._observe_flow(node, dist - 1, step.dist, package.size)
-            if self.domains is not None:
-                self.domains.cancel(package)
             left_interval, right_interval = package.split_interval()
             parked = MobilePackage(level=step.level, size=step.size,
                                    interval=left_interval)
@@ -426,8 +413,6 @@ class CentralizedController(TreeListener):
             kernel.park(target_store, parked, node=target,
                         trace=self._trace)
             self._mobile_hosts[target] = target_store
-            if self.domains is not None:
-                self.domains.assign_domain(parked, target, toward=node)
             package.level = step.level
             package.size = step.size
             package.interval = right_interval
@@ -435,8 +420,6 @@ class CentralizedController(TreeListener):
         # Level 0: the package reaches the requester and becomes static.
         self.counters.package_moves += dist
         self._observe_flow(node, dist - 1, 0, package.size)
-        if self.domains is not None:
-            self.domains.cancel(package)
         kernel.absorb(self.stores.get(node), package, node=node,
                       trace=self._trace)
 
@@ -504,9 +487,6 @@ class CentralizedController(TreeListener):
         # One move carries the whole set of packages one hop (Section 2.2
         # allows moving a set of objects in one move).
         self.counters.relocation_moves += 1
-        if self.domains is not None:
-            for package in store.mobile:
-                self.domains.set_host(package, parent)
         parent_store = self.stores.get(parent)
         parent_store.merge_from(store)
         if parent_store.mobile:

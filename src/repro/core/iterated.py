@@ -54,7 +54,6 @@ class IteratedController:
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
                  counters: Optional[MoveCounters] = None,
-                 track_domains: bool = False,
                  reject_on_exhaustion: bool = True):
         if m < 0 or w < 0:
             raise ControllerError(f"invalid (M, W) = ({m}, {w})")
@@ -66,7 +65,6 @@ class IteratedController:
         self.reject_on_exhaustion = reject_on_exhaustion
         self.rejected = 0
         self.stages_run = 0
-        self._track_domains = track_domains
         self._granted_before_stage = 0
         self._inner: Optional[CentralizedController] = None
         self._final = False
@@ -164,16 +162,14 @@ class IteratedController:
             self._final = False
             self._inner = CentralizedController(
                 self.tree, m=budget, w=budget // 2, u=self.u,
-                counters=self.counters, track_domains=self._track_domains,
-                reject_on_exhaustion=False,
+                counters=self.counters, reject_on_exhaustion=False,
             )
         else:
             self._final = True
             final_rejects = self.reject_on_exhaustion and self.w >= 1
             self._inner = CentralizedController(
                 self.tree, m=budget, w=effective_w, u=self.u,
-                counters=self.counters, track_domains=self._track_domains,
-                reject_on_exhaustion=final_rejects,
+                counters=self.counters, reject_on_exhaustion=final_rejects,
             )
 
     def _advance_stage(self) -> None:
@@ -196,8 +192,7 @@ class IteratedController:
         final_rejects = self.reject_on_exhaustion and self.w >= 1
         self._inner = CentralizedController(
             self.tree, m=budget, w=max(self.w, 1), u=self.u,
-            counters=self.counters, track_domains=self._track_domains,
-            reject_on_exhaustion=final_rejects,
+            counters=self.counters, reject_on_exhaustion=final_rejects,
         )
 
     def _reset_inner(self) -> None:

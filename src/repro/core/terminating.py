@@ -46,7 +46,6 @@ class TerminatingController:
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
                  counters: Optional[MoveCounters] = None,
-                 track_domains: bool = False,
                  track_intervals: bool = False,
                  interval_base: int = 0,
                  permit_flow_observer=None):
@@ -54,7 +53,6 @@ class TerminatingController:
         self.counters = counters if counters is not None else MoveCounters()
         self.inner = CentralizedController(
             tree, m=m, w=w, u=u, counters=self.counters,
-            track_domains=track_domains,
             reject_on_exhaustion=False,
             track_intervals=track_intervals,
             interval_base=interval_base,

@@ -9,6 +9,7 @@ mutations).
 import pytest
 
 from repro import AppSpec, make_app
+from repro.apps.subtree_estimator import SuperWeights
 from repro.service import APP_NAMES
 from repro.workloads import build_random_tree
 
@@ -53,11 +54,17 @@ def test_label_layer_double_detach_is_a_noop(factory):
     assert _listener_count(tree) == baseline
 
 
-def test_detached_subtree_estimator_app_stops_tracking():
+def test_detached_super_weights_stop_counting():
     tree = build_random_tree(10, seed=3)
     app = make_app(AppSpec("subtree_estimator", params={"beta": 2.0}),
                    tree=tree)
+    baseline = _listener_count(tree)
+    weights = SuperWeights(app)
+    assert _listener_count(tree) == baseline + 1
+    weights.detach()
+    weights.detach()  # discard semantics, no raise
+    assert _listener_count(tree) == baseline
+    before = {node: weights.of(node) for node in tree.nodes()}
+    tree.add_leaf(tree.root)  # mutate after detach: no hook must fire
+    assert {node: weights.of(node) for node in before} == before
     app.close()
-    before = dict(app._true_sw)
-    tree.add_leaf(tree.root)  # mutate after close: no hook must fire
-    assert app._true_sw == before

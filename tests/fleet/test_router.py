@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.requests import Request, RequestKind
+from repro.core.requests import OutcomeStatus, Request, RequestKind
 from repro.errors import (ConfigError, ControllerError, FleetError,
                           ProtocolError)
 from repro.fleet import FleetConfig, FleetRouter
@@ -328,29 +328,62 @@ def test_zero_allocation_shard_still_serves_by_borrowing():
 # ----------------------------------------------------------------------
 # Session-surface parity.
 # ----------------------------------------------------------------------
-def test_single_shard_matches_plain_session_bit_for_bit():
-    spec = get_scenario("mixed_flood").scaled(0.25)
+def _one_shard_beside_plain(name):
+    """A 1-shard fleet and a plain terminating session with the same
+    budget, each on its own copy of ``name``'s tree (scale 0.25, tree
+    seed 11), and the stream (seed 12) as request specs."""
+    spec = get_scenario(name).scaled(0.25)
     fleet_tree = spec.build_tree(seed=11)
     stream = [request_spec(r) for r in spec.stream(fleet_tree, seed=12)]
     fleet = FleetRouter(
         FleetConfig.of(shards=1, m_total=spec.m, w_total=spec.w, u=spec.u),
         trees=[fleet_tree])
-    fleet_records = fleet.serve_stream(
-        TreeMirror(fleet_tree).requests(stream))
-
-    plain_tree = spec.build_tree(seed=11)
     plain = ControllerSession(
         SessionConfig(controller=ControllerSpec(
             "terminating", m=spec.m, w=spec.w, u=spec.u)),
-        tree=plain_tree)
+        tree=spec.build_tree(seed=11))
+    return spec, stream, fleet, plain
+
+
+def test_single_shard_matches_plain_session_bit_for_bit():
+    _spec, stream, fleet, plain = _one_shard_beside_plain("mixed_flood")
+    fleet_records = fleet.serve_stream(
+        TreeMirror(fleet.shards[0].tree).requests(stream))
     plain_records = [plain.serve(r)
-                     for r in TreeMirror(plain_tree).requests(stream)]
+                     for r in TreeMirror(plain.tree).requests(stream)]
 
     assert fleet.tally() == plain.tally()
     assert (fleet.shards[0].counters.snapshot()
             == plain.controller.counters.snapshot())
     assert ([r.outcome.status for r in fleet_records]
             == [r.outcome.status for r in plain_records])
+    assert fleet.audit().passed
+    fleet.close(), plain.close()
+
+
+def test_single_shard_equivalence_holds_only_inside_the_budget():
+    """Past the budget the two part ways.  Up to the first exhaustion
+    both grant every request with equal move counters; from then on the
+    plain session has terminated and answers PENDING (Observation 2.1
+    leaves the request for a next iteration), while the fleet, with
+    nothing left to fund, answers REJECTED (its reject wave)."""
+    spec, stream, fleet, plain = _one_shard_beside_plain("near_exhaustion")
+    fleet_mirror = TreeMirror(fleet.shards[0].tree)
+    plain_mirror = TreeMirror(plain.tree)
+    fleet_counters = fleet.shards[0].counters
+    split = []
+    for item in stream:
+        fleet_status = fleet.serve(fleet_mirror.request(item)).outcome.status
+        plain_status = plain.serve(plain_mirror.request(item)).outcome.status
+        if not split and plain_status is OutcomeStatus.GRANTED:
+            assert fleet_status is OutcomeStatus.GRANTED
+            assert (fleet_counters.snapshot()
+                    == plain.controller.counters.snapshot())
+        else:
+            split.append((fleet_status, plain_status))
+    assert len(stream) - len(split) == spec.m == 65
+    assert split == [(OutcomeStatus.REJECTED, OutcomeStatus.PENDING)] * 60
+    assert fleet.tally()["rejected"] == plain.tally()["pending"] == 60
     assert fleet.audit().passed
     fleet.close(), plain.close()
 

@@ -174,6 +174,10 @@ def test_cli_reports_config_errors_like_argparse(capsys):
     (["move_complexity", "--sizes", ""], "comma-separated"),
     (["move_complexity", "--sizes", ","], "comma-separated"),
     (["move_complexity", "--sizes", "a"], "comma-separated"),
+    # One size leaves nothing to fit a slope to; rejected before any
+    # path is built.
+    (["move_complexity", "--sizes", "200"], "sizes needs two or more"),
+    (["move_complexity", "--sizes", "200,200"], "sizes needs two or more"),
     (["memory", "--sizes", "0,100"], "sizes must be >= 1"),
     (["apps", "--sizes", "0", "--grid-n", "0", "--grid-steps", "0"],
      "sizes must be >= 1"),
