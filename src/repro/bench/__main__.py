@@ -1,6 +1,8 @@
 """Command-line entry point: ``python -m repro.bench``.
 
-Examples::
+Each command's options are keyword parameters of its ``run_*``
+function in :mod:`repro.bench.runner`; an option left unset is left
+out of the call, so it takes that function's default.  Examples::
 
     python -m repro.bench list
     python -m repro.bench move_complexity --sizes 200,400,800
@@ -29,6 +31,8 @@ _GRID = "scenario_grid"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI.  No option states a default: an unset option is left out
+    of the call, so the ``run_*`` signature is the one place it lives."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Experiment runner for the (M,W)-Controller "
@@ -37,113 +41,73 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available scenarios")
 
-    common_out = dict(help="write the JSON document to this path as well")
-
     p = sub.add_parser("move_complexity",
                        help="Observation 3.4 move-complexity sweep on "
                             "deep paths")
-    p.add_argument("--sizes", default=None,
-                   help="path lengths, comma-separated (default: "
-                        "200,400,800,1600,3200)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", **common_out)
+    p.add_argument("--sizes", help="path lengths, comma-separated")
 
     p = sub.add_parser(
         "scenario",
         help="knob-driven run, or (with --name) the adversarial "
              "catalogue grid with invariant auditing")
-    p.add_argument("--name", default=None,
+    p.add_argument("--name",
                    help="catalogue scenario name(s), comma-separated, or "
                         "'all' — switches to grid mode (scenario x policy "
                         "x seed, invariant-checked)")
-    p.add_argument("--policy", default="fifo,random,adversary",
+    p.add_argument("--policy",
                    help="grid mode: schedule policies, comma-separated "
-                        "(fifo, random, lifo, adversary)")
-    p.add_argument("--faults", default=None,
+                        f"({', '.join(SCHEDULE_POLICIES)}), or 'all'")
+    p.add_argument("--faults",
                    help="grid mode: fault plan, e.g. "
                         "'stall=0.05,pauses=2,storms=3'")
-    p.add_argument("--seeds", default="0,1,2,3,4",
-                   help="grid mode: seeds, comma-separated")
-    p.add_argument("--engines", default="iterated,distributed",
+    p.add_argument("--seeds", help="grid mode: seeds, comma-separated")
+    p.add_argument("--engines",
                    help="grid mode: engines, comma-separated from the "
-                        f"controller registry ({', '.join(CONTROLLER_FLAVORS)})"
-                        ", or 'all' for every registered flavor; names are "
-                        "validated before any cell runs")
-    p.add_argument("--delays", default="uniform",
-                   help="grid mode: delay model (unit, uniform, heavytail, "
-                        "jitter, burst)")
-    p.add_argument("--scale", type=float, default=1.0,
+                        "controller registry "
+                        f"({', '.join(CONTROLLER_FLAVORS)}), or 'all' for "
+                        "every registered flavor; names are validated "
+                        "before any cell runs")
+    p.add_argument("--scale", type=float,
                    help="grid mode: scale the catalogue specs (CI smoke "
                         "uses e.g. 0.2)")
-    p.add_argument("--topology", default="random",
+    p.add_argument("--topology",
                    choices=["random", "path", "star", "caterpillar"])
-    p.add_argument("--controller", default="iterated",
-                   choices=list(CONTROLLER_FLAVORS))
-    p.add_argument("--mix", default="default",
-                   choices=["default", "grow", "plain"])
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", **common_out)
+    p.add_argument("--controller", choices=list(CONTROLLER_FLAVORS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", type=int)
 
     p = sub.add_parser("apps",
                        help="Section 5 application layer: msgs/change "
                             "polylog fits and the event-driven policy x "
                             "fault grid (invariant-audited)")
-    p.add_argument("--apps", default="all",
-                   help="app name(s), comma-separated, or 'all'")
-    p.add_argument("--sizes", default=None,
-                   help="complexity sweep sizes (default: 100,200,400)")
-    p.add_argument("--steps-per-node", type=int, default=3,
-                   dest="steps_per_node")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policies", default="fifo,random,adversary",
+    p.add_argument("--apps", help="app name(s), comma-separated, or 'all'")
+    p.add_argument("--sizes", help="complexity sweep sizes, comma-separated")
+    p.add_argument("--steps-per-node", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--policies",
                    help="grid: schedule policies for the event-driven "
                         "cells")
-    p.add_argument("--faults", default="stall=0.05",
+    p.add_argument("--faults",
                    help="grid: fault plan for the faulted cells "
                         "(e.g. 'stall=0.05')")
-    p.add_argument("--grid-n", type=int, default=40, dest="grid_n")
-    p.add_argument("--grid-steps", type=int, default=120,
-                   dest="grid_steps")
-    p.add_argument("--out", **common_out)
+    p.add_argument("--grid-n", type=int)
+    p.add_argument("--grid-steps", type=int)
 
     p = sub.add_parser("gateway",
                        help="concurrent ingestion through the gateway "
                             "under churn-storm faults: sustained req/s, "
                             "p50/p99 latency, breaker trip/recover "
                             "cycle (invariant-audited)")
-    p.add_argument("--scenario", default="mixed_flood",
-                   help="catalogue scenario to stream (default: "
-                        "mixed_flood)")
-    p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--clients", type=int, default=4,
+    p.add_argument("--scenario", help="catalogue scenario to stream")
+    p.add_argument("--seeds", help="seeds, comma-separated")
+    p.add_argument("--clients", type=int,
                    help="concurrent client threads per cell")
-    p.add_argument("--wave", type=int, default=10,
+    p.add_argument("--wave", type=int,
                    help="requests per client submission burst")
-    p.add_argument("--batch-size", type=int, default=8, dest="batch_size")
-    p.add_argument("--queue-capacity", type=int, default=256,
-                   dest="queue_capacity")
-    p.add_argument("--policy", default="fifo",
-                   choices=list(SCHEDULE_POLICIES))
-    p.add_argument("--delays", default="burst")
-    p.add_argument("--faults", default="stall=0.15,storms=3,storm_size=6",
-                   help="fault plan spec for the churn storm")
-    p.add_argument("--breaker-latency", type=float, default=300.0,
-                   dest="breaker_latency",
-                   help="simulated-clock latency that counts as a "
-                        "breaker failure")
-    p.add_argument("--breaker-failures", type=int, default=2,
-                   dest="breaker_failures")
-    p.add_argument("--breaker-cooldown", type=int, default=2,
-                   dest="breaker_cooldown")
-    p.add_argument("--breaker-probes", type=int, default=1,
-                   dest="breaker_probes")
-    p.add_argument("--scale", type=float, default=0.5,
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--scale", type=float,
                    help="catalogue scenario scale factor")
-    p.add_argument("--stagger", type=float, default=0.25)
-    p.add_argument("--out", **common_out)
 
     p = sub.add_parser("fleet",
                        help="sharded controller fleet: simulated "
@@ -152,39 +116,30 @@ def build_parser() -> argparse.ArgumentParser:
                             "equivalence vs the plain session, forced "
                             "cross-shard transfers + the global reject "
                             "wave (invariant-audited)")
-    p.add_argument("--shards", default="1,2,4,8",
+    p.add_argument("--shards",
                    help="comma-separated shard counts for the scaling "
                         "cells")
-    p.add_argument("--steps", type=int, default=2000,
-                   help="requests per scaling cell")
-    p.add_argument("--clients", type=int, default=256,
+    p.add_argument("--steps", type=int, help="requests per scaling cell")
+    p.add_argument("--clients", type=int,
                    help="distinct sticky client origins per cell")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", type=float, default=0.25,
-                   help="catalogue scale for the equivalence cell")
-    p.add_argument("--out", **common_out)
 
     p = sub.add_parser("profile",
                        help="cProfile the distributed replay: hotspot "
                             "tables + the scheduler-vs-protocol self-time "
                             "split")
-    p.add_argument("--scenario", default="deep_burst",
-                   help="catalogue scenario to profile (default: "
-                        "deep_burst)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stagger", type=float, default=0.25)
-    p.add_argument("--top", type=int, default=12,
-                   help="hotspot rows per table")
-    p.add_argument("--out", **common_out)
+    p.add_argument("--scenario", help="catalogue scenario to profile")
+    p.add_argument("--top", type=int, help="hotspot rows per table")
 
     p = sub.add_parser("memory",
                        help="Claim 4.8 per-node memory audit under a "
                             "concurrent storm (raises if any node "
                             "exceeds the bound)")
-    p.add_argument("--sizes", default=None,
-                   help="tree sizes (default: 100,400,1600)")
-    p.add_argument("--stagger", type=float, default=0.25)
-    p.add_argument("--out", **common_out)
+    p.add_argument("--sizes", help="tree sizes, comma-separated")
+
+    for name, command in sub.choices.items():
+        if name != "list":
+            command.add_argument(
+                "--out", help="write the JSON document to this path as well")
     return parser
 
 

@@ -9,7 +9,10 @@ reported for reference; the repo's speed yardstick is ``stackbench/``.
 
 Every entry point constructs its engine through the session layer
 (``SessionConfig``/``ControllerSession`` — see ``repro.service`` and
-docs §7).
+docs §7).  A ``run_*`` signature is the one place an option's default
+lives; what no caller varies (seeds, the submission stagger, the
+gateway's fault regime and breaker) is a constant, still recorded in
+the documents that recorded it.
 """
 
 import cProfile
@@ -20,7 +23,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.requests import Request, RequestKind
 from repro.distributed.faults import FaultPlan, parse_fault_spec
@@ -47,39 +50,19 @@ from repro.service import (
     drive_scenario,
 )
 from repro.sim.scheduler import SCHEDULE_POLICIES
-from repro.workloads.catalogue import CATALOGUE, get_scenario
+from repro.workloads.catalogue import CATALOGUE, build_tree, get_scenario
 from repro.workloads.scenarios import (
     NodePicker,
     TreeMirror,
-    build_caterpillar,
     build_path,
     build_random_tree,
-    build_star,
     default_mix,
-    grow_only_mix,
     random_request,
     request_spec,
 )
 
-_TOPOLOGIES = {
-    "path": build_path,
-    "random": build_random_tree,
-    "star": build_star,
-    "caterpillar": build_caterpillar,
-}
-
-_MIXES = {
-    "default": default_mix,
-    "grow": grow_only_mix,
-    "plain": lambda: {RequestKind.PLAIN: 1.0},
-}
-
-
-def _build(topology: str, n: int, seed: int):
-    builder = _TOPOLOGIES[topology]
-    if builder is build_random_tree:
-        return builder(n, seed=seed)
-    return builder(n)
+#: Simulated time between the arrivals of a concurrent stream.
+_STAGGER = 0.25
 
 
 def _int_csv(text: object, name: str) -> List[int]:
@@ -95,6 +78,25 @@ def _int_csv(text: object, name: str) -> List[int]:
             f"{name} must be one or more comma-separated integers, "
             f"e.g. '0,1,2'; got {text!r}")
     return values
+
+
+def _names(text: str, what: str, known: Iterable[str]) -> List[str]:
+    """The comma list ``text`` of ``what`` names, spelled as the
+    registries spell them (hyphens become underscores); ``all`` is
+    every ``known`` one.  An unknown name, or none at all (a sweep over
+    nothing would pass vacuously), is a ConfigError naming the valid
+    choices."""
+    choices = list(known)
+    if text.strip() == "all":
+        return choices
+    names = [part.strip().replace("-", "_")
+             for part in text.split(",") if part.strip()]
+    for name in names or [text]:
+        if name not in choices:
+            raise ConfigError(
+                f"unknown {what} {name!r}; choose from "
+                f"{', '.join(choices)}, comma-separated, or 'all'")
+    return names
 
 
 def _at_least_one(**values: int) -> None:
@@ -127,21 +129,56 @@ def _fault_plan(faults: Optional[str]) -> FaultPlan:
         raise ConfigError(f"bad faults spec {faults!r}: {error}") from None
 
 
-def _session(kind: str, tree, m: int, w: int, u: int, *,
-             window: int = 1 << 20, **knobs: Any) -> ControllerSession:
+def _session(kind: str, tree, m: int, w: int, u: int) -> ControllerSession:
     """Session-backed construction: every bench entry point wires its
     engine through ``SessionConfig``/``ControllerSession`` (the window
-    defaults wide open — benches measure the engine, not admission)."""
-    config = SessionConfig.of(kind, m=m, w=w, u=u,
-                              max_in_flight=window, **knobs)
-    return ControllerSession(config, tree=tree)
+    is wide open — benches measure the engine, not admission)."""
+    return ControllerSession(
+        SessionConfig.of(kind, m=m, w=w, u=u, max_in_flight=1 << 20),
+        tree=tree)
+
+
+def _event_session(spec, tree, arrivals: int, policy: str, delays: str,
+                   fault_plan: FaultPlan,
+                   cell_seed: int) -> ControllerSession:
+    """The event-driven session of one catalogue cell.
+
+    The fault plan's auto horizon resolves to the submission window
+    plus a flight-time margin, so pauses and storms land while agents
+    are actually mid-climb rather than bunching into the first instants
+    of a long run; its seed is XORed with the cell's.  A no-op plan
+    stays a no-op, and the session wires no injector for it.
+    """
+    span = arrivals * _STAGGER + 4 * spec.n
+    plan = dataclasses.replace(fault_plan.resolved(span),
+                               seed=int(fault_plan.seed) ^ cell_seed)
+    return ControllerSession(SessionConfig(
+        controller=ControllerSpec("distributed", m=spec.m, w=spec.w,
+                                  u=spec.u),
+        schedule_policy=policy, delay_model=delays, faults=plan,
+        seed=cell_seed, max_in_flight=1 << 20), tree=tree)
+
+
+def _fault_stats(session: ControllerSession) -> Dict[str, int]:
+    """The fault injector's tallies; empty when none is wired."""
+    injector = getattr(session.controller, "faults", None)
+    return dict(injector.stats) if injector is not None else {}
+
+
+def _verdict(report: InvariantReport) -> Dict[str, Any]:
+    """The audit fields that close an audited document."""
+    return {
+        "invariants": report.to_json(),
+        "checks_run": sum(report.checks.values()),
+        "violations": len(report.violations),
+        "passed": report.passed,
+    }
 
 
 # ----------------------------------------------------------------------
 # move_complexity — the Observation 3.4 sweep on deep paths.
 # ----------------------------------------------------------------------
-def run_move_complexity(sizes: str = "200,400,800,1600,3200",
-                        seed: int = 0) -> Dict:
+def run_move_complexity(sizes: str = "200,400,800,1600,3200") -> Dict:
     """Observation 3.4 on deep paths: moves vs ``O(U log^2 U log(M/W))``.
 
     Sweep the path length (``sizes``, comma-separated) under the
@@ -177,7 +214,7 @@ def run_move_complexity(sizes: str = "200,400,800,1600,3200",
         })
     return {
         "scenario": "move_complexity",
-        "params": {"sizes": size_list, "seed": seed},
+        "params": {"sizes": size_list},
         "rows": rows,
         "log_log_slope": round(log_log_slope(size_list, measured), 4),
         "max_ratio": max(r["ratio"] for r in rows),
@@ -188,26 +225,25 @@ def run_move_complexity(sizes: str = "200,400,800,1600,3200",
 # scenario — the generic knob-driven run.
 # ----------------------------------------------------------------------
 def run_scenario_bench(topology: str = "random", controller: str = "iterated",
-                       mix: str = "default", n: int = 500, steps: int = 1000,
-                       batch_size: int = 1, seed: int = 0,
-                       m_factor: int = 4, w_divisor: int = 4) -> Dict:
-    """Run one controller/topology/mix combination at a given scale."""
+                       n: int = 500, steps: int = 1000,
+                       batch_size: int = 1) -> Dict:
+    """Run one controller/topology combination at a given scale.
+
+    The default churn mix at seed 0, with M = U = 4n and W = n/4.
+    """
     _at_least_one(steps=steps)
-    tree = _build(topology, n, seed)
-    u = 4 * n
-    m = m_factor * n
-    w = max(n // w_divisor, 1)
+    tree = build_tree(topology, n, 0)
+    u, m, w = 4 * n, 4 * n, max(n // 4, 1)
     session = _session(controller, tree, m, w, u)
     start = time.perf_counter()
-    result = drive_scenario(session, steps=steps, seed=seed,
-                            mix=_MIXES[mix](), batch_size=batch_size)
+    result = drive_scenario(session, steps=steps, batch_size=batch_size)
     elapsed = time.perf_counter() - start
     counters = session.controller.counters.snapshot()
     return {
         "scenario": "scenario",
         "params": {"topology": topology, "controller": controller,
-                   "mix": mix, "n": n, "steps": steps,
-                   "batch_size": batch_size, "seed": seed,
+                   "mix": "default", "n": n, "steps": steps,
+                   "batch_size": batch_size, "seed": 0,
                    "m": m, "w": w, "u": u},
         "granted": result.granted,
         "rejected": result.rejected,
@@ -224,11 +260,6 @@ def run_scenario_bench(topology: str = "random", controller: str = "iterated",
 # ----------------------------------------------------------------------
 # scenario_grid — the adversarial catalogue x policy x seed sweep.
 # ----------------------------------------------------------------------
-# One shared tally shape everywhere (bench cells, differential checks):
-# the exported repro.metrics.tally_outcomes.
-_tally = tally_outcomes
-
-
 def _cell_seed(*parts) -> int:
     """Stable per-cell seed (crc32, immune to PYTHONHASHSEED)."""
     return zlib.crc32(":".join(str(p) for p in parts).encode()) & 0x7FFFFFFF
@@ -255,8 +286,6 @@ def run_scenario_grid(name: str = "all",
                       seeds: str = "0,1,2,3,4",
                       faults: Optional[str] = None,
                       engines: str = "iterated,distributed",
-                      delays: str = "uniform",
-                      stagger: float = 0.25,
                       scale: float = 1.0) -> Dict:
     """The adversarial grid: scenario x engine x schedule policy x seed.
 
@@ -264,9 +293,10 @@ def run_scenario_grid(name: str = "all",
     tree-independent specs, resolved against a twin tree per cell).
     Centralized-family engines ignore the schedule policy (they are
     synchronous) and run once per scenario x seed; the distributed
-    engine runs once per policy, optionally under a fault plan
-    (``faults`` spec string, e.g. ``"stall=0.05,pauses=2,storms=3"``;
-    an unset horizon auto-resolves per cell to the run's span).  The
+    engine runs once per policy, with uniform delays and arrivals
+    ``_STAGGER`` apart, optionally under a fault plan (``faults`` spec
+    string, e.g. ``"stall=0.05,pauses=2,storms=3"``; an unset horizon
+    auto-resolves per cell to the run's span).  The
     differential reference is the *first core engine listed* in
     ``engines`` (iterated by default); ``summary.differential_checks``
     records how many cross-checks actually ran — 0 when no core engine
@@ -283,42 +313,12 @@ def run_scenario_grid(name: str = "all",
     """
     # Validation is eager — before any cell runs — so a typo fails in
     # milliseconds, not mid-grid, and an option that selects nothing
-    # fails instead of passing an empty grid.
-    names = list(CATALOGUE) if name == "all" else [
-        part.strip() for part in name.split(",") if part.strip()]
-    if not names:
-        raise ConfigError(
-            f"name must list one or more catalogue scenarios (or 'all'); "
-            f"known: {', '.join(CATALOGUE)}")
-    for scenario_name in names:
-        get_scenario(scenario_name)
+    # fails instead of passing an empty grid.  Engines resolve against
+    # the public controller registry.
+    names = _names(name, "scenario", CATALOGUE)
     seed_list = _int_csv(seeds, "seeds")
-    # Engines resolve against the public controller registry; ``all``
-    # sweeps every registered flavour.
-    if engines.strip() == "all":
-        engine_list = list(CONTROLLER_FLAVORS)
-    else:
-        engine_list = [part.strip().replace("-", "_")
-                       for part in engines.split(",") if part.strip()]
-    if not engine_list:
-        raise ConfigError(
-            f"engines must list one or more registered controller "
-            f"flavors (or 'all'): {', '.join(CONTROLLER_FLAVORS)}")
-    for engine in engine_list:
-        if engine not in CONTROLLER_FLAVORS:
-            raise ConfigError(
-                f"unknown engine {engine!r}; registered controller "
-                f"flavors: {', '.join(CONTROLLER_FLAVORS)} (or 'all')")
-    policies = [part.strip() for part in policy.split(",") if part.strip()]
-    if not policies and "distributed" in engine_list:
-        raise ConfigError(
-            f"policy must list one or more schedule policies for the "
-            f"distributed engine: {', '.join(SCHEDULE_POLICIES)}")
-    for pol in policies:
-        if pol not in SCHEDULE_POLICIES:
-            raise ConfigError(
-                f"unknown policy {pol!r}; known: "
-                f"{', '.join(SCHEDULE_POLICIES)}")
+    engine_list = _names(engines, "engine", CONTROLLER_FLAVORS)
+    policies = _names(policy, "policy", SCHEDULE_POLICIES)
     fault_plan = _fault_plan(faults)
 
     cells: List[Dict] = []
@@ -344,8 +344,8 @@ def run_scenario_grid(name: str = "all",
                     continue
                 for pol in policies:
                     cell = _run_distributed_cell(
-                        spec, seed, pol, stream_specs, fault_plan, delays,
-                        stagger, grid_report)
+                        spec, seed, pol, stream_specs, fault_plan,
+                        grid_report)
                     _cross_check(cell, spec, reference,
                                  stream_cancel_free, fault_plan, grid_report)
                     cells.append(cell)
@@ -356,7 +356,7 @@ def run_scenario_grid(name: str = "all",
         "params": {
             "names": names, "policies": policies, "seeds": seed_list,
             "engines": engine_list, "faults": fault_plan.snapshot(),
-            "delays": delays, "stagger": stagger, "scale": scale,
+            "delays": "uniform", "stagger": _STAGGER, "scale": scale,
         },
         "cells": cells,
         "invariants": grid_report.to_json(),
@@ -393,35 +393,22 @@ def _run_core_cell(spec, seed: int, engine: str, stream_specs,
         "policy": None, "cost": session.controller.counters.total,
         "wall_ms": round(wall * 1000, 3),
     }
-    cell.update(_tally(outcomes))
+    cell.update(tally_outcomes(outcomes))
     return cell
 
 
 def _run_distributed_cell(spec, seed: int, policy: str, stream_specs,
-                          fault_plan, delays: str, stagger: float,
+                          fault_plan: FaultPlan,
                           grid_report: InvariantReport) -> Dict:
-    cell_seed = _cell_seed(spec.name, seed, policy, "distributed")
     tree, requests = _replay_requests(spec, seed, stream_specs)
-    plan = None
-    if not fault_plan.is_noop:
-        # Auto horizon: the submission window plus a flight-time margin,
-        # so pauses/storms land while agents are actually mid-climb
-        # rather than bunching into the first instants of a long run.
-        span = len(requests) * stagger + 4 * spec.n
-        plan = dataclasses.replace(
-            fault_plan.resolved(span),
-            seed=int(fault_plan.seed) ^ cell_seed)
-    config = SessionConfig(
-        controller=ControllerSpec(
-            "distributed", m=spec.m, w=spec.w, u=spec.u),
-        schedule_policy=policy, delay_model=delays, faults=plan,
-        seed=cell_seed, max_in_flight=max(len(requests), 1))
-    session = ControllerSession(config, tree=tree)
+    session = _event_session(
+        spec, tree, len(requests), policy, "uniform", fault_plan,
+        _cell_seed(spec.name, seed, policy, "distributed"))
     watch = CounterWatch(session.controller.counters, report=grid_report)
     settled = []
 
     start = time.perf_counter()
-    session.submit_many(requests, stagger=stagger)
+    session.submit_many(requests, stagger=_STAGGER)
     try:
         for record in session.drain():
             settled.append(record)
@@ -443,10 +430,10 @@ def _run_distributed_cell(spec, seed: int, policy: str, stream_specs,
         "simulated_time": round(session.now, 3),
         "wall_ms": round(wall * 1000, 3),
     }
-    injector = getattr(session.controller, "faults", None)
-    if injector is not None:
-        cell["fault_stats"] = dict(injector.stats)
-    cell.update(_tally(r.outcome for r in settled))
+    fault_stats = _fault_stats(session)
+    if fault_stats:
+        cell["fault_stats"] = fault_stats
+    cell.update(tally_outcomes(r.outcome for r in settled))
     return cell
 
 
@@ -507,11 +494,10 @@ def _is_scheduler_entry(filename: str, func: str) -> bool:
     return filename.startswith("~") and func in _SCHEDULER_BUILTINS
 
 
-def run_profile(scenario: str = "deep_burst", seed: int = 0,
-                stagger: float = 0.25, top: int = 12) -> Dict:
+def run_profile(scenario: str = "deep_burst", top: int = 12) -> Dict:
     """cProfile the distributed replay and report the hotspot table.
 
-    Runs the named catalogue scenario once under ``cProfile`` and
+    Runs the named catalogue scenario (seed 0) once under ``cProfile`` and
     reports the top-``top`` functions by cumulative and by self time
     plus ``scheduler_self_pct`` — the share of total self time spent in
     scheduler machinery (the scheduler module and the ``heapq``
@@ -523,17 +509,16 @@ def run_profile(scenario: str = "deep_burst", seed: int = 0,
     ``stackbench/``.
     """
     spec = get_scenario(scenario)
-    stream_specs = _materialize(spec, seed)
-    tree, requests = _replay_requests(spec, seed, stream_specs)
+    tree, requests = _replay_requests(spec, 0, _materialize(spec, 0))
     session = _session("distributed", tree, m=spec.m, w=spec.w, u=spec.u)
     profile = cProfile.Profile()
     start = time.perf_counter()
     profile.enable()
-    session.submit_many(requests, stagger=stagger)
+    session.submit_many(requests, stagger=_STAGGER)
     records = session.settle_all()
     profile.disable()
     wall = time.perf_counter() - start
-    tally = _tally(r.outcome for r in records)
+    tally = tally_outcomes(r.outcome for r in records)
     messages = session.controller.counters.total
     session.close()
 
@@ -560,7 +545,7 @@ def run_profile(scenario: str = "deep_burst", seed: int = 0,
         by_self[0] if by_self else None)
     return {
         "scenario": "profile",
-        "params": {"scenario": scenario, "seed": seed, "stagger": stagger,
+        "params": {"scenario": scenario, "seed": 0, "stagger": _STAGGER,
                    "top": top,
                    "m": spec.m, "w": spec.w, "u": spec.u, "n": spec.n},
         "wall_ms": round(wall * 1000, 3),
@@ -598,12 +583,11 @@ def _audit_boards(controller, audit: MemoryAudit,
                          _encoded_bits(board, log_n, log_u))
 
 
-def run_memory(sizes: str = "100,400,1600",
-               stagger: float = 0.25) -> Dict:
+def run_memory(sizes: str = "100,400,1600") -> Dict:
     """Per-node memory vs the Claim 4.8 bound, audited at peak load.
 
     Each size runs a concurrent distributed storm (``2n`` mixed-churn
-    requests staggered ``stagger`` apart) and audits every live node's
+    requests ``_STAGGER`` apart) and audits every live node's
     encoded whiteboard state — per-level package counts, the merged
     static pool, the agent queue — against
     ``deg(v) log N + log^3 N + log^2 U`` bits, once mid-flight (peak
@@ -614,6 +598,7 @@ def run_memory(sizes: str = "100,400,1600",
     """
     size_list = _int_csv(sizes, "sizes")
     _at_least_one(sizes=min(size_list))
+    report = InvariantReport()
     rows = []
     for n in size_list:
         tree = build_random_tree(n, seed=n)
@@ -627,17 +612,17 @@ def run_memory(sizes: str = "100,400,1600",
                     for _ in range(2 * n)]
         picker.detach()
         start = time.perf_counter()
-        session.submit_many(requests, stagger=stagger)
+        session.submit_many(requests, stagger=_STAGGER)
         # Audit mid-flight (peak queueing) and again at quiescence.
-        session.scheduler.run(until=len(requests) * stagger / 2)
+        session.scheduler.run(until=len(requests) * _STAGGER / 2)
         _audit_boards(session.controller, audit, log_n, log_u)
         settled = list(session.drain())
         _audit_boards(session.controller, audit, log_n, log_u)
         wall = time.perf_counter() - start
-        if len(settled) != len(requests):
-            raise InvariantViolation(
-                f"memory bench at n={n}: "
-                f"{len(requests) - len(settled)} requests never resolved")
+        report.expect(
+            len(settled) == len(requests), "liveness",
+            f"memory bench at n={n}: "
+            f"{len(requests) - len(settled)} requests never resolved", n=n)
         worst = audit.worst_ratio(log_n, log_u)
         row = {
             "n": n, "u": u, "m": 6 * n, "w": n,
@@ -647,28 +632,24 @@ def run_memory(sizes: str = "100,400,1600",
             "within_bound": worst <= 1.0,
             "wall_ms": round(wall * 1000, 3),
         }
-        row.update(_tally(r.outcome for r in settled))
+        row.update(tally_outcomes(r.outcome for r in settled))
         rows.append(row)
         session.close()
     ratios = [row["worst_ratio"] for row in rows]
     growth_ok = ratios[-1] <= 2.0 * max(ratios[0], 1e-6)
     document = {
         "scenario": "memory",
-        "params": {"sizes": size_list, "stagger": stagger},
+        "params": {"sizes": size_list, "stagger": _STAGGER},
         "rows": rows,
         "worst_ratio": max(ratios),
         "within_bound": all(row["within_bound"] for row in rows),
         "ratio_growth_ok": growth_ok,
     }
-    if not document["within_bound"] or not growth_ok:
-        error = InvariantViolation(
-            "Claim 4.8 memory audit failed: "
-            + ("node state exceeded the bound"
-               if not document["within_bound"]
-               else "worst ratio grows with n"))
-        error.document = document
-        raise error
-    return document
+    report.expect(document["within_bound"], "memory_bound",
+                  "node state exceeded the Claim 4.8 bound")
+    report.expect(growth_ok, "memory_growth",
+                  "the worst ratio grows with n")
+    return _audited(document, report, "the Claim 4.8 memory audit")
 
 
 # ----------------------------------------------------------------------
@@ -700,8 +681,6 @@ def _drive_app_complexity(name: str, sizes: List[int],
     change, the ``12 log^2 n`` envelope ratio, a log-log slope of total
     messages against n (near 1 = near-linear totals = polylog
     amortized), and the app's guarantee statistic."""
-    import math as _math
-
     from repro.apps import make_app
     from repro.apps.subtree_estimator import SuperWeights
 
@@ -743,7 +722,7 @@ def _drive_app_complexity(name: str, sizes: List[int],
         messages = app.counters.total
         changes = max(tree.topology_changes, 1)
         per_change = messages / changes
-        envelope = 12 * _math.log2(max(tree.size, 4)) ** 2
+        envelope = 12 * math.log2(max(tree.size, 4)) ** 2
         row = {
             "n": n, "final_n": tree.size, "changes": changes,
             "iterations": app.iterations_run,
@@ -832,33 +811,13 @@ def run_apps(apps: str = "all", sizes: str = "100,200,400",
       :func:`repro.metrics.invariants.audit_app`; the run **raises**
       on any violation.
     """
-    from repro.service import APP_NAMES, resolve_app
+    from repro.service import APP_NAMES
 
-    if apps == "all":
-        names = list(APP_NAMES)
-    else:
-        # resolve_app applies the same spelling normalization every
-        # other entry point accepts (hyphens, whitespace) and raises
-        # ConfigError — a ValueError — naming the registry.
-        names = [resolve_app(part)
-                 for part in apps.split(",") if part.strip()]
-    if not names:
-        raise ConfigError(
-            f"apps must list one or more app names (or 'all'): "
-            f"{', '.join(APP_NAMES)}")
+    names = _names(apps, "app", APP_NAMES)
     size_list = _int_csv(sizes, "sizes")
     _at_least_one(sizes=min(size_list), steps_per_node=steps_per_node,
                   grid_n=grid_n, grid_steps=grid_steps)
-    policy_list = [p.strip() for p in policies.split(",") if p.strip()]
-    if not policy_list:
-        raise ConfigError(
-            f"policies must list one or more schedule policies: "
-            f"{', '.join(SCHEDULE_POLICIES)}")
-    for policy in policy_list:
-        if policy not in SCHEDULE_POLICIES:
-            raise ConfigError(
-                f"unknown policy {policy!r}; known: "
-                f"{', '.join(SCHEDULE_POLICIES)}")
+    policy_list = _names(policies, "policy", SCHEDULE_POLICIES)
     _fault_plan(faults)  # fail before the sweeps, not at the grid
 
     complexity = [_drive_app_complexity(name, size_list, steps_per_node,
@@ -883,13 +842,7 @@ def run_apps(apps: str = "all", sizes: str = "100,200,400",
             "grid_n": grid_n, "grid_steps": grid_steps,
         },
         "complexity": complexity,
-        "grid": {
-            "cells": cells,
-            "invariants": grid_report.to_json(),
-            "checks_run": sum(grid_report.checks.values()),
-            "violations": len(grid_report.violations),
-            "passed": grid_report.passed,
-        },
+        "grid": {"cells": cells, **_verdict(grid_report)},
     }
     return _audited(document, grid_report, "the apps grid")
 
@@ -897,33 +850,28 @@ def run_apps(apps: str = "all", sizes: str = "100,200,400",
 # ----------------------------------------------------------------------
 # gateway — concurrent ingestion under churn (throughput + latency).
 # ----------------------------------------------------------------------
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
+def _p50_p99(values: List[float]) -> Dict[str, float]:
+    """Nearest-rank p50 and p99 of ``values`` (0.0 for none)."""
+    ordered = sorted(values) or [0.0]
+    last = len(ordered) - 1
+    return {f"p{q}": round(ordered[round(q / 100 * last)], 3)
+            for q in (50, 99)}
 
 
 def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
-                clients: int = 4, wave: int = 10,
-                batch_size: int = 8, queue_capacity: int = 256,
-                policy: str = "fifo", delays: str = "burst",
-                faults: str = "stall=0.15,storms=3,storm_size=6",
-                breaker_latency: float = 300.0,
-                breaker_failures: int = 2, breaker_cooldown: int = 2,
-                breaker_probes: int = 1,
-                scale: float = 0.5, stagger: float = 0.25) -> Dict:
+                clients: int = 4, wave: int = 10, batch_size: int = 8,
+                scale: float = 0.5) -> Dict:
     """Sustained ingestion through the gateway under a churn storm.
 
     Per seed: the catalogue scenario's pre-generated stream is split
     round-robin across ``clients`` real threads, each submitting
     chunked waves through a worker-pumped :class:`repro.gateway.
-    Gateway` over the event-driven engine with bursty delays, stall
-    faults, and churn storms — the fault regime the circuit breaker
-    exists for.  Clients retry shed requests (which is what supplies
-    HALF_OPEN with probes), so the breaker's full trip/recover cycle
-    runs under measurement.
+    Gateway` over the event-driven engine (fifo schedule) with bursty
+    delays, stall faults, and churn storms — the fault regime the
+    circuit breaker exists for.  The breaker trips on two settlements
+    in a row slower than 300 simulated ticks.  Clients retry shed
+    requests (which is what supplies HALF_OPEN with probes), so the
+    breaker's full trip/recover cycle runs under measurement.
 
     Reported per cell: sustained engine throughput (settled requests
     per wall second), wall-clock p50/p99 settlement latency in
@@ -943,33 +891,22 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
         spec = spec.scaled(scale)
     seed_list = _int_csv(seeds, "seeds")
     _at_least_one(clients=clients, wave=wave)
-    fault_plan = _fault_plan(faults)
+    fault_plan = parse_fault_spec("stall=0.15,storms=3,storm_size=6")
     gateway_config = GatewayConfig(
-        queue_capacity=queue_capacity, batch_size=batch_size,
-        breaker_latency=breaker_latency,
-        breaker_failures=breaker_failures,
-        breaker_cooldown=breaker_cooldown,
-        breaker_probes=breaker_probes)
+        queue_capacity=256, batch_size=batch_size, breaker_latency=300.0,
+        breaker_failures=2, breaker_cooldown=2, breaker_probes=1)
     grid_report = InvariantReport()
     cells: List[Dict] = []
     total_trips = total_recoveries = 0
 
     for seed in seed_list:
-        cell_seed = _cell_seed("gateway", spec.name, policy, seed)
-        stream_specs = _materialize(spec, seed)
-        tree, requests = _replay_requests(spec, seed, stream_specs)
-        span = len(requests) * stagger + 4 * spec.n
-        plan = dataclasses.replace(
-            fault_plan.resolved(span),
-            seed=int(fault_plan.seed) ^ cell_seed)
-        config = SessionConfig(
-            controller=ControllerSpec("distributed", m=spec.m, w=spec.w,
-                                      u=spec.u),
-            schedule_policy=policy, delay_model=delays, faults=plan,
-            seed=cell_seed, max_in_flight=1 << 20)
-        session = ControllerSession(config, tree=tree)
+        tree, requests = _replay_requests(spec, seed,
+                                          _materialize(spec, seed))
+        session = _event_session(
+            spec, tree, len(requests), "fifo", "burst", fault_plan,
+            _cell_seed("gateway", spec.name, "fifo", seed))
         gateway = Gateway(session, gateway_config)
-        label = f"{spec.name}/{policy}/seed={seed}"
+        label = f"{spec.name}/fifo/seed={seed}"
         settled_verdicts: List[str] = []
         client_errors: List[BaseException] = []
 
@@ -1024,26 +961,16 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
         audit_gateway(gateway, grid_report)
         total_trips += stats.breaker_trips
         total_recoveries += stats.breaker_recoveries
-        lat_ms = [value * 1000.0 for value in gateway.latencies_wall]
         cells.append({
-            "scenario": spec.name, "seed": seed, "policy": policy,
+            "scenario": spec.name, "seed": seed, "policy": "fifo",
             "requests": len(requests), "clients": clients,
             "wall_s": round(wall, 4),
             "req_per_s": round(stats.settled / wall, 1) if wall else 0.0,
-            "latency_wall_ms": {
-                "p50": round(_percentile(lat_ms, 0.50), 3),
-                "p99": round(_percentile(lat_ms, 0.99), 3),
-            },
-            "latency_sim": {
-                "p50": round(_percentile(gateway.latencies_session,
-                                         0.50), 3),
-                "p99": round(_percentile(gateway.latencies_session,
-                                         0.99), 3),
-            },
+            "latency_wall_ms": _p50_p99(
+                [value * 1000.0 for value in gateway.latencies_wall]),
+            "latency_sim": _p50_p99(gateway.latencies_session),
             "stats": stats.snapshot(),
-            "fault_stats": dict(getattr(session.controller, "faults").stats
-                                if getattr(session.controller, "faults",
-                                           None) is not None else {}),
+            "fault_stats": _fault_stats(session),
             "simulated_time": round(session.now, 3),
         })
         session.close()
@@ -1051,8 +978,8 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
     grid_report.expect(
         total_trips >= 1 and total_recoveries >= 1, "breaker",
         f"the grid never exercised the breaker (trips={total_trips}, "
-        f"recoveries={total_recoveries}); tighten breaker_latency or "
-        "the fault plan",
+        f"recoveries={total_recoveries}); tighten the breaker latency "
+        "or the fault plan",
         trips=total_trips, recoveries=total_recoveries)
 
     document = {
@@ -1068,10 +995,7 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
             "breaker_trips": total_trips,
             "breaker_recoveries": total_recoveries,
         },
-        "invariants": grid_report.to_json(),
-        "checks_run": sum(grid_report.checks.values()),
-        "violations": len(grid_report.violations),
-        "passed": grid_report.passed,
+        **_verdict(grid_report),
     }
     return _audited(document, grid_report, "the gateway grid")
 
@@ -1079,8 +1003,30 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
 # ----------------------------------------------------------------------
 # fleet — the sharded controller fleet (scale-out acceptance bench).
 # ----------------------------------------------------------------------
+#: The fleet bench's seed: placement, streams and the stress cells.
+_FLEET_SEED = 7
+
+
+def _expect_clean(report: InvariantReport, fleet, label: str,
+                  **context: object) -> bool:
+    """Audit ``fleet`` into ``report``; True when it audits clean."""
+    audit = fleet.audit()
+    report.expect(audit.passed, "fleet_audit",
+                  f"{label}: {audit.violations[:2]}", **context)
+    return audit.passed
+
+
+def _expect_wave(report: InvariantReport, fleet, label: str) -> None:
+    """``fleet`` ended in the reject wave with its whole budget granted."""
+    report.expect(
+        fleet.reject_wave and fleet.granted_total == fleet.config.m_total,
+        "reject_wave",
+        f"{label}: granted {fleet.granted_total} of "
+        f"{fleet.config.m_total} at the wave (fleet waste must be 0)")
+
+
 def _drive_fleet_cell(shard_count: int, steps: int, clients: int,
-                      seed: int, grid_report: "InvariantReport") -> Dict:
+                      grid_report: InvariantReport) -> Dict:
     """One scaling cell: mixed default-mix churn over ``shard_count``
     shards, ``clients`` sticky origins, budget sized to grant the whole
     stream (throughput is measured, not exhaustion).
@@ -1098,9 +1044,9 @@ def _drive_fleet_cell(shard_count: int, steps: int, clients: int,
     config = FleetConfig.of(
         shards=shard_count, m_total=2 * steps + shard_count,
         w_total=2 * shard_count, u=4 * steps,
-        seed=_cell_seed("fleet", shard_count, seed))
+        seed=_cell_seed("fleet", shard_count, _FLEET_SEED))
     fleet = FleetRouter(config)
-    rng = random.Random(seed)
+    rng = random.Random(_FLEET_SEED)
     mix = default_mix()
     pickers = [NodePicker(shard.tree) for shard in fleet.shards]
     start = time.perf_counter()
@@ -1116,10 +1062,8 @@ def _drive_fleet_cell(shard_count: int, steps: int, clients: int,
 
     busy = [shard.served + shard.counters.total for shard in fleet.shards]
     makespan = max(busy)
-    report = fleet.audit()
-    grid_report.expect(report.passed, "fleet_audit",
-                       f"{label}: {report.violations[:2]}",
-                       shards=shard_count)
+    audit_passed = _expect_clean(grid_report, fleet, label,
+                                 shards=shard_count)
     tally = fleet.tally()
     grid_report.expect(tally.get("rejected", 0) == 0, "budget_sizing",
                        f"{label}: scaling cell hit the reject wave "
@@ -1134,15 +1078,14 @@ def _drive_fleet_cell(shard_count: int, steps: int, clients: int,
         "tally": tally,
         "transfers": len(fleet.ledger),
         "granted_total": fleet.granted_total,
-        "audit_passed": report.passed,
+        "audit_passed": audit_passed,
     }
     fleet.close()
     return cell
 
 
 def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
-              clients: int = 256, seed: int = 7,
-              scale: float = 0.25) -> Dict:
+              clients: int = 256) -> Dict:
     """The fleet acceptance bench (``BENCH_fleet.json``).
 
     Three sections, every one invariant-audited:
@@ -1152,7 +1095,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
       speedup vs the 1-shard cell, and scaling efficiency
       (speedup / shards).  Asserts >= 3x sustained req/s at 4 shards.
     * **equivalence** — the 1-shard fleet replays the mixed_flood
-      catalogue stream against a plain terminating
+      catalogue stream (scale 0.25) against a plain terminating
       :class:`~repro.service.session.ControllerSession` twin:
       tallies, move counters, and the verdict sequence must be
       bit-for-bit identical.
@@ -1177,7 +1120,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
     shard_counts = _int_csv(shards, "shards")
     _at_least_one(steps=steps, clients=clients)
     grid_report = InvariantReport()
-    cells = [_drive_fleet_cell(count, steps, clients, seed, grid_report)
+    cells = [_drive_fleet_cell(count, steps, clients, grid_report)
              for count in shard_counts]
 
     baseline = next((c for c in cells if c["shards"] == 1), cells[0])
@@ -1199,10 +1142,10 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
             speedup=four["speedup"])
 
     # Equivalence: 1-shard fleet == plain terminating session.
-    spec = get_scenario("mixed_flood").scaled(scale)
-    fleet_tree = spec.build_tree(seed=seed)
+    spec = get_scenario("mixed_flood").scaled(0.25)
+    fleet_tree = spec.build_tree(seed=_FLEET_SEED)
     stream_specs = [request_spec(r)
-                    for r in spec.stream(fleet_tree, seed=seed + 1)]
+                    for r in spec.stream(fleet_tree, seed=_FLEET_SEED + 1)]
     fleet = FleetRouter(
         FleetConfig.of(shards=1, m_total=spec.m, w_total=spec.w,
                        u=spec.u),
@@ -1210,11 +1153,8 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
     fleet_records = fleet.serve_stream(
         TreeMirror(fleet_tree).requests(stream_specs))
 
-    plain_tree = spec.build_tree(seed=seed)
-    plain = ControllerSession(
-        SessionConfig(controller=ControllerSpec(
-            "terminating", m=spec.m, w=spec.w, u=spec.u)),
-        tree=plain_tree)
+    plain_tree = spec.build_tree(seed=_FLEET_SEED)
+    plain = _session("terminating", plain_tree, spec.m, spec.w, spec.u)
     plain_records = [plain.serve(r)
                      for r in TreeMirror(plain_tree).requests(stream_specs)]
 
@@ -1228,9 +1168,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         equivalent, "equivalence",
         "1-shard fleet diverged from the plain session on "
         f"{spec.name} (tallies {fleet.tally()} vs {plain.tally()})")
-    audit_report = fleet.audit()
-    grid_report.expect(audit_report.passed, "fleet_audit",
-                       f"equivalence cell: {audit_report.violations[:2]}")
+    _expect_clean(grid_report, fleet, "equivalence cell")
     equivalence = {
         "scenario": spec.name, "requests": len(stream_specs),
         "tally": fleet.tally(), "equivalent": equivalent,
@@ -1240,25 +1178,19 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
     # Stress: forced transfers, live reclaim, and the reject wave.
     stress = FleetRouter(FleetConfig.of(
         shards=2, m_total=60, w_total=8, u=2048, tranche=10,
-        weights=[3, 1], seed=seed))
-    rng = random.Random(seed)
+        weights=[3, 1], seed=_FLEET_SEED))
+    rng = random.Random(_FLEET_SEED)
     for _ in range(4 * 60):
         client = f"client-{rng.randrange(8)}"
         tree = stress.tree_of(client)
         node = rng.choice(list(tree.nodes()))
         stress.serve(Request(RequestKind.ADD_LEAF, node), origin=client)
     stress_tally = stress.tally()
-    stress_report = stress.audit()
-    grid_report.expect(stress_report.passed, "fleet_audit",
-                       f"stress cell: {stress_report.violations[:2]}")
+    _expect_clean(grid_report, stress, "stress cell")
     grid_report.expect(
         len(stress.ledger) >= 1, "transfers",
         "the skewed stress cell produced no cross-shard transfer")
-    grid_report.expect(
-        stress.reject_wave
-        and stress.granted_total == stress.config.m_total, "reject_wave",
-        f"stress cell: granted {stress.granted_total} of "
-        f"{stress.config.m_total} at the wave (fleet waste must be 0)")
+    _expect_wave(grid_report, stress, "stress cell")
     most = max(shard.sessions_spawned for shard in stress.shards)
     grid_report.expect(
         most <= 2, "funding",
@@ -1270,7 +1202,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
     # shard 1 then borrows until only a drain can pay it.
     parked_tree = build_path(100)
     reclaim = FleetRouter(FleetConfig.of(
-        shards=2, m_total=40, w_total=1024, u=512, seed=seed),
+        shards=2, m_total=40, w_total=1024, u=512, seed=_FLEET_SEED),
         trees=[parked_tree, build_path(1)])
     foot = next(node for node in parked_tree.nodes() if node.is_leaf)
     reclaim.serve(Request(RequestKind.PLAIN, foot))
@@ -1279,29 +1211,21 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         reclaim.serve(Request(RequestKind.ADD_LEAF, starved.tree.root))
     reclaim_kinds = sorted({entry.kind
                             for entry in reclaim.ledger.entries})
-    reclaim_report = reclaim.audit()
-    grid_report.expect(reclaim_report.passed, "fleet_audit",
-                       f"reclaim cell: {reclaim_report.violations[:2]}")
+    _expect_clean(grid_report, reclaim, "reclaim cell")
     grid_report.expect(
         "reclaim" in reclaim_kinds, "transfers",
         f"no live-session reclaim flowed (kinds: {reclaim_kinds})")
 
     staged = FleetRouter(FleetConfig.of(
         shards=1, m_total=1000, w_total=4, u=4096, tranche=10,
-        seed=seed))
+        seed=_FLEET_SEED))
     staged_shard = staged.shards[0]
     for _ in range(staged.config.m_total + 1):
         staged.serve(Request(RequestKind.PLAIN, staged_shard.tree.root))
     stage_bound = math.ceil(
         math.log2(staged_shard.allocation / staged.config.tranche)) + 2
-    staged_report = staged.audit()
-    grid_report.expect(staged_report.passed, "fleet_audit",
-                       f"staged cell: {staged_report.violations[:2]}")
-    grid_report.expect(
-        staged.reject_wave
-        and staged.granted_total == staged.config.m_total, "reject_wave",
-        f"staged cell: granted {staged.granted_total} of "
-        f"{staged.config.m_total} at the wave (fleet waste must be 0)")
+    _expect_clean(grid_report, staged, "staged cell")
+    _expect_wave(grid_report, staged, "staged cell")
     grid_report.expect(
         staged_shard.sessions_spawned <= stage_bound, "stage_bound",
         f"staged cell: {staged_shard.sessions_spawned} sessions for an "
@@ -1352,10 +1276,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         "scaling": scaling,
         "equivalence": equivalence,
         "stress": stress_section,
-        "invariants": grid_report.to_json(),
-        "checks_run": sum(grid_report.checks.values()),
-        "violations": len(grid_report.violations),
-        "passed": grid_report.passed,
+        **_verdict(grid_report),
     }
     return _audited(document, grid_report, "the fleet bench")
 

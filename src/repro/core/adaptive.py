@@ -104,7 +104,7 @@ class AdaptiveController:
         self._epoch_max_size = n_i
         self._inner = IteratedController(
             self.tree, m=budget, w=self.w, u=self._epoch_u,
-            counters=self.counters, reject_on_exhaustion=True,
+            counters=self.counters,
         )
 
     def _rollover(self) -> None:

@@ -47,14 +47,13 @@ class IteratedController:
     """Full (M,W)-Controller for known U via halving stages.
 
     Exposes the same ``handle(request) -> Outcome`` interface as
-    :class:`CentralizedController`.  With ``reject_on_exhaustion=False``
-    the *final* stage reports ``PENDING`` instead of rejecting, which is
-    what :class:`repro.core.terminating.TerminatingController` builds on.
+    :class:`CentralizedController`.  The final stage rejects; only the
+    ``W = 0`` recipe's (M, 1) stage answers ``PENDING``, and it hands
+    over to the trivial stage.
     """
 
     def __init__(self, tree: DynamicTree, m: int, w: int, u: int,
-                 counters: Optional[MoveCounters] = None,
-                 reject_on_exhaustion: bool = True):
+                 counters: Optional[MoveCounters] = None):
         if m < 0 or w < 0:
             raise ControllerError(f"invalid (M, W) = ({m}, {w})")
         self.tree = tree
@@ -62,7 +61,6 @@ class IteratedController:
         self.w = w
         self.u = u
         self.counters = counters if counters is not None else MoveCounters()
-        self.reject_on_exhaustion = reject_on_exhaustion
         self.rejected = 0
         self.stages_run = 0
         self._granted_before_stage = 0
@@ -134,13 +132,11 @@ class IteratedController:
                 return outcome
             if outcome.status is not OutcomeStatus.PENDING:
                 return outcome
-            # The stage exhausted while serving this request.
+            # The stage exhausted while serving this request; a final
+            # stage answers PENDING only in the W = 0 recipe.
             if self._final:
-                if self.w == 0:
-                    self._enter_trivial_stage()
-                    return self._handle_trivial(request)
-                # Final stage with reject_on_exhaustion=False: bubble up.
-                return outcome
+                self._enter_trivial_stage()
+                return self._handle_trivial(request)
             self._advance_stage()
 
     def handle_batch(self, requests: Iterable[Request]) -> List[Outcome]:
@@ -154,23 +150,18 @@ class IteratedController:
     # Stage management.
     # ------------------------------------------------------------------
     def _spawn_stage(self, budget: int) -> None:
-        self.stages_run += 1
         effective_w = max(self.w, 1)
         # Halve while the budget comfortably exceeds the waste allowance;
         # otherwise run the final (budget, W) stage.
         if budget > 2 * (effective_w + 1) and budget // 2 > effective_w:
+            self.stages_run += 1
             self._final = False
             self._inner = CentralizedController(
                 self.tree, m=budget, w=budget // 2, u=self.u,
                 counters=self.counters, reject_on_exhaustion=False,
             )
         else:
-            self._final = True
-            final_rejects = self.reject_on_exhaustion and self.w >= 1
-            self._inner = CentralizedController(
-                self.tree, m=budget, w=effective_w, u=self.u,
-                counters=self.counters, reject_on_exhaustion=final_rejects,
-            )
+            self._final_spawn(budget)
 
     def _advance_stage(self) -> None:
         """Clear stage i's data structure and start stage i+1 with L."""
@@ -187,12 +178,13 @@ class IteratedController:
             self._spawn_stage(leftover)
 
     def _final_spawn(self, budget: int) -> None:
+        """The final (budget, W) stage; it rejects unless W = 0, whose
+        (budget, 1) stage hands its exhaustion to the trivial stage."""
         self.stages_run += 1
         self._final = True
-        final_rejects = self.reject_on_exhaustion and self.w >= 1
         self._inner = CentralizedController(
             self.tree, m=budget, w=max(self.w, 1), u=self.u,
-            counters=self.counters, reject_on_exhaustion=final_rejects,
+            counters=self.counters, reject_on_exhaustion=self.w >= 1,
         )
 
     def _reset_inner(self) -> None:
@@ -225,12 +217,10 @@ class IteratedController:
             self._granted_before_stage += 1
             new_node = perform_event(self.tree, request)
             return Outcome(OutcomeStatus.GRANTED, request, new_node=new_node)
-        if self.reject_on_exhaustion:
-            self.rejecting = True
-            self.counters.reject_moves += waves.node_wave(self.tree.size)
-            self.rejected += 1
-            return Outcome(OutcomeStatus.REJECTED, request)
-        return Outcome(OutcomeStatus.PENDING, request)
+        self.rejecting = True
+        self.counters.reject_moves += waves.node_wave(self.tree.size)
+        self.rejected += 1
+        return Outcome(OutcomeStatus.REJECTED, request)
 
     # ------------------------------------------------------------------
     def detach(self) -> None:

@@ -46,8 +46,8 @@ __all__ = [
 #: surface exhaustion as a *terminating* PENDING (never a client-visible
 #: REJECTED) so the router can intercept it and rebalance; of the
 #: registered flavours only ``terminating`` has that contract.  (The
-#: router spawns its own ``trivial`` mop-up sessions once the global
-#: budget is nearly spent — those are fleet-internal, not templates.)
+#: router spawns its own ``trivial`` mop-up and M = 0 reject-wave
+#: sessions at the end of the budget — fleet-internal, not templates.)
 SHARD_FLAVORS: Tuple[str, ...] = ("terminating",)
 
 

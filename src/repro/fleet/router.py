@@ -42,10 +42,11 @@ the shard then *banks* its grants and recovers the leftover into its
 reserve — the exact stage-rollover algebra of
 :class:`~repro.core.iterated.IteratedController` — and refills.
 Only when no permit remains unspent anywhere
-does the fleet enter its **reject wave**: the mop-up ``trivial``
-sessions answer exact (M, 0) rejects, so at the first client-visible
-REJECTED the fleet has granted its entire global budget — fleet-level
-waste is zero, well inside the ``W_total`` bound the auditor checks.
+does the fleet enter its **reject wave**: each spent shard runs an
+M = 0 session that broadcasts the Section 3.1 reject wave once and
+then rejects locally, so at the first client-visible REJECTED the
+fleet has granted its entire global budget — fleet-level waste is
+zero, well inside the ``W_total`` bound the auditor checks.
 """
 
 import threading
@@ -219,6 +220,18 @@ class Shard:
         root = cast(TerminatingController, session.controller).inner
         root._fund = self._fund
         self._root = root
+
+    def spawn_spent(self) -> None:
+        """Reject-wave mode: an M = 0 engine once the fleet is spent.
+
+        Its first request finds nothing to grant and broadcasts the
+        Section 3.1 reject wave, one move per node; after that every
+        node rejects locally, at no move.
+        """
+        self._spawn(ControllerSpec("centralized", m=0, w=self.waste,
+                                   u=self.spec.template.u,
+                                   options={"counters": self.counters}),
+                    0)
 
     def spawn_trivial(self, m_live: int) -> None:
         """Mop-up mode: an exact (M, 0) engine over the whole reserve.
@@ -495,9 +508,9 @@ class FleetRouter:
         if shard.reserve < tranche:
             self._borrow(shard, tranche - shard.reserve)
         if shard.reserve == 0:
-            # Global budget spent: an empty mop-up engine still answers
-            # CANCELLED/REJECTED with exact semantics.
-            shard.spawn_trivial(0)
+            # Global budget spent: the empty engine pays the reject wave
+            # once and still answers CANCELLED/REJECTED exactly.
+            shard.spawn_spent()
         elif shard.last_granted == 0:
             # The previous packaged session made no progress (tranche
             # below the needed package size) — grant the rest exactly.

@@ -11,7 +11,7 @@ Layer map (queue -> throttle -> breaker -> session; full lifecycle in
 * :class:`~repro.gateway.aio.AsyncGateway` — the asyncio adapter over
   the worker-pumped gateway.
 * :class:`~repro.gateway.config.GatewayConfig` — frozen, validated
-  policy (queue bound, batch size, token bucket, breaker, heartbeat).
+  policy (queue bound, batch size, token bucket, breaker).
 * :class:`~repro.gateway.throttle.TokenBucket`,
   :class:`~repro.gateway.breaker.CircuitBreaker` /
   :class:`~repro.gateway.breaker.BreakerState`,

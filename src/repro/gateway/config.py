@@ -2,8 +2,8 @@
 
 A :class:`GatewayConfig` describes the whole front door in one frozen
 value — the leveling queue bound, the pump batch size, the token-bucket
-throttle, the circuit-breaker policy, and the health heartbeat — with
-the same eager-validation discipline as
+throttle and the circuit-breaker policy — with the same
+eager-validation discipline as
 :class:`repro.service.config.SessionConfig` (every mistake raises
 :class:`repro.errors.ConfigError` before any gateway state exists).
 
@@ -29,7 +29,7 @@ from repro.service.config import _require_int
 
 #: The fields that count requests or pump cycles.
 _INT_FIELDS = ("queue_capacity", "batch_size", "burst", "breaker_failures",
-               "breaker_cooldown", "breaker_probes", "heartbeat_every")
+               "breaker_cooldown", "breaker_probes")
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ class GatewayConfig:
     breaker_probes:
         Probe requests admitted in HALF_OPEN; all must succeed to close
         the breaker, one failure re-opens it.
-    heartbeat_every:
-        Pump cycles between health heartbeats (the probe layer flags a
-        pump that stopped beating).
-    record_latencies:
-        Keep per-request wall-clock latencies for the bench percentiles
-        (a list that grows with the run; switch off for soak runs).
     """
 
     queue_capacity: int = 1024
@@ -77,8 +71,6 @@ class GatewayConfig:
     breaker_failures: int = 8
     breaker_cooldown: int = 4
     breaker_probes: int = 2
-    heartbeat_every: int = 1
-    record_latencies: bool = True
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
@@ -111,14 +103,6 @@ class GatewayConfig:
         if self.breaker_probes < 1:
             raise ConfigError(
                 f"breaker_probes must be >= 1, got {self.breaker_probes}")
-        if self.heartbeat_every < 1:
-            raise ConfigError(
-                f"heartbeat_every must be >= 1, got {self.heartbeat_every}")
-
-    @property
-    def throttled(self) -> bool:
-        """True when the token bucket actually polices admissions."""
-        return self.rate > 0
 
     @property
     def breaker_enabled(self) -> bool:

@@ -328,8 +328,7 @@ class Gateway:
             probe_quota=self.config.breaker_probes)
         self._stats = GatewayStats()
         #: Wall-clock and session-clock latencies of engine-settled
-        #: tickets, for the bench percentiles (see
-        #: ``config.record_latencies``).
+        #: tickets, for the bench percentiles.
         self.latencies_wall: List[float] = []
         self.latencies_session: List[float] = []
         self._seq = 0
@@ -501,9 +500,8 @@ class Gateway:
                 return 0
             self._stats.cycles += 1
             self._breaker.on_cycle()
-            if self._stats.cycles % self.config.heartbeat_every == 0:
-                self._stats.heartbeats += 1
-                self._last_beat = self._clock()
+            self._stats.heartbeats += 1
+            self._last_beat = self._clock()
             batch: List[GatewayTicket] = []
             while self._queue and len(batch) < self.config.batch_size:
                 batch.append(self._queue.popleft())
@@ -550,9 +548,8 @@ class Gateway:
                 ok = (record.latency <= self.config.breaker_latency
                       and verdict not in _FAILURE_VERDICTS)
                 self._breaker.record(ok, probe=ticket.probe)
-            if self.config.record_latencies:
-                self.latencies_wall.append(now - ticket.submit_wall)
-                self.latencies_session.append(float(record.latency))
+            self.latencies_wall.append(now - ticket.submit_wall)
+            self.latencies_session.append(float(record.latency))
 
     def run_until_idle(self) -> int:
         """Pump until the queue is empty; total tickets settled.

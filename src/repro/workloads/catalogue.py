@@ -54,6 +54,13 @@ _BUILDERS = {
 }
 
 
+def build_tree(topology: str, n: int, seed: int) -> DynamicTree:
+    """An ``n``-node tree of ``topology``; only ``random`` reads ``seed``."""
+    if topology == "random":
+        return build_random_tree(n, seed=seed)
+    return _BUILDERS[topology](n)
+
+
 def _feasible_request(node: TreeNode, rng: random.Random,
                       kinds: List[RequestKind],
                       weights: List[float]) -> Request:
@@ -182,10 +189,7 @@ class ScenarioSpec:
 
     def build_tree(self, seed: int = 0) -> DynamicTree:
         """The scenario's initial topology (deterministic per seed)."""
-        builder = _BUILDERS[self.topology]
-        if builder is build_random_tree:
-            return builder(self.n, seed=seed)
-        return builder(self.n)
+        return build_tree(self.topology, self.n, seed)
 
     def stream(self, tree: DynamicTree, seed: int = 0) -> List[Request]:
         """The full pre-generated request stream (tree is not mutated)."""

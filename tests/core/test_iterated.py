@@ -83,18 +83,6 @@ def test_rejections_are_sticky():
                for s in statuses[first_reject:])
 
 
-def test_pending_mode_final_stage():
-    tree = DynamicTree()
-    controller = IteratedController(tree, m=10, w=2, u=50,
-                                    reject_on_exhaustion=False)
-    statuses = []
-    for _ in range(20):
-        statuses.append(controller.handle(plain(tree.root)).status)
-    assert OutcomeStatus.PENDING in statuses
-    assert OutcomeStatus.REJECTED not in statuses
-    assert controller.exhausted
-
-
 def test_small_budget_deep_request_does_not_livelock():
     """A stage that cannot cover a deep request must cut to the final
     stage instead of re-halving forever."""

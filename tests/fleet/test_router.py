@@ -9,6 +9,7 @@ from repro.core.requests import OutcomeStatus, Request, RequestKind
 from repro.errors import (ConfigError, ControllerError, FleetError,
                           ProtocolError)
 from repro.fleet import FleetConfig, FleetRouter
+from repro.metrics import waves
 from repro.service import ControllerSession, SessionConfig
 from repro.service.config import ControllerSpec
 from repro.workloads.catalogue import get_scenario
@@ -366,13 +367,16 @@ def test_single_shard_equivalence_holds_only_inside_the_budget():
     both grant every request with equal move counters; from then on the
     plain session has terminated and answers PENDING (Observation 2.1
     leaves the request for a next iteration), while the fleet, with
-    nothing left to fund, answers REJECTED (its reject wave)."""
+    nothing left to fund, answers REJECTED (its reject wave).  The
+    first reject pays the termination pair and the Section 3.1 reject
+    wave, one move per node; every later one is answered locally."""
     spec, stream, fleet, plain = _one_shard_beside_plain("near_exhaustion")
     fleet_mirror = TreeMirror(fleet.shards[0].tree)
     plain_mirror = TreeMirror(plain.tree)
     fleet_counters = fleet.shards[0].counters
-    split = []
+    split, reject_moves = [], []
     for item in stream:
+        before = fleet_counters.total
         fleet_status = fleet.serve(fleet_mirror.request(item)).outcome.status
         plain_status = plain.serve(plain_mirror.request(item)).outcome.status
         if not split and plain_status is OutcomeStatus.GRANTED:
@@ -381,9 +385,14 @@ def test_single_shard_equivalence_holds_only_inside_the_budget():
                     == plain.controller.counters.snapshot())
         else:
             split.append((fleet_status, plain_status))
+            reject_moves.append(fleet_counters.total - before)
     assert len(stream) - len(split) == spec.m == 65
     assert split == [(OutcomeStatus.REJECTED, OutcomeStatus.PENDING)] * 60
     assert fleet.tally()["rejected"] == plain.tally()["pending"] == 60
+    assert fleet.shards[0].tree.size == 26
+    wave = waves.termination(26) + waves.node_wave(26)
+    assert reject_moves == [wave] + [0] * 59 and wave == 78
+    assert fleet_counters.total == 258
     assert fleet.audit().passed
     fleet.close(), plain.close()
 

@@ -130,7 +130,6 @@ def test_session_window_narrower_than_batch_is_a_config_error():
     ("queue_capacity", "8"), ("queue_capacity", 2.5),
     ("batch_size", True), ("burst", 2.5), ("breaker_failures", 1.5),
     ("breaker_cooldown", "2"), ("breaker_probes", "1"),
-    ("heartbeat_every", 1.5),
     # The rate and the breaker threshold are reals, never bools or NaN.
     ("rate", True), ("rate", float("nan")), ("rate", "1"),
     ("breaker_latency", "x"), ("breaker_latency", float("nan")),

@@ -1,7 +1,12 @@
 """Smoke tests for the ``python -m repro.bench`` experiment runner."""
 
+import argparse
+import inspect
+import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +14,29 @@ import pytest
 
 from repro.bench import SCENARIOS, run_scenario_bench
 from repro.bench.__main__ import build_parser, main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+#: Every option of every command.  A value that no caller varies is a
+#: constant of its run, not an option.
+CLI_OPTIONS = {
+    "list": [],
+    "move_complexity": ["--sizes", "--out"],
+    "scenario": ["--name", "--policy", "--faults", "--seeds", "--engines",
+                 "--scale", "--topology", "--controller", "--n", "--steps",
+                 "--batch-size", "--out"],
+    "apps": ["--apps", "--sizes", "--steps-per-node", "--seed",
+             "--policies", "--faults", "--grid-n", "--grid-steps", "--out"],
+    "gateway": ["--scenario", "--seeds", "--clients", "--wave",
+                "--batch-size", "--scale", "--out"],
+    "fleet": ["--shards", "--steps", "--clients", "--out"],
+    "profile": ["--scenario", "--top", "--out"],
+    "memory": ["--sizes", "--out"],
+}
+
+#: The documents whose ``python -m repro.bench`` commands must parse.
+DOCUMENTED = ("README.md", "docs/architecture.md",
+              ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
 
 
 def test_registry_names():
@@ -199,3 +227,78 @@ def test_cli_reports_bad_input_like_argparse(capsys, argv, names):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
+
+
+def _commands():
+    """The subcommand parsers, by name."""
+    action = next(action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_cli_options_per_command():
+    """Each command has exactly its listed options, and each one but
+    ``--out`` is a parameter of the command's runner (``scenario
+    --name`` selects the grid runner), so none is dropped unread."""
+    options = {name: [option for action in command._actions
+                      for option in action.option_strings
+                      if option not in ("-h", "--help")]
+               for name, command in _commands().items()}
+    assert options == CLI_OPTIONS
+    for name, command in _commands().items():
+        runners = [SCENARIOS[key] for key in (name, name + "_grid")
+                   if key in SCENARIOS]
+        accepted = set().union(*(inspect.signature(runner).parameters
+                                 for runner in runners)) | {"out"}
+        for action in command._actions:
+            assert action.dest in accepted | {"help"}, (name, action.dest)
+
+
+def test_no_option_states_a_default():
+    """``main()`` leaves an unset option out of the call, so the
+    ``run_*`` signature is the one place a default lives."""
+    defaults = {(name, action.dest): action.default
+                for name, command in _commands().items()
+                for action in command._actions
+                if action.dest != "help" and action.default is not None}
+    assert defaults == {}
+
+
+def _documented_commands():
+    """``(document, argv)`` for every ``python -m repro.bench`` command
+    in the documents' code (fenced blocks and inline spans) and the CI
+    steps, continuation lines joined.  A bare mention, or one with a
+    placeholder (``<scenario>``, ``...``), is prose, not a command."""
+    for name in DOCUMENTED:
+        with open(os.path.join(ROOT, name), encoding="utf-8") as handle:
+            text = handle.read()
+        if name.endswith(".md"):
+            prose = re.sub(r"```.*?```", "", text, flags=re.S)
+            text = "\n".join(
+                re.findall(r"```[^\n]*\n(.*?)```", text, flags=re.S)
+                + [" ".join(span.split())
+                   for span in re.findall(r"`([^`]+)`", prose)])
+        else:
+            text = re.sub(r"\n\s*(?=--)", " ", text)  # folded YAML lines
+        text = re.sub(r"\\\n\s*", " ", text)  # shell continuations
+        for line in text.splitlines():
+            _, found, rest = line.partition("python -m repro.bench")
+            if not found or "<" in rest or "..." in rest:
+                continue
+            argv = list(itertools.takewhile(
+                lambda word: word not in (">", "|", "&&"),
+                shlex.split(rest, comments=True)))
+            if argv:
+                yield name, argv
+
+
+def test_documented_commands_parse():
+    """No document names a command or option the CLI does not have."""
+    commands = list(_documented_commands())
+    assert {name for name, _argv in commands} == set(DOCUMENTED)
+    parser = build_parser()
+    for name, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}: python -m repro.bench {shlex.join(argv)}")
