@@ -32,7 +32,7 @@ The session layer (:mod:`repro.service`) is the supported way to drive
 an engine: one :class:`SessionConfig` describes the whole wiring
 (flavour, (M, W, U), schedule policy, delay model, faults, admission
 window), and the :class:`ControllerSession` serves requests through
-typed envelopes — non-blocking ``submit`` -> ``Ticket``, batched
+tickets and records — non-blocking ``submit`` -> ``Ticket``, batched
 ``submit_many``, streaming ``drain()`` in settlement order, with
 saturation reported as an explicit ``BACKPRESSURE`` verdict distinct
 from the paper's permit reject.
@@ -117,7 +117,6 @@ from repro.service import (
     ControllerSpec,
     IterationRecord,
     OutcomeRecord,
-    RequestEnvelope,
     SessionConfig,
     SessionVerdict,
     Ticket,
@@ -139,7 +138,6 @@ __all__ = [
     "ControllerSession",
     "SessionConfig",
     "ControllerSpec",
-    "RequestEnvelope",
     "OutcomeRecord",
     "SessionVerdict",
     "Ticket",

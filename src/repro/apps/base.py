@@ -125,7 +125,7 @@ class AppSession:
         self.verdicts: Dict[str, int] = self._outbox.verdicts
         self._sync = not spec.event_driven
         #: Whether a subclass overrides the per-outcome hook (the base
-        #: hook is a no-op, so the serve paths skip its call).
+        #: hook is a no-op, so :meth:`serve` skips its call).
         self._hooked = (type(self)._after_outcome
                         is not AppSession._after_outcome)
         self._fast_handle: Callable[[Request], Any]
@@ -160,9 +160,8 @@ class AppSession:
                                       options=options)
         self.session = ControllerSession(config, tree=self.tree)
         # Bound-method cache for the synchronous serve hot path: the
-        # session's serve() is this same handle plus record wrapping
-        # the app redoes at its own layer anyway (the <= 5% apps-bench
-        # overhead budget pays for exactly one wrapping).
+        # session's serve() is this same handle plus a record, and the
+        # app builds its own record at its own layer.
         self._fast_handle = self.session.controller.handle
         self._on_iteration_start(n_i)
         outbox = self._outbox
@@ -309,54 +308,16 @@ class AppSession:
 
     def serve_stream(self, requests: Iterable[Request]
                      ) -> List[OutcomeRecord]:
-        """Serve a request stream to completion, in stream order.
+        """:meth:`serve` each request in turn; the records, in order.
 
-        The batched ingestion path (the apps-bench <= 5% overhead
-        budget is measured here): the stream is consumed one request at
-        a time — so a :class:`~repro.workloads.scenarios.TreeMirror`
-        resolver may bind each request only after the previous one was
-        applied — with the iteration rolled at the first PENDING, bit
-        for bit the sequential serve loop's semantics; what is batched
-        is the bookkeeping: per-chunk outcome tallies and one C-loop
-        record construction, like :meth:`ControllerSession.serve_stream`.
-        On the event-driven engine — where requests race and late
-        binding is meaningless — the stream is queued whole and
-        settled through the normal pump (rollover on termination),
-        returned in stream order.  Admission control does not apply on
-        either engine: the stream is *served*, not submitted, so no
-        request of it is ever backpressured (the
-        :meth:`ControllerSession.serve_stream` rule).  Served records
-        are not re-yielded by :meth:`drain`.
+        Each request is taken from the iterable only after the previous
+        one was served, so a resolver such as
+        :class:`~repro.workloads.scenarios.TreeMirror` may bind it
+        late.
         """
         if self._closed:
             raise ControllerError("app session is closed")
-        while self._pending:
-            self._pump()
-        if not self._sync:
-            # Served, not submitted: enqueue past the admission window
-            # (going through submit() would backpressure the tail).
-            tickets = [self._outbox.ticket(request, self._pump)
-                       for request in requests]
-            self._pending.extend(tickets)
-            return [ticket.result() for ticket in tickets]
-        after = self._after_outcome if self._hooked else None
-        outcomes: List[Outcome] = []
-        append = outcomes.append
-        fast = self._fast_handle
-        pending = OutcomeStatus.PENDING  # hoisted: checked per request
-        for request in requests:
-            outcome = fast(request)
-            while outcome.status is pending:
-                granted_now = self._live_granted()
-                self._roll_iteration()
-                if granted_now == 0:
-                    self._require_progress()
-                fast = self._fast_handle
-                outcome = fast(request)
-            if after is not None:
-                after(outcome)
-            append(outcome)
-        return self._outbox.served_batch(outcomes)
+        return [self.serve(request) for request in requests]
 
     # ------------------------------------------------------------------
     # Settlement.

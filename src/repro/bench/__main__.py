@@ -2,7 +2,8 @@
 
 Each command's options are keyword parameters of its ``run_*``
 function in :mod:`repro.bench.runner`; an option left unset is left
-out of the call, so it takes that function's default.  Examples::
+out of the call, so it takes that function's default, and an option
+the selected runner does not take is an error.  Examples::
 
     python -m repro.bench list
     python -m repro.bench move_complexity --sizes 200,400,800
@@ -20,6 +21,7 @@ import argparse
 import inspect
 import json
 import sys
+from typing import Any, Dict, Tuple
 
 from repro.bench.runner import SCENARIOS
 from repro.errors import ConfigError, InvariantViolation
@@ -28,6 +30,10 @@ from repro.sim.scheduler import SCHEDULE_POLICIES
 
 #: The catalogue grid runner, reached as ``scenario --name``.
 _GRID = "scenario_grid"
+
+#: How an error names the two modes of ``scenario``.
+_MODES = {"scenario": "scenario without --name (the knob-driven run)",
+          _GRID: "scenario --name (the catalogue grid)"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,6 +149,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def runner_call(args: argparse.Namespace) -> Tuple[str, Dict[str, Any]]:
+    """The runner a parsed command selects, and its keyword arguments.
+
+    ``scenario --name`` selects the grid runner.  Unset options are
+    left out; a set option the runner does not take raises
+    :class:`ConfigError` naming it and the mode that would ignore it.
+    """
+    command = args.command
+    if command == "scenario" and args.name is not None:
+        command = _GRID
+    accepted = inspect.signature(SCENARIOS[command]).parameters
+    kwargs = {key: value for key, value in vars(args).items()
+              if value is not None and key not in ("command", "out")}
+    ignored = [f"--{key.replace('_', '-')}" for key in sorted(kwargs)
+               if key not in accepted]
+    if ignored:
+        raise ConfigError(
+            f"{_MODES.get(command, command)} ignores {', '.join(ignored)}")
+    return command, kwargs
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -152,16 +179,10 @@ def main(argv=None) -> int:
             summary = (inspect.getdoc(fn) or "").splitlines()[0]
             print(f"{name:20s} {summary}")
         return 0
-    command = args.command
-    if command == "scenario" and getattr(args, "name", None):
-        command = _GRID
-    runner = SCENARIOS[command]
-    accepted = set(inspect.signature(runner).parameters)
-    kwargs = {k: v for k, v in vars(args).items()
-              if k in accepted and v is not None}
     failure = None
     try:
-        result = runner(**kwargs)
+        command, kwargs = runner_call(args)
+        result = SCENARIOS[command](**kwargs)
     except ConfigError as error:
         # Bad option values the parser cannot see (they are checked
         # where the run is configured): report them as argparse does.

@@ -111,7 +111,6 @@ class GatewayStats:
     double_settles: int = 0
     batches: int = 0
     cycles: int = 0
-    heartbeats: int = 0
     iterations: int = 0
     probes: int = 0
     max_queue_depth: int = 0
@@ -144,7 +143,7 @@ class GatewayStats:
             "settled": self.settled, "aborted": self.aborted,
             "double_settles": self.double_settles,
             "batches": self.batches, "cycles": self.cycles,
-            "heartbeats": self.heartbeats, "iterations": self.iterations,
+            "iterations": self.iterations,
             "probes": self.probes,
             "max_queue_depth": self.max_queue_depth,
             "max_batch": self.max_batch,
@@ -500,7 +499,6 @@ class Gateway:
                 return 0
             self._stats.cycles += 1
             self._breaker.on_cycle()
-            self._stats.heartbeats += 1
             self._last_beat = self._clock()
             batch: List[GatewayTicket] = []
             while self._queue and len(batch) < self.config.batch_size:

@@ -116,7 +116,7 @@ class SessionProtocol(Protocol):
                delay: Optional[float] = None) -> Any: ...
 
     def submit_many(self, requests: Iterable[Any],
-                    stagger: Optional[float] = None) -> List[Any]: ...
+                    stagger: float = 0.0) -> List[Any]: ...
 
     def drain(self) -> Iterator[Any]: ...
 

@@ -2,7 +2,7 @@
 
 One object, :class:`ControllerSession`, owns the tree / controller /
 scheduler / fault wiring (described by a frozen
-:class:`SessionConfig`) and serves requests through typed envelopes:
+:class:`SessionConfig`) and serves requests through tickets and records:
 non-blocking :meth:`~ControllerSession.submit` returning a
 :class:`Ticket`, batched :meth:`~ControllerSession.submit_many`, and a
 streaming :meth:`~ControllerSession.drain` that yields
@@ -29,11 +29,9 @@ from repro.service.driver import drive_scenario
 from repro.service.envelopes import (
     IterationRecord,
     OutcomeRecord,
-    RequestEnvelope,
     SessionVerdict,
     Ticket,
     TraceHandle,
-    verdict_of,
 )
 from repro.service.session import ControllerSession
 
@@ -46,13 +44,11 @@ __all__ = [
     "APP_NAMES",
     "APP_PARAMS",
     "APP_ENGINE_FLAVORS",
-    "RequestEnvelope",
     "OutcomeRecord",
     "IterationRecord",
     "SessionVerdict",
     "Ticket",
     "TraceHandle",
-    "verdict_of",
     "drive_scenario",
     "EVENT_DRIVEN_FLAVORS",
     "SCHEDULED_FLAVORS",

@@ -11,26 +11,24 @@ iteration start.  An :class:`AppSpec` therefore cannot carry one fixed
 * the **engine template**: everything a per-iteration
   :class:`~repro.service.config.SessionConfig` needs *except* the
   (M, W, U) contract — engine flavour, schedule policy, delay model,
-  fault plan, seed, admission window, stagger, and extra controller
-  options.
+  fault plan, seed, admission window, and extra controller options.
 
 :meth:`AppSpec.config_for` stamps one iteration's contract into a full
 ``SessionConfig``; :func:`repro.apps.make_app` builds the app itself.
-The spec is frozen and eagerly validated — unknown app names, unknown
-app parameters, unknown policies/delay models, and fault plans on a
-synchronous flavour all raise :class:`repro.errors.ConfigError` before
-any engine state exists, mirroring ``SessionConfig``'s discipline.
+The spec is frozen and eagerly validated: unknown app names, unknown
+app parameters, unknown policies/delay models/controller options, and
+fault plans on a synchronous flavour all raise
+:class:`repro.errors.ConfigError` before any engine state exists.  The
+engine knobs are checked once, by building the first iteration's
+``SessionConfig``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.distributed.faults import FaultPlan, parse_fault_spec
+from repro.distributed.faults import FaultPlan
 from repro.errors import ConfigError
-from repro.service.config import (ControllerSpec, SessionConfig,
-                                  _require_int, _require_stagger)
-from repro.sim.delays import DELAY_MODELS
-from repro.sim.scheduler import SCHEDULE_POLICIES
+from repro.service.config import ControllerSpec, SessionConfig, _require_int
 
 #: The registered Section 5 applications, by spec name.  The class
 #: registry lives in :mod:`repro.apps.registry` (which asserts it stays
@@ -90,7 +88,7 @@ class AppSpec:
         validated against :data:`APP_PARAMS`.
     flavor:
         Per-iteration engine flavour, from :data:`APP_ENGINE_FLAVORS`.
-    schedule_policy / delay_model / faults / seed / stagger:
+    schedule_policy / delay_model / faults / seed:
         Asynchrony knobs for the event-driven engine, with
         :class:`~repro.service.config.SessionConfig` semantics (the
         per-iteration seed is ``seed + iterations_run`` so iterations
@@ -117,7 +115,6 @@ class AppSpec:
     faults: Optional[Union[FaultPlan, str]] = None
     seed: int = 0
     max_in_flight: int = 1024
-    stagger: float = 0.0
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -135,34 +132,16 @@ class AppSpec:
             raise ConfigError(
                 f"unknown parameter(s) {', '.join(unknown)} for app "
                 f"{self.app!r}; accepted: {', '.join(allowed) or '(none)'}")
-        if self.schedule_policy not in SCHEDULE_POLICIES:
-            raise ConfigError(
-                f"unknown schedule policy {self.schedule_policy!r}; "
-                f"known: {', '.join(SCHEDULE_POLICIES)}")
-        if self.delay_model not in DELAY_MODELS:
-            raise ConfigError(
-                f"unknown delay model {self.delay_model!r}; "
-                f"known: {', '.join(DELAY_MODELS)}")
+        # ``config_for`` adds the iteration number to the seed, and the
+        # engine session's window is not this one.
         _require_int("seed", self.seed)
         _require_int("max_in_flight", self.max_in_flight)
         if self.max_in_flight < 1:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        _require_stagger(self.stagger)
-        faults = self.faults
-        if isinstance(faults, str):
-            faults = parse_fault_spec(faults)
-            object.__setattr__(self, "faults", faults)
-        if faults is not None and not faults.is_noop:
-            if self.flavor != "distributed":
-                raise ConfigError(
-                    "fault injection needs the event-driven engine "
-                    f"(flavor 'distributed'), not {self.flavor!r}")
-            if faults.needs_horizon and faults.horizon <= 0:
-                raise ConfigError(
-                    "this fault plan schedules pauses/storms but has no "
-                    "horizon; set one explicitly (the app cannot infer "
-                    "an iteration's span)")
+        # Every engine knob is checked by the first iteration's config,
+        # which also parses a fault spec string.
+        object.__setattr__(self, "faults", self.config_for(0, 0, 0).faults)
 
     @property
     def event_driven(self) -> bool:
@@ -180,10 +159,6 @@ class AppSpec:
     def param(self, name: str, default: Any = None) -> Any:
         """One app-level parameter, with a default."""
         return self.params.get(name, default)
-
-    def with_params(self, **params: Any) -> "AppSpec":
-        """A copy with updated app-level parameters."""
-        return replace(self, params={**dict(self.params), **params})
 
     def config_for(self, m: int, w: int, u: int, iteration: int = 1,
                    options: Optional[Mapping[str, Any]] = None
@@ -210,7 +185,6 @@ class AppSpec:
             faults=self.faults,
             seed=self.seed + (iteration - 1),
             max_in_flight=1 << 20,
-            stagger=self.stagger,
         )
 
     def snapshot(self) -> Dict[str, Any]:
@@ -226,7 +200,6 @@ class AppSpec:
             "faults": plan.snapshot(),
             "seed": self.seed,
             "max_in_flight": self.max_in_flight,
-            "stagger": self.stagger,
             "options": {key: repr(value)
                         for key, value in sorted(self.options.items())},
         }

@@ -10,8 +10,8 @@ replaces that threading with one frozen value object:
 * :class:`ControllerSpec` names the controller — flavour plus the
   ``(M, W, U)`` contract plus any flavour-specific constructor options;
 * :class:`SessionConfig` adds the *session* knobs — schedule policy,
-  delay model, fault plan, admission window, submit stagger, kernel
-  tracing — and validates all of them eagerly (every mistake raises
+  delay model, fault plan, admission window, kernel tracing — and
+  validates all of them eagerly (every mistake raises
   :class:`repro.errors.ConfigError` naming the valid choices, before
   any engine state exists).
 
@@ -20,9 +20,7 @@ bench grid, logged into a JSON report via :meth:`SessionConfig.snapshot`,
 and never mutated behind a running session's back.
 """
 
-import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.distributed.faults import FaultPlan, parse_fault_spec
@@ -53,15 +51,6 @@ def _require_int(name: str, value: Any) -> None:
     not: ``True`` would pass every range check as 1)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an int, got {value!r}")
-
-
-def _require_stagger(value: Any) -> None:
-    """Raise :class:`ConfigError` unless ``stagger`` is a finite real
-    >= 0 (a bool is not a spacing)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0):
-        raise ConfigError(
-            f"stagger must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +129,6 @@ class SessionConfig:
         The admission window: how many requests may be in flight
         (submitted, not yet settled) before :meth:`ControllerSession.submit`
         answers ``BACKPRESSURE`` instead of reaching the controller.
-    stagger:
-        Default inter-request arrival spacing (simulated time units)
-        for :meth:`ControllerSession.submit_many` on the event-driven
-        engine.
     trace:
         Attach a :class:`repro.core.kernel.KernelTrace` to the engine
         (flavours in :data:`TRACED_FLAVORS`); every settled
@@ -157,7 +142,6 @@ class SessionConfig:
     faults: Optional[Union[FaultPlan, str]] = None
     seed: int = 0
     max_in_flight: int = 1024
-    stagger: float = 0.0
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -174,7 +158,6 @@ class SessionConfig:
         if self.max_in_flight < 1:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        _require_stagger(self.stagger)
         if isinstance(self.faults, str):
             object.__setattr__(self, "faults", parse_fault_spec(self.faults))
         plan = self.fault_plan
@@ -195,8 +178,16 @@ class SessionConfig:
         """Shorthand: ``SessionConfig.of("iterated", m=100, w=10, u=256)``.
 
         ``options`` goes to the :class:`ControllerSpec`; every other
-        keyword is a :class:`SessionConfig` field.
+        keyword is a :class:`SessionConfig` field (anything else raises
+        :class:`ConfigError` naming the valid ones).
         """
+        valid = [knob.name for knob in fields(cls)
+                 if knob.name != "controller"]
+        unknown = sorted(set(knobs) - set(valid))
+        if unknown:
+            raise ConfigError(
+                f"unknown SessionConfig knob(s) {', '.join(unknown)} "
+                f"(valid: {', '.join(valid)})")
         spec = ControllerSpec(flavor=flavor, m=m, w=w, u=u,
                               options=dict(options or {}))
         return cls(controller=spec, **knobs)
@@ -209,10 +200,6 @@ class SessionConfig:
         assert isinstance(self.faults, FaultPlan)
         return self.faults
 
-    def with_window(self, max_in_flight: int) -> "SessionConfig":
-        """A copy with a different admission window."""
-        return replace(self, max_in_flight=max_in_flight)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable description of the full configuration."""
         return {
@@ -222,6 +209,5 @@ class SessionConfig:
             "faults": self.fault_plan.snapshot(),
             "seed": self.seed,
             "max_in_flight": self.max_in_flight,
-            "stagger": self.stagger,
             "trace": self.trace,
         }

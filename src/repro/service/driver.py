@@ -66,7 +66,7 @@ def drive_scenario(session: ControllerSession, steps: int, seed: int = 0,
             batch = [random_request(session.tree, rng, mix=mix,
                                     picker=picker)
                      for _ in range(count)]
-            session.submit_many(batch, stagger=0.0)
+            session.submit_many(batch)
             stop = False
             for record in session.drain():
                 outcome = record.outcome

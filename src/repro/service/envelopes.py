@@ -1,11 +1,10 @@
-"""Typed request envelopes, outcome records, and tickets.
+"""Outcome records, tickets, and the session verdicts.
 
 Every request submitted to a :class:`~repro.service.session.ControllerSession`
-becomes a first-class, traceable object instead of a loop variable:
+becomes a first-class, traceable object instead of a loop variable.
+Its session identity is its envelope: a monotone envelope id and the
+submit tick, carried by its ticket and its record.
 
-* :class:`RequestEnvelope` — the admitted request plus its session
-  identity (monotone envelope id, submit tick), materialized on demand
-  from a ticket or a record;
 * :class:`OutcomeRecord` — the settled result: a :class:`SessionVerdict`,
   the raw controller :class:`~repro.core.requests.Outcome` (absent for
   ``BACKPRESSURE``, which never reached the controller), submit/settle
@@ -36,7 +35,7 @@ from enum import Enum
 from typing import Any, Callable, Optional, Tuple
 
 from repro.core.kernel import KernelTrace, TraceEvent
-from repro.core.requests import Outcome, OutcomeStatus, Request
+from repro.core.requests import OutcomeStatus, Request
 from repro.errors import ProtocolError
 
 
@@ -66,52 +65,6 @@ _STATUS_TO_VERDICT = {
     OutcomeStatus.CANCELLED: SessionVerdict.CANCELLED,
     OutcomeStatus.PENDING: SessionVerdict.PENDING,
 }
-
-
-def verdict_of(outcome: Outcome) -> SessionVerdict:
-    """Map a controller outcome status onto the session vocabulary."""
-    return _STATUS_TO_VERDICT[outcome.status]
-
-
-class RequestEnvelope:
-    """An admitted request with its session identity.
-
-    ``envelope_id`` is monotone per session (submission order);
-    ``submit_tick`` is the session clock at admission — the simulated
-    scheduler time for the event-driven engine, the operation counter
-    for synchronous engines.
-
-    A ``__slots__`` value class, built on demand by
-    :attr:`Ticket.envelope` and :attr:`OutcomeRecord.envelope` (the
-    ticket and the record carry the three fields themselves).  Treat
-    instances as immutable.
-    """
-
-    __slots__ = ("envelope_id", "request", "submit_tick")
-
-    def __init__(self, envelope_id: int, request: Request,
-                 submit_tick: float) -> None:
-        self.envelope_id = envelope_id
-        self.request = request
-        self.submit_tick = submit_tick
-
-    def __eq__(self, other: object) -> bool:
-        # Value semantics: records materialize their envelope on
-        # demand, so envelopes compare by content, not identity.
-        if not isinstance(other, RequestEnvelope):
-            return NotImplemented
-        return (self.envelope_id == other.envelope_id
-                and self.request is other.request
-                and self.submit_tick == other.submit_tick)
-
-    def __hash__(self) -> int:
-        return hash((self.envelope_id, id(self.request),
-                     self.submit_tick))
-
-    def __repr__(self) -> str:
-        return (f"RequestEnvelope(envelope_id={self.envelope_id}, "
-                f"request={self.request!r}, "
-                f"submit_tick={self.submit_tick})")
 
 
 @dataclass(frozen=True)
@@ -169,16 +122,13 @@ class OutcomeRecord(Tuple[Any, ...]):
     settlement; ``None`` unless the session was configured with
     ``trace=True``).
 
-    Derived accessors: :attr:`envelope` (materialized on demand, value
-    semantics), :attr:`verdict` (BACKPRESSURE when the controller never
-    saw the request, the outcome's status otherwise), and
-    :attr:`permit_interval` (the granted permit's interval serial when
-    the engine runs with ``track_intervals=True``).
+    Derived accessors: :attr:`verdict` (BACKPRESSURE when the
+    controller never saw the request, the outcome's status otherwise)
+    and :attr:`permit_interval` (the granted permit's interval serial
+    when the engine runs with ``track_intervals=True``).
 
-    The class subclasses ``tuple`` so the settlement hot loop can build
-    whole batches of records in C (``map`` + ``zip`` +
-    ``tuple.__new__``) — that is what keeps the session inside its
-    <= 5% overhead budget.  Construct one as
+    The class subclasses ``tuple``, so a record is built in one C call
+    with no Python ``__init__`` frame.  Construct one as
     ``OutcomeRecord((request, envelope_id, submit_tick, outcome,
     settle_tick, trace_handle))``; instances are immutable and compare
     by value.
@@ -205,10 +155,6 @@ class OutcomeRecord(Tuple[Any, ...]):
                 f"verdict={self.verdict!r}, outcome={self.outcome!r}, "
                 f"submit_tick={self.submit_tick}, "
                 f"settle_tick={self.settle_tick})")
-
-    @property
-    def envelope(self) -> RequestEnvelope:
-        return RequestEnvelope(self[1], self[0], self[2])
 
     @property
     def verdict(self) -> SessionVerdict:
@@ -251,9 +197,9 @@ class Ticket:
     an idempotent lookup.
 
     The ticket is the request's only per-request object while it is in
-    flight: it carries the request and its session identity itself,
-    and :attr:`envelope` is built on demand.  Tickets are issued and
-    settled by the surface's :class:`~repro.service.outbox.Outbox`.
+    flight: it carries the request and its session identity itself.
+    Tickets are issued and settled by the surface's
+    :class:`~repro.service.outbox.Outbox`.
     """
 
     __slots__ = ("request", "envelope_id", "submit_tick", "claimed",
@@ -269,11 +215,6 @@ class Ticket:
         self.claimed = False
         self._record: Optional[OutcomeRecord] = None
         self._pump = pump
-
-    @property
-    def envelope(self) -> RequestEnvelope:
-        return RequestEnvelope(self.envelope_id, self.request,
-                               self.submit_tick)
 
     @property
     def done(self) -> bool:

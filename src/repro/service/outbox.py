@@ -16,11 +16,8 @@ the claimed head and compacts the queue once it doubles (amortized
 O(1)): a ticket-only consumer holds O(unclaimed) records.
 """
 
-import operator
-from collections import Counter, deque
-from itertools import repeat
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
-                    Union, cast)
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
 from repro.core.kernel import KernelTrace
 from repro.core.requests import Outcome, Request
@@ -32,8 +29,6 @@ from repro.sim.scheduler import Scheduler
 #: What a drain stream yields (iteration boundaries: apps only).
 StreamRecord = Union[OutcomeRecord, IterationRecord]
 
-_request_of = operator.attrgetter("request")
-_status_of = operator.attrgetter("status")
 _BACKPRESSURE = SessionVerdict.BACKPRESSURE.value
 _COMPACT_FLOOR = 64
 
@@ -51,8 +46,7 @@ class Outbox:
     surface calls it under its own lock.
 
     Ticks: a submit takes one and a settlement one more; a ``serve``d
-    request takes two and settles at its submit tick + 1; a served
-    batch of n takes 2n (see :meth:`served_batch`).
+    request takes two and settles at its submit tick + 1.
     """
 
     __slots__ = ("verdicts", "open", "next_envelope", "clock",
@@ -141,38 +135,6 @@ class Outbox:
                              outcome)
         self.clock += 1
         return record
-
-    def served_batch(self, outcomes: Sequence[Outcome]
-                     ) -> List[OutcomeRecord]:
-        """The records of a served stream, built in C.
-
-        Record i reads its request off its outcome, is submitted at
-        clock + i and settles at clock + n + i; the batch settled in
-        one engine call, so it shares one trace cursor.
-        """
-        trace = self._trace
-        handle = (TraceHandle(trace=trace, upto=len(trace))
-                  if trace is not None else None)
-        count = len(outcomes)
-        envelope_id = self.next_envelope
-        clock = self.clock
-        settle_base = clock + count
-        # ``tuple.__new__`` wraps each zipped 6-tuple without a Python
-        # ``__init__`` frame.
-        records = cast(List[OutcomeRecord], list(map(
-            tuple.__new__, repeat(OutcomeRecord),
-            zip(map(_request_of, outcomes),
-                range(envelope_id, envelope_id + count),
-                range(clock, clock + count),
-                outcomes,
-                range(settle_base, settle_base + count),
-                repeat(handle)))))
-        self.next_envelope = envelope_id + count
-        self.clock = clock + 2 * count
-        verdicts = self.verdicts
-        for status, value in Counter(map(_status_of, outcomes)).items():
-            verdicts[status.value] += value
-        return records
 
     def push(self, entry: Union[Ticket, IterationRecord]) -> None:
         """Queue a settled ticket or a boundary event for drain."""

@@ -7,8 +7,8 @@ requests through one ingestion-shaped API:
 
 * :meth:`submit` — non-blocking; admission-checks the request and
   returns a :class:`~repro.service.envelopes.Ticket`;
-* :meth:`submit_many` — a batch of tickets (staggered arrivals on the
-  event-driven engine);
+* :meth:`submit_many` — a batch of tickets (arrivals spaced
+  ``stagger`` apart on the event-driven engine);
 * :meth:`drain` — a streaming iterator that pumps the engine and yields
   :class:`~repro.service.envelopes.OutcomeRecord` objects in
   **settlement order**, for both the synchronous flavours (the session
@@ -29,6 +29,8 @@ accepts a session wherever it accepts a controller (:meth:`audit` is
 the shorthand).
 """
 
+import math
+import numbers
 import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, cast
@@ -100,9 +102,9 @@ class ControllerSession:
         # ``drain()`` callers (the gateway's client threads) can never
         # double-handle a pending batch or double-settle a ticket.
         # Reentrant because the event-driven pump fires settlement
-        # callbacks from inside ``scheduler.pump()``.  Single-caller
-        # paths (``serve`` / ``serve_stream``) stay lock-free except
-        # where they delegate to ``_pump``.
+        # callbacks from inside ``scheduler.pump()``.  The single-caller
+        # ``serve`` stays lock-free except where it delegates to
+        # ``_pump``.
         self._lock = threading.RLock()
         self._outbox = Outbox(
             scheduler=self.scheduler if self._event_driven else None,
@@ -195,11 +197,20 @@ class ControllerSession:
             self._pending.append(ticket)
 
     def submit_many(self, requests: Iterable[Request],
-                    stagger: Optional[float] = None) -> List[Ticket]:
+                    stagger: float = 0.0) -> List[Ticket]:
         """Admit a batch; arrivals spaced ``stagger`` apart on the
-        event-driven engine (default: ``config.stagger``)."""
-        step = self.config.stagger if stagger is None else stagger
-        return [self.submit(request, delay=position * step)
+        event-driven engine.
+
+        ``stagger`` must be a finite real >= 0 (a bool is not a
+        spacing); anything else raises :class:`ConfigError` before a
+        request is admitted, instead of the engine refusing an arrival
+        time mid-batch and leaving that ticket in flight for good.
+        """
+        if (isinstance(stagger, bool) or not isinstance(stagger, numbers.Real)
+                or not math.isfinite(stagger) or stagger < 0):
+            raise ConfigError(
+                f"stagger must be a finite number >= 0, got {stagger!r}")
+        return [self.submit(request, delay=position * stagger)
                 for position, request in enumerate(requests)]
 
     def serve(self, request: Request) -> OutcomeRecord:
@@ -207,13 +218,13 @@ class ControllerSession:
 
         The single-request convenience mirroring the protocol's
         ``handle``: on the synchronous flavours this is one
-        ``controller.handle`` call wrapped in an envelope/record (any
-        queued submissions are flushed first so settlement order stays
+        ``controller.handle`` call wrapped in a record (any queued
+        submissions are flushed first so settlement order stays
         submission order); on the event-driven engine the request is
-        dispatched and the scheduler pumped until it settles.  Like
-        :meth:`serve_stream`, a served request is never queued, so
-        admission control does not apply and the record is returned
-        directly (not re-yielded by :meth:`drain`).
+        dispatched and the scheduler pumped until it settles.  A served
+        request is never queued, so admission control does not apply
+        and the record is returned directly (not re-yielded by
+        :meth:`drain`).
         """
         if self._closed:
             raise ControllerError("session is closed")
@@ -231,47 +242,18 @@ class ControllerSession:
 
     def serve_stream(self, requests: Iterable[Request]
                      ) -> List[OutcomeRecord]:
-        """Serve a lazily-resolved request stream to completion.
+        """:meth:`serve` each request in turn; the records, in order.
 
-        The cooperative batched path for replay harnesses: on the
-        synchronous flavours the iterable is handed to ``handle_batch``
-        and consumed one element at a time, so a resolver such as
-        :class:`repro.workloads.scenarios.TreeMirror` may bind each
-        request only after the previous one was applied (the laziness
-        guarantee holds for the centralized family, whose
-        ``handle_batch`` walks its input incrementally).  On the
-        event-driven engine — where requests race and late binding is
-        meaningless — the stream is dispatched to the scheduler
-        (arrivals spaced ``config.stagger`` apart) and pumped to
-        quiescence.
-
-        Admission control does not apply on either engine: the stream
-        is served, not queued, so the session is never saturated by it
-        (and no request of the stream is ever backpressured).  Records
-        come back in stream order and are *not* also yielded by
-        :meth:`drain`.
+        Each request is taken from the iterable only after the previous
+        one was served, so a resolver such as
+        :class:`repro.workloads.scenarios.TreeMirror` may bind it late.
+        On the event-driven engine each request runs to quiescence
+        before the next is dispatched; concurrent arrivals are
+        ``submit_many(requests, stagger=...)`` plus :meth:`drain`.
         """
         if self._closed:
             raise ControllerError("session is closed")
-        if self._event_driven:
-            # Served, not queued: admission does not apply, so the
-            # stream dispatches past the window instead of going
-            # through submit() (which would backpressure the tail).
-            step = self.config.stagger
-            tickets: List[Ticket] = []
-            for position, request in enumerate(requests):
-                ticket = self._outbox.ticket(request, self._pump)
-                self._dispatch(ticket, position * step)
-                tickets.append(ticket)
-            records = [ticket.result() for ticket in tickets]
-            self._quiesce()
-            return records
-        if self._pending:
-            self._pump()  # keep settlement order = submission order
-        # The stream goes straight to ``handle_batch`` — nothing is
-        # collected up front (that is what keeps resolver laziness
-        # intact) — and its records are built in one C loop.
-        return self._outbox.served_batch(self._handle_batch(requests))
+        return [self.serve(request) for request in requests]
 
     # ------------------------------------------------------------------
     # Settlement.

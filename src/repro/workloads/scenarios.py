@@ -221,11 +221,11 @@ class TreeMirror(TreeListener):
 
     Keeps a ``node_id -> node`` map (updated via the listener hooks as
     grants create new nodes).  :meth:`requests` yields mirrored
-    :class:`Request` objects *lazily*, so a batched consumer such as
-    ``handle_batch`` — which walks its input one element at a time —
-    resolves each spec only after the previous request was applied;
-    ids created mid-batch are therefore present by the time they are
-    looked up.
+    :class:`Request` objects *lazily*, so a consumer that serves each
+    request before taking the next (a ``serve_stream``, which is a
+    ``serve`` loop) resolves each spec only after the previous request
+    was applied; ids created mid-stream are therefore present by the
+    time they are looked up.
     """
 
     def __init__(self, tree: DynamicTree) -> None:

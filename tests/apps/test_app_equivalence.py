@@ -2,12 +2,14 @@
 
 With the legacy hand-wired constructors removed in 2.0, the
 differential reference is the app's own per-request ``serve`` loop: on
-identical catalogue streams the chunked ``serve_stream`` path must
-produce identical outcome tallies and identical app-level state —
-estimates, ids, mu pointers, labels — across multiple iteration
-rollovers, and the invariant auditor must come back clean.  The
-event-driven half runs every app on the distributed engine under >= 2
-schedule policies and audits it.
+identical catalogue streams the ticket path (``submit_many`` +
+``settle_all``, whose pump serves the queue as one batch, rolls the
+iteration at a PENDING and requeues the PENDING tickets at the front)
+must produce identical verdicts, iteration counts, move counters and
+app-level state — estimates, ids, mu pointers, labels — across
+multiple iteration rollovers, and the invariant auditor must come back
+clean.  The event-driven half runs every app on the distributed engine
+under >= 2 schedule policies and audits it.
 """
 
 import pytest
@@ -60,33 +62,41 @@ def _scenario_stream(scenario, seed):
     return spec, [request_spec(r) for r in spec.stream(tree, seed=seed)]
 
 
+def _resolved(spec, stream, seed):
+    """A fresh tree and the stream resolved against it up front."""
+    tree = spec.build_tree(seed=seed)
+    mirror = TreeMirror(tree)
+    requests = [mirror.request(s) for s in stream]
+    mirror.detach()
+    return tree, requests
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("name", sorted(APP_SPECS))
-def test_serve_and_stream_paths_agree(name, scenario):
+def test_serve_and_ticket_paths_agree(name, scenario):
     seed = 11
     spec, stream = _scenario_stream(scenario, seed)
 
-    tree_s = spec.build_tree(seed=seed)
-    mirror_s = TreeMirror(tree_s)
+    tree_s, requests_s = _resolved(spec, stream, seed)
     app_s = make_app(AppSpec(name, params=APP_SPECS[name]), tree=tree_s)
-    statuses_s = [app_s.serve(mirror_s.request(s)).outcome.status
-                  for s in stream]
-    mirror_s.detach()
+    statuses_s = [app_s.serve(r).outcome.status for r in requests_s]
 
-    tree_b = spec.build_tree(seed=seed)
-    mirror_b = TreeMirror(tree_b)
-    app_b = make_app(AppSpec(name, params=APP_SPECS[name]), tree=tree_b)
-    records = app_b.serve_stream(mirror_b.requests(stream))
-    mirror_b.detach()
-    statuses_b = [r.outcome.status for r in records]
+    tree_t, requests_t = _resolved(spec, stream, seed)
+    app_t = make_app(AppSpec(name, params=APP_SPECS[name]), tree=tree_t)
+    tickets = app_t.submit_many(requests_t)
+    settled = {r.envelope_id: r.outcome.status for r in app_t.settle_all()
+               if isinstance(r, OutcomeRecord)}
+    statuses_t = [settled[ticket.envelope_id] for ticket in tickets]
 
-    assert statuses_s == statuses_b
-    assert _app_state(name, app_s, tree_s) == _app_state(name, app_b,
-                                                         tree_b)
-    assert tree_s.size == tree_b.size
+    assert statuses_s == statuses_t
+    assert _app_state(name, app_s, tree_s) == _app_state(name, app_t,
+                                                         tree_t)
+    assert tree_s.size == tree_t.size
+    assert app_s.iterations_run == app_t.iterations_run
+    assert app_s.counters.snapshot() == app_t.counters.snapshot()
     # The stream must have exercised the Observation 2.1 rollover.
-    assert app_b.iterations_run >= 2
-    for app in (app_s, app_b):
+    assert app_t.iterations_run >= 2
+    for app in (app_s, app_t):
         report = app.audit()
         assert report.passed, report.violations
         app.close()
@@ -97,10 +107,7 @@ def test_serve_and_stream_paths_agree(name, scenario):
 def test_event_driven_apps_audit_clean(name, policy):
     seed = 23
     spec, stream = _scenario_stream("mixed_flood", seed)
-    tree = spec.build_tree(seed=seed)
-    mirror = TreeMirror(tree)
-    requests = [mirror.request(s) for s in stream]
-    mirror.detach()
+    tree, requests = _resolved(spec, stream, seed)
     app = make_app(
         AppSpec(name, params=APP_SPECS[name], flavor="distributed",
                 schedule_policy=policy, seed=seed), tree=tree)
@@ -123,10 +130,7 @@ def test_event_driven_app_under_faults(name):
     """A stalling fault plan changes timing, never correctness."""
     seed = 31
     spec, stream = _scenario_stream("grow_shrink", seed)
-    tree = spec.build_tree(seed=seed)
-    mirror = TreeMirror(tree)
-    requests = [mirror.request(s) for s in stream]
-    mirror.detach()
+    tree, requests = _resolved(spec, stream, seed)
     app = make_app(
         AppSpec(name, params=APP_SPECS[name], flavor="distributed",
                 schedule_policy="random", faults="stall=0.1", seed=seed),

@@ -101,23 +101,27 @@ def test_app_level_backpressure_never_reaches_the_engine():
     app.close()
 
 
-def test_serve_stream_matches_serve_loop():
+def test_ticket_path_matches_serve_loop():
+    """The pump's batched rollover (requeue PENDING at the front)
+    settles what a serve loop does."""
     tree_a = build_random_tree(10, seed=5)
     tree_b = build_random_tree(10, seed=5)
     app_a = make_app(AppSpec("size_estimation"), tree=tree_a)
     app_b = make_app(AppSpec("size_estimation"), tree=tree_b)
     records_a = [app_a.serve(r) for r in _requests(tree_a, 25)]
-    records_b = app_b.serve_stream(_requests(tree_b, 25))
+    tickets_b = app_b.submit_many(_requests(tree_b, 25))
+    app_b.settle_all()
     assert ([r.outcome.status for r in records_a]
-            == [r.outcome.status for r in records_b])
-    assert app_a.iterations_run == app_b.iterations_run
+            == [t.result().outcome.status for t in tickets_b])
+    assert app_a.iterations_run == app_b.iterations_run >= 2
     assert app_a.estimate == app_b.estimate
+    assert app_a.counters.snapshot() == app_b.counters.snapshot()
     app_a.close(), app_b.close()
 
 
 def test_event_driven_serve_stream_bypasses_admission():
-    """A served stream is never backpressured, on either engine
-    (the ControllerSession.serve_stream rule)."""
+    """A served stream is never backpressured: it is a ``serve``
+    loop, and a served request is never queued."""
     tree = build_random_tree(8, seed=12)
     app = make_app(AppSpec("size_estimation", flavor="distributed",
                            max_in_flight=4), tree=tree)
@@ -162,8 +166,11 @@ def test_pump_respects_the_inner_session_window():
     assert len(records) == 17
     assert all(r.outcome is not None for r in records)
     assert app.tally()["backpressure"] == 0
-    assert [t.result().envelope_id for t in tickets] == sorted(
-        t.result().envelope_id for t in tickets)  # order preserved
+    assert app.iterations_run >= 2
+    # Settlement order is submission order: a PENDING ticket rolled
+    # over mid-queue is requeued ahead of the requests behind it.
+    assert [r.envelope_id for r in records] == [
+        t.envelope_id for t in tickets]
     app.close()
 
 

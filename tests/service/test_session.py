@@ -70,14 +70,6 @@ def test_drain_then_result_reads_back():
     assert ticket.result() is records[0]
 
 
-def test_envelope_materializes_with_value_semantics():
-    session = _session()
-    record = session.serve(_plain(session))
-    envelope = record.envelope
-    assert envelope == record.envelope  # fresh object, equal by value
-    assert envelope.request is record.request
-
-
 def test_serve_matches_submit_drain():
     session_a = _session()
     session_b = _session()
@@ -95,6 +87,9 @@ def test_serve_stream_records_and_tally():
     records = session.serve_stream([_plain(session) for _ in range(5)])
     assert [r.envelope_id for r in records] == list(range(5))
     assert all(r.granted for r in records)
+    # A stream is a serve loop: each record is stamped like a serve's.
+    assert [(r.submit_tick, r.settle_tick) for r in records] == [
+        (2 * i, 2 * i + 1) for i in range(5)]
     assert session.tally()["granted"] == 5
     # serve_stream is its own delivery channel: nothing queued for drain.
     assert list(session.drain()) == []
@@ -154,6 +149,22 @@ def test_distributed_session_settles_via_scheduler():
     assert all(t.done for t in tickets)
     ticks = [r.settle_tick for r in records]
     assert ticks == sorted(ticks)  # settlement order
+
+
+@pytest.mark.parametrize("stagger", [
+    -1.0, float("nan"), float("inf"), "1", False])
+def test_submit_many_names_a_bad_stagger(stagger):
+    """The spacing is checked before any request is admitted: the
+    scheduler refusing an arrival time mid-batch used to leave that
+    ticket in flight for good."""
+    session = _session("distributed", tree_n=24)
+    nodes = list(session.tree.nodes())[:4]
+    with pytest.raises(ConfigError, match="stagger"):
+        session.submit_many([_plain(session, node) for node in nodes],
+                            stagger=stagger)
+    assert session.in_flight == 0
+    (ticket,) = session.submit_many([_plain(session)], stagger=0)
+    assert ticket.result().granted
 
 
 def test_drain_quiesces_cleanup_walks():

@@ -82,7 +82,7 @@ def test_result_vs_drain_race_never_duplicates_the_drain_channel():
             barrier.wait(timeout=10)
             # Claim every other ticket while the drain runs.
             for ticket in tickets[::2]:
-                claimed[ticket.envelope.envelope_id] = ticket.result()
+                claimed[ticket.envelope_id] = ticket.result()
         except Exception as error:
             errors.append(error)
 

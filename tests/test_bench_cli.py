@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from repro.bench import SCENARIOS, run_scenario_bench
-from repro.bench.__main__ import build_parser, main
+from repro.bench.__main__ import build_parser, main, runner_call
+from repro.errors import ConfigError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -80,7 +81,7 @@ def test_gateway_bench_shape_and_audit():
 def test_apps_bench_shape_and_equivalence():
     """A small ``apps`` run: the complexity sweeps hold their polylog
     envelope, the grid audits clean, and the document is
-    JSON-serializable.  (The serve vs serve_stream equivalence lives in
+    JSON-serializable.  (The serve vs ticket-path equivalence lives in
     ``tests/apps/test_app_equivalence.py``.)"""
     from repro.bench import run_apps
     result = run_apps(apps="size_estimation,name_assignment",
@@ -217,6 +218,13 @@ def test_cli_reports_config_errors_like_argparse(capsys):
       "--grid-n", "0"], "grid_n must be >= 1"),
     (["apps", "--apps", "size_estimation", "--sizes", "8",
       "--grid-steps", "0"], "grid_steps must be >= 1"),
+    # An option of the other ``scenario`` mode is named, not dropped.
+    (["scenario", "--n", "60", "--steps", "40", "--seeds", "9",
+      "--policy", "yolo", "--engines", "nope"],
+     "knob-driven run) ignores --engines, --policy, --seeds"),
+    (["scenario", "--name", "hot_spot", "--seeds", "0", "--engines",
+      "iterated", "--topology", "star", "--n", "7", "--steps", "3"],
+     "catalogue grid) ignores --n, --steps, --topology"),
 ])
 def test_cli_reports_bad_input_like_argparse(capsys, argv, names):
     """Malformed or empty values print one ``error:`` line naming the
@@ -293,12 +301,15 @@ def _documented_commands():
 
 
 def test_documented_commands_parse():
-    """No document names a command or option the CLI does not have."""
+    """No document names a command or option the CLI does not have, or
+    mixes the options of the two ``scenario`` modes."""
     commands = list(_documented_commands())
     assert {name for name, _argv in commands} == set(DOCUMENTED)
     parser = build_parser()
     for name, argv in commands:
         try:
-            parser.parse_args(argv)
-        except SystemExit:
+            args = parser.parse_args(argv)
+            if args.command != "list":
+                runner_call(args)
+        except (SystemExit, ConfigError):
             pytest.fail(f"{name}: python -m repro.bench {shlex.join(argv)}")
