@@ -409,11 +409,6 @@ class AppSession:
         """Drain to quiescence; the full record-plus-boundary stream."""
         return list(self.drain())
 
-    def outcomes(self) -> List[OutcomeRecord]:
-        """``settle_all()`` filtered to outcome records only."""
-        return [record for record in self.settle_all()
-                if isinstance(record, OutcomeRecord)]
-
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------

@@ -18,8 +18,8 @@ from repro.core.requests import (
     Outcome,
     OutcomeStatus,
     Request,
-    RequestKind,
     perform_event,
+    still_meaningful,
 )
 
 
@@ -57,11 +57,10 @@ class TrivialController:
         )
 
     def handle(self, request: Request) -> Outcome:
-        node = request.node
-        if node not in self.tree or not self._still_meaningful(request):
+        if not still_meaningful(self.tree, request):
             return Outcome(OutcomeStatus.CANCELLED, request)
         # Round trip to the root, permit or reject riding back.
-        self.counters.package_moves += 2 * paths.depth(node)
+        self.counters.package_moves += 2 * paths.depth(request.node)
         if self.storage == 0:
             self.rejected += 1
             return Outcome(OutcomeStatus.REJECTED, request)
@@ -69,15 +68,3 @@ class TrivialController:
         self.granted += 1
         new_node = perform_event(self.tree, request)
         return Outcome(OutcomeStatus.GRANTED, request, new_node=new_node)
-
-    def _still_meaningful(self, request: Request) -> bool:
-        node = request.node
-        kind = request.kind
-        if kind is RequestKind.REMOVE_LEAF:
-            return not node.is_root and not node.children
-        if kind is RequestKind.REMOVE_INTERNAL:
-            return not node.is_root and bool(node.children)
-        if kind is RequestKind.ADD_INTERNAL:
-            return (request.child is not None and request.child.alive
-                    and request.child.parent is node)
-        return True

@@ -23,7 +23,7 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.requests import Request, RequestKind
 from repro.distributed.faults import FaultPlan, parse_fault_spec
@@ -908,11 +908,14 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
         gateway = Gateway(session, gateway_config)
         label = f"{spec.name}/fifo/seed={seed}"
         settled_verdicts: List[str] = []
+        # (wall, session-clock) latency of each engine-settled ticket.
+        latencies: List[Tuple[float, float]] = []
         client_errors: List[BaseException] = []
 
         def serve_slice(idx: int, gateway: Gateway = gateway,
                         requests: List[Request] = requests,
                         sink: List[str] = settled_verdicts,
+                        timings: List[Tuple[float, float]] = latencies,
                         errors: List[BaseException] = client_errors
                         ) -> None:
             try:
@@ -926,6 +929,10 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
                             ticket.result(timeout=120)
                         sink.extend(t.verdict.value for t in tickets
                                     if t.verdict.value != "shed")
+                        timings.extend(
+                            (t.settle_wall - t.submit_wall,
+                             t.record.latency)
+                            for t in tickets if t.record is not None)
                         chunk = [t.request for t in tickets
                                  if t.verdict.value == "shed"]
                         if not chunk:
@@ -967,8 +974,8 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
             "wall_s": round(wall, 4),
             "req_per_s": round(stats.settled / wall, 1) if wall else 0.0,
             "latency_wall_ms": _p50_p99(
-                [value * 1000.0 for value in gateway.latencies_wall]),
-            "latency_sim": _p50_p99(gateway.latencies_session),
+                [wall * 1000.0 for wall, _ in latencies]),
+            "latency_sim": _p50_p99([sim for _, sim in latencies]),
             "stats": stats.snapshot(),
             "fault_stats": _fault_stats(session),
             "simulated_time": round(session.now, 3),

@@ -204,7 +204,9 @@ class CentralizedController(TreeListener):
         else:
             return Outcome(_CANCELLED, request)
         # Section 4.2: a request whose event lost its meaning (a second
-        # deletion, a split of an edge that is gone) is cancelled.
+        # deletion, a split of an edge that is gone) is cancelled.  The
+        # rules of ``still_meaningful`` are inlined here: this grant
+        # runs in one frame (tests/core/test_grant_budget.py).
         kind = request.kind
         if kind is _REMOVE_LEAF:
             meaningful = node.parent is not None and not node.children

@@ -102,6 +102,29 @@ class Outcome:
         return self.status is OutcomeStatus.REJECTED
 
 
+def still_meaningful(tree, request: Request) -> bool:
+    """Whether a request's event can still happen on ``tree`` (Section
+    4.2): its node is alive there, a deletion still finds a non-root
+    leaf (or internal node), and a split still finds its edge.  Every
+    condition is local to the request's node.
+
+    ``CentralizedController.handle`` inlines the same rules in its
+    one-frame grant.
+    """
+    node = request.node
+    if node not in tree:
+        return False
+    kind = request.kind
+    if kind is RequestKind.REMOVE_LEAF:
+        return not node.is_root and not node.children
+    if kind is RequestKind.REMOVE_INTERNAL:
+        return not node.is_root and bool(node.children)
+    if kind is RequestKind.ADD_INTERNAL:
+        return (request.child is not None and request.child.alive
+                and request.child.parent is node)
+    return True
+
+
 def perform_event(tree, request: Request) -> Optional[TreeNode]:
     """Execute a granted request's event on the tree.
 

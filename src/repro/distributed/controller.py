@@ -42,7 +42,6 @@ from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Tracer
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 from repro.core import kernel
@@ -55,6 +54,7 @@ from repro.core.requests import (
     Request,
     RequestKind,
     perform_event,
+    still_meaningful,
 )
 from repro.distributed.agent import Agent, AgentState
 from repro.distributed.faults import FaultInjector
@@ -121,7 +121,6 @@ class DistributedController(TreeListener):
                  scheduler: Optional[Scheduler] = None,
                  delays: Optional[DelayModel] = None,
                  counters: Optional[MessageCounters] = None,
-                 tracer: Optional[Tracer] = None,
                  terminate_on_exhaustion: bool = False,
                  apply_topology: bool = True,
                  faults: Optional[FaultInjector] = None,
@@ -135,7 +134,6 @@ class DistributedController(TreeListener):
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.delays = delays if delays is not None else UniformDelay(seed=0)
         self.counters = counters if counters is not None else MessageCounters()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.faults = faults
         if faults is not None:
             faults.attach(self)
@@ -153,11 +151,8 @@ class DistributedController(TreeListener):
                                     track_intervals=track_intervals,
                                     interval_base=interval_base,
                                     trace=kernel_trace)
-        self.cancelled = 0
-        self.pending = 0
         self.rejecting = False
         self.terminated = False
-        self.outcomes: List[Outcome] = []
         self.active_agents = 0
         self._attached = True
         # Hop dispatch: phase code -> bound arrival method, bound once
@@ -306,7 +301,7 @@ class DistributedController(TreeListener):
         # pre-flight check and saving the agent's round trip.  Events
         # that lose their meaning *mid-flight* are still caught by the
         # grant-time check in ``_grant_from_static``.
-        if not self._still_meaningful(request):
+        if not still_meaningful(self.tree, request):
             self._record(Outcome(OutcomeStatus.CANCELLED, request), callback)
             return
         if self.terminated:
@@ -314,9 +309,6 @@ class DistributedController(TreeListener):
             return
         agent = Agent(request=request, origin=node, callback=callback)
         self.active_agents += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.scheduler.now, "agent_created",
-                             agent=agent.agent_id, node=node.node_id)
         board = (node._store if node._store_owner is self
                  else self.boards.get(node))
         if board.store.has_reject:
@@ -355,12 +347,6 @@ class DistributedController(TreeListener):
                                          self.params, node=node,
                                          trace=self._trace)
             if package is not None:
-                if self.tracer.enabled:
-                    self.tracer.emit(self.scheduler.now, "filler_found",
-                                     agent=agent.agent_id,
-                                     node=node.node_id,
-                                     level=package.level,
-                                     dist=agent.distance)
                 self._begin_distribution(agent, package)
                 return
 
@@ -410,10 +396,6 @@ class DistributedController(TreeListener):
         need = self.params.mobile_size(level)
         if self._ledger.covers(need):
             package = self._ledger.create_package(level, dist)
-            if self.tracer.enabled:
-                self.tracer.emit(self.scheduler.now, "root_created",
-                                 agent=agent.agent_id, level=level,
-                                 size=need)
             if self.permit_flow_observer is not None:
                 # Freshly created permits "enter" the root as well.
                 self.permit_flow_observer(self.tree.root, package.size)
@@ -426,8 +408,6 @@ class DistributedController(TreeListener):
                 # Termination broadcast + convergecast (Observation 2.1).
                 self.counters.broadcast_messages += waves.termination(
                     self.tree.size)
-                if self.tracer.enabled:
-                    self.tracer.emit(self.scheduler.now, "terminated")
             agent.final_outcome = Outcome(OutcomeStatus.PENDING,
                                           agent.request)
         else:
@@ -453,8 +433,6 @@ class DistributedController(TreeListener):
         self.counters.reject_messages += kernel.broadcast_reject(
             self.tree, lambda node: self.boards.get(node).store,
             trace=self._trace)
-        if self.tracer.enabled:
-            self.tracer.emit(self.scheduler.now, "reject_wave")
 
     # ------------------------------------------------------------------
     # Distribution (item 4, Proc) and granting.
@@ -498,10 +476,6 @@ class DistributedController(TreeListener):
             package.level = step.level
             package.size = step.size
             package.interval = right_interval
-            if self.tracer.enabled:
-                self.tracer.emit(self.scheduler.now, "split",
-                                 agent=agent.agent_id, node=node.node_id,
-                                 level=step.level)
         if agent.pos == 0:
             self._package_reaches_origin(agent)
         else:
@@ -519,7 +493,7 @@ class DistributedController(TreeListener):
         agent.splits = None
         if (self._return_moot and package.interval is None
                 and agent.path[-1].is_root
-                and not self._still_meaningful(agent.request)):
+                and not still_meaningful(self.tree, agent.request)):
             self._return_to_root(agent, package)
         else:
             board = self.boards.get(origin)
@@ -554,7 +528,7 @@ class DistributedController(TreeListener):
         board = (origin._store if origin._store_owner is self
                  else self.boards.get(origin))
         request = agent.request
-        if not self._still_meaningful(request):
+        if not still_meaningful(self.tree, request):
             # The event lost its meaning while the agent travelled
             # (Section 4.2); the static permit stays for future requests
             # (when W < 2U, a package from the root went back there).
@@ -567,9 +541,6 @@ class DistributedController(TreeListener):
             new_node = None
             if self._apply_topology and request.kind.is_topological:
                 new_node = perform_event(self.tree, request)
-            if self.tracer.enabled:
-                self.tracer.emit(self.scheduler.now, "granted",
-                                 agent=agent.agent_id, node=origin.node_id)
             # Grants are delivered at grant time (the walk is cleanup).
             self._record(Outcome(OutcomeStatus.GRANTED, request,
                                  new_node=new_node, serial=serial),
@@ -694,27 +665,8 @@ class DistributedController(TreeListener):
                 callback: Optional[Callable[[Outcome], None]]) -> None:
         if outcome.status is OutcomeStatus.REJECTED:
             self._ledger.count_reject()
-        elif outcome.status is OutcomeStatus.CANCELLED:
-            self.cancelled += 1
-        elif outcome.status is OutcomeStatus.PENDING:
-            self.pending += 1
-        self.outcomes.append(outcome)
         if callback is not None:
             callback(outcome)
-
-    def _still_meaningful(self, request: Request) -> bool:
-        node = request.node
-        if node not in self.tree:
-            return False
-        kind = request.kind
-        if kind is RequestKind.REMOVE_LEAF:
-            return not node.is_root and not node.children
-        if kind is RequestKind.REMOVE_INTERNAL:
-            return not node.is_root and bool(node.children)
-        if kind is RequestKind.ADD_INTERNAL:
-            return (request.child is not None and request.child.alive
-                    and request.child.parent is node)
-        return True
 
     # ------------------------------------------------------------------
     # Tree listener: graceful topology hand-over (Section 4.2).

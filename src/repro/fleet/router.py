@@ -633,13 +633,11 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Submission (the ControllerSession surface).
     # ------------------------------------------------------------------
-    def submit(self, request: Request, delay: Optional[float] = None,
+    def submit(self, request: Request,
                origin: Optional[Any] = None) -> Ticket:
         """Admit one request; non-blocking (see session ``submit``).
 
-        ``delay`` is accepted for surface parity and ignored — every
-        shard flavour is synchronous.  ``origin`` routes by placement
-        instead of node ownership.
+        ``origin`` routes by placement instead of node ownership.
         """
         with self._lock:
             if self._closed:
@@ -654,9 +652,8 @@ class FleetRouter:
             return ticket
 
     def submit_many(self, requests: Iterable[Request],
-                    stagger: Optional[float] = None,
                     origin: Optional[Any] = None) -> List[Ticket]:
-        """Admit a batch (``stagger`` accepted for parity, ignored)."""
+        """Admit a batch; non-blocking."""
         return [self.submit(request, origin=origin)
                 for request in requests]
 

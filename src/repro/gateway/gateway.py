@@ -298,9 +298,9 @@ class Gateway:
         a wide-open, unthrottled, breaker-disarmed gateway.
     clock:
         The wall clock (:data:`repro.clock.monotonic` by default).
-        Deterministic
-        tests inject a counter; the throttle and the latency ledger
-        use whatever scale this returns.
+        Deterministic tests inject a counter; the throttle and the
+        tickets' ``submit_wall``/``settle_wall`` use whatever scale this
+        returns.
     """
 
     def __init__(self, session: IngestionBackend,
@@ -326,10 +326,6 @@ class Gateway:
             cooldown=self.config.breaker_cooldown,
             probe_quota=self.config.breaker_probes)
         self._stats = GatewayStats()
-        #: Wall-clock and session-clock latencies of engine-settled
-        #: tickets, for the bench percentiles.
-        self.latencies_wall: List[float] = []
-        self.latencies_session: List[float] = []
         self._seq = 0
         self._last_beat = self._clock()
         self._closed = False
@@ -546,8 +542,6 @@ class Gateway:
                 ok = (record.latency <= self.config.breaker_latency
                       and verdict not in _FAILURE_VERDICTS)
                 self._breaker.record(ok, probe=ticket.probe)
-            self.latencies_wall.append(now - ticket.submit_wall)
-            self.latencies_session.append(float(record.latency))
 
     def run_until_idle(self) -> int:
         """Pump until the queue is empty; total tickets settled.

@@ -21,7 +21,6 @@ from repro.service.appspec import (
 from repro.service.config import (
     EVENT_DRIVEN_FLAVORS,
     SCHEDULED_FLAVORS,
-    TRACED_FLAVORS,
     ControllerSpec,
     SessionConfig,
 )
@@ -31,7 +30,6 @@ from repro.service.envelopes import (
     OutcomeRecord,
     SessionVerdict,
     Ticket,
-    TraceHandle,
 )
 from repro.service.session import ControllerSession
 
@@ -48,9 +46,7 @@ __all__ = [
     "IterationRecord",
     "SessionVerdict",
     "Ticket",
-    "TraceHandle",
     "drive_scenario",
     "EVENT_DRIVEN_FLAVORS",
     "SCHEDULED_FLAVORS",
-    "TRACED_FLAVORS",
 ]

@@ -10,10 +10,9 @@ replaces that threading with one frozen value object:
 * :class:`ControllerSpec` names the controller — flavour plus the
   ``(M, W, U)`` contract plus any flavour-specific constructor options;
 * :class:`SessionConfig` adds the *session* knobs — schedule policy,
-  delay model, fault plan, admission window, kernel tracing — and
-  validates all of them eagerly (every mistake raises
-  :class:`repro.errors.ConfigError` naming the valid choices, before
-  any engine state exists).
+  delay model, fault plan, admission window — and validates all of
+  them eagerly (every mistake raises :class:`repro.errors.ConfigError`
+  naming the valid choices, before any engine state exists).
 
 Both are frozen dataclasses: a config can be shared between cells of a
 bench grid, logged into a JSON report via :meth:`SessionConfig.snapshot`,
@@ -37,13 +36,9 @@ EVENT_DRIVEN_FLAVORS: Tuple[str, ...] = ("distributed",)
 SCHEDULED_FLAVORS: Tuple[str, ...] = (
     "distributed", "distributed_iterated", "distributed_adaptive")
 
-#: Flavours whose constructor accepts a ``kernel_trace=`` log.
-TRACED_FLAVORS: Tuple[str, ...] = ("centralized", "distributed")
-
 #: Constructor keywords the session wires itself; passing them through
 #: ``ControllerSpec.options`` would silently fight the session's wiring.
-SESSION_OWNED_OPTIONS: Tuple[str, ...] = (
-    "scheduler", "delays", "faults", "kernel_trace")
+SESSION_OWNED_OPTIONS: Tuple[str, ...] = ("scheduler", "delays", "faults")
 
 
 def _require_int(name: str, value: Any) -> None:
@@ -58,10 +53,10 @@ class ControllerSpec:
     """Which controller to build: flavour + (M, W, U) + extra options.
 
     ``options`` passes flavour-specific constructor keywords through
-    (``track_intervals=``, ``apply_topology=``, ``variant=``, ...); the
-    session layer adds its own wiring (scheduler, delays, faults) on
-    top for the flavours that take it.  Option names are checked
-    against the flavour's constructor here, so a typo raises
+    (``track_intervals=``, ``apply_topology=``, ``kernel_trace=``,
+    ...); the session layer adds its own wiring (scheduler, delays,
+    faults) on top for the flavours that take it.  Option names are
+    checked against the flavour's constructor here, so a typo raises
     :class:`ConfigError` naming the valid options; ``m``, ``w`` and
     ``u`` must be ints (bools excluded).
     """
@@ -129,11 +124,6 @@ class SessionConfig:
         The admission window: how many requests may be in flight
         (submitted, not yet settled) before :meth:`ControllerSession.submit`
         answers ``BACKPRESSURE`` instead of reaching the controller.
-    trace:
-        Attach a :class:`repro.core.kernel.KernelTrace` to the engine
-        (flavours in :data:`TRACED_FLAVORS`); every settled
-        :class:`~repro.service.envelopes.OutcomeRecord` then carries a
-        handle into the transition log.
     """
 
     controller: ControllerSpec
@@ -142,7 +132,6 @@ class SessionConfig:
     faults: Optional[Union[FaultPlan, str]] = None
     seed: int = 0
     max_in_flight: int = 1024
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.schedule_policy not in SCHEDULE_POLICIES:
@@ -209,5 +198,4 @@ class SessionConfig:
             "faults": self.fault_plan.snapshot(),
             "seed": self.seed,
             "max_in_flight": self.max_in_flight,
-            "trace": self.trace,
         }

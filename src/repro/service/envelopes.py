@@ -8,9 +8,8 @@ submit tick, carried by its ticket and its record.
 * :class:`OutcomeRecord` — the settled result: a :class:`SessionVerdict`,
   the raw controller :class:`~repro.core.requests.Outcome` (absent for
   ``BACKPRESSURE``, which never reached the controller), submit/settle
-  ticks, the granted permit's interval serial when the engine tracks
-  intervals, and a :class:`TraceHandle` into the kernel transition log
-  when tracing is on;
+  ticks, and the granted permit's interval serial when the engine
+  tracks intervals;
 * :class:`Ticket` — the non-blocking handle ``submit()`` returns, and
   the one object a request owns while in flight (see
   :mod:`repro.service.outbox`); :meth:`Ticket.result` pumps the
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core.kernel import KernelTrace, TraceEvent
 from repro.core.requests import OutcomeStatus, Request
 from repro.errors import ProtocolError
 
@@ -94,33 +92,13 @@ class IterationRecord:
     tick: float
 
 
-@dataclass(frozen=True)
-class TraceHandle:
-    """A cursor into the session's kernel transition log.
-
-    ``upto`` is the log length at settlement: ``events()`` returns every
-    kernel transition that had happened when this request settled.  The
-    log is shared by all requests of the session (transitions interleave
-    under the event-driven engine), so the handle is a prefix cursor,
-    not a per-request slice.
-    """
-
-    trace: KernelTrace
-    upto: int
-
-    def events(self) -> Tuple[TraceEvent, ...]:
-        return tuple(self.trace.events[:self.upto])
-
-
 class OutcomeRecord(Tuple[Any, ...]):
     """A settled request: the envelope plus everything measured.
 
-    Field layout (a 6-tuple): ``request``, ``envelope_id``,
+    Field layout (a 5-tuple): ``request``, ``envelope_id``,
     ``submit_tick``, ``outcome`` (the raw controller outcome — ``None``
-    exactly when the request was refused at the admission window),
-    ``settle_tick``, and ``trace_handle`` (the kernel-trace cursor at
-    settlement; ``None`` unless the session was configured with
-    ``trace=True``).
+    exactly when the request was refused at the admission window) and
+    ``settle_tick``.
 
     Derived accessors: :attr:`verdict` (BACKPRESSURE when the
     controller never saw the request, the outcome's status otherwise)
@@ -130,8 +108,7 @@ class OutcomeRecord(Tuple[Any, ...]):
     The class subclasses ``tuple``, so a record is built in one C call
     with no Python ``__init__`` frame.  Construct one as
     ``OutcomeRecord((request, envelope_id, submit_tick, outcome,
-    settle_tick, trace_handle))``; instances are immutable and compare
-    by value.
+    settle_tick))``; instances are immutable and compare by value.
     """
 
     __slots__ = ()
@@ -147,8 +124,6 @@ class OutcomeRecord(Tuple[Any, ...]):
                            "backpressured.")
     settle_tick = property(operator.itemgetter(4),
                            doc="Session clock at settlement.")
-    trace_handle = property(operator.itemgetter(5),
-                            doc="Kernel-trace cursor, when tracing.")
 
     def __repr__(self) -> str:
         return (f"OutcomeRecord(envelope_id={self.envelope_id}, "

@@ -19,11 +19,10 @@ O(1)): a ticket-only consumer holds O(unclaimed) records.
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
-from repro.core.kernel import KernelTrace
 from repro.core.requests import Outcome, Request
 from repro.errors import ProtocolError
 from repro.service.envelopes import (IterationRecord, OutcomeRecord,
-                                     SessionVerdict, Ticket, TraceHandle)
+                                     SessionVerdict, Ticket)
 from repro.sim.scheduler import Scheduler
 
 #: What a drain stream yields (iteration boundaries: apps only).
@@ -41,26 +40,23 @@ class Outbox:
     """Ids, ticks, records, tallies and the ready queue of one surface.
 
     With a ``scheduler``, ticks are its simulated time instead of the
-    operation counter (the event-driven session); with a ``trace``,
-    records carry a cursor into the kernel log.  Not locked: a threaded
-    surface calls it under its own lock.
+    operation counter (the event-driven session).  Not locked: a
+    threaded surface calls it under its own lock.
 
     Ticks: a submit takes one and a settlement one more; a ``serve``d
     request takes two and settles at its submit tick + 1.
     """
 
     __slots__ = ("verdicts", "open", "next_envelope", "clock",
-                 "_scheduler", "_trace", "_ready", "_compact_limit")
+                 "_scheduler", "_ready", "_compact_limit")
 
-    def __init__(self, scheduler: Optional[Scheduler] = None,
-                 trace: Optional[KernelTrace] = None) -> None:
+    def __init__(self, scheduler: Optional[Scheduler] = None) -> None:
         self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
         #: Tickets issued and not yet settled.
         self.open = 0
         self.next_envelope = 0
         self.clock = 0
         self._scheduler = scheduler
-        self._trace = trace
         self._ready: Deque[Union[Ticket, IterationRecord]] = deque()
         self._compact_limit = _COMPACT_FLOOR
 
@@ -106,12 +102,10 @@ class Outbox:
         self.verdicts[_BACKPRESSURE if outcome is None
                       else outcome.status._value_] += 1
         # ``now`` inlined: this runs once per request on every surface.
-        scheduler, trace = self._scheduler, self._trace
+        scheduler = self._scheduler
         return OutcomeRecord((
             request, envelope_id, submit_tick, outcome,
-            float(self.clock) if scheduler is None else scheduler.now,
-            TraceHandle(trace=trace, upto=len(trace))
-            if trace is not None else None))
+            float(self.clock) if scheduler is None else scheduler.now))
 
     def settle(self, ticket: Ticket, outcome: Optional[Outcome]) -> None:
         """Settle an open ticket and queue it for drain."""

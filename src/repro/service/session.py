@@ -35,18 +35,13 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, cast
 
-from repro.core.kernel import KernelTrace
 from repro.core.requests import Request
 from repro.distributed.faults import FaultInjector
 from repro.errors import ConfigError, ControllerError, ProtocolError
 from repro.metrics.invariants import InvariantReport, audit_controller
 from repro.protocol import ControllerProtocol, ControllerView
 from repro.registry import make_controller
-from repro.service.config import (
-    SCHEDULED_FLAVORS,
-    TRACED_FLAVORS,
-    SessionConfig,
-)
+from repro.service.config import SCHEDULED_FLAVORS, SessionConfig
 from repro.service.envelopes import OutcomeRecord, SessionVerdict, Ticket
 from repro.service.outbox import Outbox
 from repro.sim.delays import make_delay_model
@@ -71,11 +66,6 @@ class ControllerSession:
         self.config = config
         self.tree = tree if tree is not None else DynamicTree()
         spec = config.controller
-        if config.trace and spec.flavor not in TRACED_FLAVORS:
-            raise ConfigError(
-                f"flavor {spec.flavor!r} does not take a kernel trace; "
-                f"traced flavours: {', '.join(TRACED_FLAVORS)}")
-
         kwargs: Dict[str, Any] = dict(spec.options)
         self.scheduler: Optional[Scheduler] = None
         if spec.flavor in SCHEDULED_FLAVORS:
@@ -86,10 +76,6 @@ class ControllerSession:
                                                 seed=config.seed)
         if spec.flavor == "distributed" and not config.fault_plan.is_noop:
             kwargs["faults"] = FaultInjector(config.fault_plan)
-        self.trace: Optional[KernelTrace] = None
-        if config.trace:
-            self.trace = KernelTrace()
-            kwargs["kernel_trace"] = self.trace
         self.controller: ControllerProtocol = make_controller(
             spec.flavor, self.tree, m=spec.m, w=spec.w, u=spec.u, **kwargs)
         self._event_driven = spec.event_driven
@@ -107,8 +93,7 @@ class ControllerSession:
         # ``_pump``.
         self._lock = threading.RLock()
         self._outbox = Outbox(
-            scheduler=self.scheduler if self._event_driven else None,
-            trace=self.trace)
+            scheduler=self.scheduler if self._event_driven else None)
         self._pending: Deque[Ticket] = deque()
         self._closed = False
         #: Verdict tallies over every settled record (including

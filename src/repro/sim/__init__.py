@@ -20,7 +20,6 @@ from repro.sim.delays import (
     UnitDelay,
     make_delay_model,
 )
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Event",
@@ -34,6 +33,4 @@ __all__ = [
     "DELAY_MODELS",
     "make_delay_model",
     "SCHEDULE_POLICIES",
-    "TraceEvent",
-    "Tracer",
 ]

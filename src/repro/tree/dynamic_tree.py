@@ -25,8 +25,8 @@ Listeners are dispatched per hook.  :meth:`DynamicTree.add_listener`
 looks each hook up on the listener's class and files the listener's
 bound method only when the class overrides the :class:`TreeListener`
 no-op, so a mutation calls just the hooks that do something.  Each
-mutation is one frame: its checks, the size history, the port wiring
-and the membership upkeep are written inline, and the only calls it
+mutation is one frame: its checks, the counters, the port wiring and
+the membership upkeep are written inline, and the only calls it
 makes are the node constructor, the port draws
 (``PortAssigner.next_port``) and the hooks.
 
@@ -81,19 +81,15 @@ class DynamicTree:
         Current number of alive nodes, the paper's ``n``.
     total_ever:
         Number of nodes that ever existed (deleted ones included) — the
-        quantity the paper's parameter ``U`` upper-bounds.
+        quantity the paper's parameter ``U`` upper-bounds.  Node ids run
+        0, 1, 2, ... in creation order, so it is also the next node's id.
     topology_changes:
         Count of mutations performed (the ``j`` index of Theorem 3.5).
-    size_history:
-        ``n_j`` — the number of nodes at the time of the j'th change,
-        recorded *before* applying the change; used by the complexity
-        benches to evaluate the ``sum_j log^2 n_j`` bound.
     """
 
     __slots__ = ("root", "size", "total_ever", "topology_changes",
-                 "size_history", "store_slot_owner", "_port_assigner",
-                 "_next_id", "_listeners", "_on_add_leaf",
-                 "_on_add_internal", "_on_remove_leaf",
+                 "store_slot_owner", "_port_assigner", "_listeners",
+                 "_on_add_leaf", "_on_add_internal", "_on_remove_leaf",
                  "_on_remove_internal")
 
     def __init__(self, port_assigner: Optional[PortAssigner] = None) -> None:
@@ -104,11 +100,9 @@ class DynamicTree:
         # fall back to dict lookups.
         self.store_slot_owner: Optional[object] = None
         self.root = TreeNode(0, None, self)
-        self._next_id = 1
         self.size = 1
         self.total_ever = 1
         self.topology_changes = 0
-        self.size_history: List[int] = []
         self._listeners: List[TreeListener] = []
         self._index_hooks()
 
@@ -177,10 +171,9 @@ class DynamicTree:
         """Attach a new degree-one node below ``parent``."""
         if parent.tree is not self or not parent.alive:
             raise TopologyError(f"add_leaf parent {parent} is not in the tree")
-        self.size_history.append(self.size)
         self.topology_changes += 1
-        node = TreeNode(self._next_id, parent, self)
-        self._next_id += 1
+        node = TreeNode(self.total_ever, parent, self)
+        self.total_ever += 1
         parent.children.append(node)
         next_port = self._port_assigner.next_port
         down = next_port(parent)
@@ -192,7 +185,6 @@ class DynamicTree:
         node.port_to_parent = up
         node.port_at_parent = down
         self.size += 1
-        self.total_ever += 1
         for hook in self._on_add_leaf:
             hook(node)
         return node
@@ -214,10 +206,9 @@ class DynamicTree:
             raise TopologyError(
                 f"{parent} is not the parent of {child}; cannot split edge"
             )
-        self.size_history.append(self.size)
         self.topology_changes += 1
-        node = TreeNode(self._next_id, parent, self)
-        self._next_id += 1
+        node = TreeNode(self.total_ever, parent, self)
+        self.total_ever += 1
         siblings = parent.children
         siblings[siblings.index(child)] = node
         node.children.append(child)
@@ -247,7 +238,6 @@ class DynamicTree:
         child.port_to_parent = up
         child.port_at_parent = down
         self.size += 1
-        self.total_ever += 1
         for hook in self._on_add_internal:
             hook(node, parent, child)
         return node
@@ -262,7 +252,6 @@ class DynamicTree:
             raise TopologyError("the root is never deleted")
         if node.children:
             raise TopologyError(f"{node} has children; use remove_internal")
-        self.size_history.append(self.size)
         self.topology_changes += 1
         parent.children.remove(node)
         down = node.port_at_parent
@@ -288,7 +277,6 @@ class DynamicTree:
         children = node.children
         if not children:
             raise TopologyError(f"{node} is a leaf; use remove_leaf")
-        self.size_history.append(self.size)
         self.topology_changes += 1
         siblings = parent.children
         index = siblings.index(node)

@@ -43,7 +43,6 @@ def build_random_tree(n: int, seed: int = 0,
         nodes.append(tree.add_leaf(parent))
     # The construction itself is not part of the measured scenario.
     tree.topology_changes = 0
-    tree.size_history.clear()
     return tree
 
 
@@ -55,7 +54,6 @@ def build_path(n: int, port_assigner: Optional[PortAssigner] = None
     for _ in range(n - 1):
         current = tree.add_leaf(current)
     tree.topology_changes = 0
-    tree.size_history.clear()
     return tree
 
 
@@ -66,7 +64,6 @@ def build_star(n: int, port_assigner: Optional[PortAssigner] = None
     for _ in range(n - 1):
         tree.add_leaf(tree.root)
     tree.topology_changes = 0
-    tree.size_history.clear()
     return tree
 
 
@@ -87,7 +84,6 @@ def build_caterpillar(n: int, legs_per_node: int = 2,
             spine = tree.add_leaf(spine)
             built += 1
     tree.topology_changes = 0
-    tree.size_history.clear()
     return tree
 
 

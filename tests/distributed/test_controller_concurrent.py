@@ -9,6 +9,7 @@ conserved, and safety/liveness bounds honored.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -86,9 +87,10 @@ def test_deterministic_given_seed():
         tree = build_random_tree(30, seed=11)
         controller = DistributedController(tree, m=400, w=100, u=900,
                                            delays=UniformDelay(seed=12))
-        storm(tree, controller, requests=200, seed=13)
-        results.append((controller.granted, controller.rejected,
-                        controller.cancelled,
+        outcomes = storm(tree, controller, requests=200, seed=13)
+        cancelled = sum(o.status is OutcomeStatus.CANCELLED
+                        for o in outcomes)
+        results.append((controller.granted, controller.rejected, cancelled,
                         controller.counters.snapshot()["total"],
                         tree.size))
     assert results[0] == results[1]
@@ -104,6 +106,34 @@ def test_terminating_mode_never_rejects():
     assert OutcomeStatus.PENDING in statuses
     assert controller.terminated
     assert 15 - 5 <= controller.granted <= 15
+
+
+@pytest.mark.parametrize("terminate", [False, True],
+                         ids=["reject", "terminate"])
+def test_each_request_settles_once_through_its_callback(terminate):
+    """The controller keeps no outcome log: every request's one outcome
+    reaches its callback, and the grant and reject tallies match what
+    the callbacks saw."""
+    tree = build_random_tree(20, seed=16)
+    controller = DistributedController(tree, m=15, w=5, u=400,
+                                       terminate_on_exhaustion=terminate)
+    rng = random.Random(17)
+    picker = NodePicker(tree)
+    submitted = []
+    seen = []
+    for i in range(150):
+        request = random_request(tree, rng, picker=picker)
+        submitted.append(request.request_id)
+        controller.submit(request, delay=0.4 * i, callback=seen.append)
+    controller.run()
+    picker.detach()
+    assert sorted(o.request.request_id for o in seen) == sorted(submitted)
+    statuses = Counter(o.status for o in seen)
+    assert controller.granted == statuses[OutcomeStatus.GRANTED]
+    assert controller.rejected == statuses[OutcomeStatus.REJECTED]
+    assert statuses[OutcomeStatus.CANCELLED] > 0
+    assert (statuses[OutcomeStatus.PENDING] > 0) is terminate
+    assert (statuses[OutcomeStatus.REJECTED] > 0) is not terminate
 
 
 def test_concurrent_requests_at_same_node_fifo():

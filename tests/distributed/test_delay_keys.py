@@ -20,13 +20,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.kernel import KernelTrace
 from repro.distributed.controller import DistributedController
-from repro.service import (
-    TRACED_FLAVORS,
-    ControllerSession,
-    ControllerSpec,
-    SessionConfig,
-)
+from repro.service import ControllerSession, ControllerSpec, SessionConfig
 from repro.service import session as session_module
 from repro.sim.delays import (
     DELAY_MODELS,
@@ -39,7 +35,6 @@ from repro.sim.delays import (
     make_delay_model,
 )
 from repro.distributed.faults import parse_fault_spec
-from repro.sim.tracing import Tracer
 from repro.workloads import get_scenario
 
 from tests.distributed.hop_oracle import oracle_hops
@@ -58,6 +53,16 @@ FAULT_PLANS = ("none", STORM_FAULTS, "stall=0.05,pauses=2,storms=3")
 CELLS = ([("distributed", plan) for plan in FAULT_PLANS]
          + [("distributed_iterated", "none"),
             ("distributed_adaptive", "none")])
+
+
+class TimedTrace(KernelTrace):
+    """A kernel trace that stamps every transition with the simulated
+    time of ``scheduler`` (bound once the session has built it)."""
+
+    scheduler = None
+
+    def emit(self, *event):
+        self.events.append((self.scheduler.now, *event))
 
 
 class _Relabelled(UniformDelay):
@@ -100,30 +105,30 @@ def _run(name, seed, keys=None, flavor="distributed", faults=STORM_FAULTS,
          oracle=False, decoy=False):
     """One session over a scaled mixed_flood stream under a fault plan
     (the gateway_storm one by default); every artefact the engine's
-    execution fixes.  A ``name`` from :data:`COMPOSITE_MODELS` builds
-    that composite instead of a registry model.  With ``keys``, the
-    session's delay model is forced to read keys; with ``oracle``,
-    every controller the run builds hops through the oracle
-    composition; with ``decoy``, another controller holds the tree's
-    node slots, so the session's controller reads its whiteboards
-    through dict lookups."""
+    execution fixes, down to the simulated time of each kernel
+    transition (plain flavour) and of each settlement.  A ``name`` from
+    :data:`COMPOSITE_MODELS` builds that composite instead of a
+    registry model.  With ``keys``, the session's delay model is forced
+    to read keys; with ``oracle``, every controller the run builds hops
+    through the oracle composition; with ``decoy``, another controller
+    holds the tree's node slots, so the session's controller reads its
+    whiteboards through dict lookups."""
     spec = get_scenario("mixed_flood").scaled(0.3)
     tree = spec.build_tree(seed=seed)
     requests = spec.stream(tree, seed=seed)
     span = len(requests) * 0.25 + 4 * spec.n
     plan = replace(parse_fault_spec(faults).resolved(span), seed=seed)
-    traced = flavor in TRACED_FLAVORS
-    tracer = Tracer(enabled=True)
+    # Only the plain flavour takes a kernel trace.
+    trace = TimedTrace() if flavor == "distributed" else None
     # The staged flavours get a budget the stream exhausts, so they
     # roll over to stages and epochs that share the delay model.
     m = spec.m if flavor == "distributed" else 100
     config = SessionConfig(
         controller=ControllerSpec(flavor, m=m, w=spec.w, u=spec.u,
-                                  options={"tracer": tracer} if traced
-                                  else {}),
+                                  options={"kernel_trace": trace}
+                                  if trace is not None else {}),
         delay_model=name if name in DELAY_MODELS else "uniform",
-        faults=plan, seed=seed,
-        max_in_flight=len(requests), trace=traced)
+        faults=plan, seed=seed, max_in_flight=len(requests))
     if decoy:
         holder = DistributedController(tree, m=1, w=1, u=spec.u)
     with contextlib.ExitStack() as stack:
@@ -139,6 +144,8 @@ def _run(name, seed, keys=None, flavor="distributed", faults=STORM_FAULTS,
             patch.setattr(session_module, "make_delay_model",
                           lambda model, seed=0: COMPOSITE_MODELS[name](seed))
         session = ControllerSession(config, tree=tree)
+        if trace is not None:
+            trace.scheduler = session.scheduler
         if decoy:
             assert not session.controller.boards.holds_slots
         session.submit_many(requests, stagger=0.25)
@@ -155,28 +162,15 @@ def _run(name, seed, keys=None, flavor="distributed", faults=STORM_FAULTS,
                           getattr(controller, "epochs_run", 1)),
         "tally": session.tally(),
         "verdicts": tuple(record.verdict.value for record in records),
+        "settle_ticks": tuple(record.settle_tick for record in records),
         "counters": session.controller.counters.snapshot(),
         "executed": session.scheduler.executed,
         "faults": dict(injector.stats) if injector is not None else None,
-        "trace": tuple(session.trace.events) if traced else (),
-        "events": _renumbered(tracer.events),
+        "trace": tuple(trace.events) if trace is not None else (),
         "now": session.now,
     }
     session.close()
     return result
-
-
-def _renumbered(events):
-    """Tracer events with agent ids (drawn from a process-wide counter)
-    renumbered by first appearance, so two runs compare equal."""
-    ids = {}
-    renumbered = []
-    for event in events:
-        details = dict(event.details)
-        if "agent" in details:
-            details["agent"] = ids.setdefault(details["agent"], len(ids))
-        renumbered.append((event.time, event.tag, details))
-    return tuple(renumbered)
 
 
 @pytest.mark.parametrize("name", DELAY_MODELS)
@@ -242,7 +236,7 @@ def test_the_compiled_hop_runs_the_oracle_execution(name, flavor, faults):
     assert compiled == oracle
     assert compiled["counters"]["agent_hops"] > 0
     if flavor == "distributed":
-        assert compiled["events"]
+        assert compiled["trace"]
     else:
         assert compiled["stages"] > 1
     stats = compiled["faults"]

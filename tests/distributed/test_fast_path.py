@@ -16,6 +16,7 @@ import contextlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.kernel import KernelTrace
 from repro.distributed.adaptive import DistributedAdaptiveController
 from repro.distributed.iterated import DistributedIteratedController
 from repro.errors import ConfigError
@@ -44,11 +45,12 @@ def _run_session_arm(spec, seed, stream_specs, *, oracle, policy="fifo"):
     """One session-driven run; returns every behavioural artefact the
     equivalence contract covers (plus the scheduler that ran it)."""
     tree, requests = _twin_requests(spec, seed, stream_specs)
+    trace = KernelTrace()
     config = SessionConfig(
         controller=ControllerSpec("distributed", m=spec.m, w=spec.w,
-                                  u=spec.u),
+                                  u=spec.u, options={"kernel_trace": trace}),
         schedule_policy=policy, seed=seed,
-        max_in_flight=max(len(requests), 1), trace=True)
+        max_in_flight=max(len(requests), 1))
     with oracle_sessions() if oracle else contextlib.nullcontext():
         session = ControllerSession(config, tree=tree)
     session.submit_many(requests, stagger=0.25)
@@ -57,7 +59,7 @@ def _run_session_arm(spec, seed, stream_specs, *, oracle, policy="fifo"):
     assert report.passed, report.violations[:3]
     verdicts = tuple(r.verdict.value for r in records)
     counters = tuple(sorted(session.controller.counters.snapshot().items()))
-    trace_events = tuple(session.trace.events)
+    trace_events = tuple(trace.events)
     now = session.now
     scheduler = session.scheduler
     session.close()

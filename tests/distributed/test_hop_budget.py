@@ -9,8 +9,7 @@ hops, churn storms) and pins the engine's per-hop budget:
 * a hop is two Python frames, the compiled hop and
   ``Scheduler.schedule_call``: the delay model's ``sample``, the fault
   perturbation and the clock property are inlined into the hop;
-* the arrival handlers call neither the clock property nor the tracer
-  while tracing is off;
+* the arrival handlers never call the clock property;
 * a whiteboard read on the hop path costs no dict probe: the per-hop
   handlers call ``WhiteboardMap.get`` only to create a board, and the
   map never hashes a node (its entries are keyed by identity).
@@ -27,7 +26,6 @@ from repro.distributed.whiteboard import Whiteboard, WhiteboardMap
 from repro.service import ControllerSession, ControllerSpec, SessionConfig
 from repro.sim.delays import BurstStallDelay, UniformDelay
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Tracer
 from repro.tree.node import TreeNode
 from repro.workloads import get_scenario
 
@@ -66,7 +64,7 @@ def test_a_hop_costs_two_frames_and_a_board_read_no_probe():
     readers = {_code(getattr(controller_module.DistributedController, name))
                for name in HOP_PATH_READERS}
     samples = {_code(UniformDelay.sample), _code(BurstStallDelay.sample)}
-    now, emit = _code(Scheduler.now.fget), _code(Tracer.emit)
+    now = _code(Scheduler.now.fget)
     new_board = _code(Whiteboard.__init__)
     node_hash = _code(TreeNode.__hash__)
 
@@ -97,8 +95,8 @@ def test_a_hop_costs_two_frames_and_a_board_read_no_probe():
             counts["get"] += 1
         elif code is discard and from_controller:
             counts["discard"] += 1
-        elif code in (now, emit) and from_controller:
-            counts[code.co_name] += 1
+        elif code is now and from_controller:
+            counts["now"] += 1
         elif code is node_hash and (caller.co_filename == controller_file
                                     or caller in map_codes):
             counts["hash"] += 1
@@ -129,7 +127,7 @@ def test_a_hop_costs_two_frames_and_a_board_read_no_probe():
     assert sum(on_hop_path.values()) <= 2 * hops, on_hop_path
     assert on_hop_path[hop.co_name] == hops
     assert counts["sample"] == 0
-    assert counts["now"] == counts["emit"] == 0
+    assert counts["now"] == 0
 
     # Whiteboards live in node slots: on the hop path get() only
     # creates, and creating or dropping a board hashes no node.

@@ -12,11 +12,36 @@ stay comparable across the suite.
 import random
 
 from repro.core.requests import RequestKind
+from repro.tree.dynamic_tree import TreeListener
 from repro.workloads.scenarios import (
     NodePicker,
     ScenarioResult,
     random_request,
 )
+
+
+class SizeHistory(TreeListener):
+    """The ``n_j`` series of Theorem 3.5: the tree's size just before
+    each topological change, recorded by a listener attached to
+    ``tree``.  Hooks run after the change, so an addition saw
+    ``size - 1`` nodes and a removal ``size + 1``."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.sizes = []
+        tree.add_listener(self)
+
+    def on_add_leaf(self, node):
+        self.sizes.append(self.tree.size - 1)
+
+    def on_add_internal(self, node, parent, child):
+        self.sizes.append(self.tree.size - 1)
+
+    def on_remove_leaf(self, node, parent):
+        self.sizes.append(self.tree.size + 1)
+
+    def on_remove_internal(self, node, parent, children):
+        self.sizes.append(self.tree.size + 1)
 
 
 def drive_handle(tree, handle, steps, seed=0, mix=None,

@@ -95,6 +95,29 @@ def test_throttle_sheds_with_shed_verdict_and_settles_immediately():
     assert gateway.audit().passed
 
 
+def test_tickets_carry_the_wall_and_session_latency_of_each_request():
+    """A client times its requests from its own tickets: the wall
+    stamps read the gateway's clock, the record carries the session
+    ticks; a shed ticket settles at admission and has no record."""
+    clock = FakeClock()
+    session = _session()
+    gateway = Gateway(session, GatewayConfig(rate=1.0, burst=3),
+                      clock=clock)
+    clock.now = 1.0
+    tickets = gateway.submit_many(_requests(session, 5))
+    clock.now = 3.5
+    gateway.run_until_idle()
+    shed = [t for t in tickets if t.verdict is SessionVerdict.SHED]
+    settled = [t for t in tickets if t.record is not None]
+    assert len(shed) == 2 and len(settled) == 3
+    assert all(t.submit_wall == t.settle_wall == 1.0 for t in shed)
+    for ticket in settled:
+        assert ticket.settle_wall - ticket.submit_wall == 2.5
+        record = ticket.record
+        assert record.latency == record.settle_tick - record.submit_tick
+        assert record.latency > 0
+
+
 def test_full_queue_answers_backpressure():
     session = _session()
     gateway = Gateway(session, GatewayConfig(queue_capacity=4, batch_size=4))

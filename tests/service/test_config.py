@@ -78,12 +78,15 @@ def test_known_options_still_pass_through():
     (dict(seed=1.5), "seed"),
     (dict(seed=False), "seed"),
     (dict(bogus=1),
-     r"knob\(s\) bogus \(valid: schedule_policy, .*, trace\)"),
+     r"knob\(s\) bogus \(valid: schedule_policy, .*, max_in_flight\)"),
     (dict(stagger=float("nan")), "stagger"),
     (dict(stagger=float("inf")), "stagger"),
     (dict(stagger="1"), "stagger"),
     (dict(stagger=True), "stagger"),
     (dict(stagger=None), "stagger"),
+    # Kernel tracing is the ``kernel_trace=`` controller option, not a
+    # session knob.
+    (dict(trace=True), r"knob\(s\) trace \(valid: "),
 ])
 def test_session_knob_validation(knobs, match):
     with pytest.raises(ConfigError, match=match):

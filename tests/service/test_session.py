@@ -9,6 +9,7 @@ from repro import (
     SessionConfig,
     SessionVerdict,
 )
+from repro.core.kernel import KernelTrace
 from repro.errors import ConfigError, ControllerError
 from repro.protocol import SessionProtocol
 from repro.tree import paths
@@ -260,20 +261,43 @@ def test_distributed_ticket_result_pumps_scheduler():
 # ----------------------------------------------------------------------
 # Tracing and intervals.
 # ----------------------------------------------------------------------
-def test_trace_handles_are_prefix_cursors():
-    session = _session("centralized", trace=True)
-    first = session.serve(_plain(session))
-    second = session.serve(Request(RequestKind.ADD_LEAF,
-                                   session.tree.root))
-    assert first.trace_handle is not None
-    assert second.trace_handle.upto >= first.trace_handle.upto
-    assert first.trace_handle.events() == tuple(
-        session.trace.events[:first.trace_handle.upto])
+def test_kernel_trace_is_a_controller_option():
+    trace = KernelTrace()
+    session = _session("centralized", options={"kernel_trace": trace})
+    assert session.serve(_plain(session)).granted
+    assert trace.events[-1] == ("grant", session.tree.root.node_id)
 
 
 def test_trace_on_untraced_flavor_is_config_error():
-    with pytest.raises(ConfigError, match="kernel trace"):
-        _session("iterated", trace=True)
+    """A flavour without ``kernel_trace=`` refuses the option by name."""
+    with pytest.raises(ConfigError,
+                       match=r"unknown option 'kernel_trace' for flavor "
+                             r"'iterated'; valid options: counters$"):
+        _session("iterated", options={"kernel_trace": KernelTrace()})
+
+
+def test_a_kernel_trace_watches_a_distributed_session_unchanged():
+    """The option records the event-driven engine's transitions and
+    leaves its execution as it was: verdicts, ticks and counters match
+    an untraced twin."""
+    runs = []
+    for trace in (None, KernelTrace()):
+        session = _session("distributed", tree_n=24, options={}
+                           if trace is None else {"kernel_trace": trace})
+        requests = [Request(kind, node) for node in session.tree.nodes()
+                    for kind in (RequestKind.PLAIN, RequestKind.ADD_LEAF)]
+        session.submit_many(requests, stagger=0.5)
+        records = session.settle_all()
+        runs.append(([r.verdict for r in records],
+                     [r.settle_tick for r in records],
+                     session.controller.counters.snapshot()))
+        session.close()
+    assert runs[0] == runs[1]
+    verdicts = runs[1][0]
+    assert SessionVerdict.GRANTED in verdicts
+    grants = [event for event in trace if event[0] == "grant"]
+    assert len(grants) == verdicts.count(SessionVerdict.GRANTED)
+    assert {"create", "absorb"} <= {event[0] for event in trace}
 
 
 def test_permit_interval_surfaces_serials():

@@ -42,7 +42,7 @@ from repro.workloads import (
     grow_only_mix,
     random_request,
 )
-from tests.drivers import drive_handle
+from tests.drivers import SizeHistory, drive_handle
 
 
 def churn(tree, serve, steps, seed, mix=None):
@@ -112,9 +112,10 @@ def test_theorem_3_5_unknown_u_stays_within_its_bound():
     ratios = []
     for steps in (250, 500, 1000, 2000):
         tree = build_random_tree(50, seed=steps)
+        history = SizeHistory(tree)
         controller = AdaptiveController(tree, m=10 * steps + 100, w=50)
         drive_handle(tree, controller.handle, steps=steps, seed=steps + 1)
-        bound = theorem_3_5_bound(50, tree.size_history, controller.m,
+        bound = theorem_3_5_bound(50, history.sizes, controller.m,
                                   controller.w)
         ratios.append(controller.counters.total / bound)
     assert max(ratios) < 1.0

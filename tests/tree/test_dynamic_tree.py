@@ -9,6 +9,8 @@ import pytest
 from repro.errors import TopologyError
 from repro.tree import DynamicTree, TreeListener, TreeNode, paths
 
+from tests.drivers import SizeHistory
+
 
 class RecordingListener(TreeListener):
     def __init__(self):
@@ -181,11 +183,16 @@ def test_listener_removal():
 
 def test_size_history_records_pre_change_sizes():
     tree = DynamicTree()
+    history = SizeHistory(tree)
     a = tree.add_leaf(tree.root)       # size was 1
-    tree.add_leaf(a)                   # size was 2
-    tree.remove_leaf(tree.root.children[0].children[0])  # size was 3
-    assert tree.size_history == [1, 2, 3]
-    assert tree.topology_changes == 3
+    b = tree.add_leaf(a)               # size was 2
+    c = tree.add_leaf(b)               # size was 3
+    tree.add_internal(a, b)            # size was 4
+    tree.remove_internal(b)            # size was 5
+    tree.remove_leaf(c)                # size was 4
+    assert history.sizes == [1, 2, 3, 4, 5, 4]
+    assert tree.size == 3
+    assert tree.topology_changes == 6
 
 
 def test_total_ever_counts_deleted_nodes():
