@@ -84,12 +84,10 @@ from repro.gateway import (
     HealthReport,
 )
 from repro.protocol import (
-    AppProtocol,
     AppView,
     BudgetSplit,
     ControllerProtocol,
     ControllerView,
-    SessionProtocol,
 )
 from repro.tree import DynamicTree, TreeNode
 from repro.core import (
@@ -112,12 +110,14 @@ from repro.registry import (
 )
 from repro.service import (
     APP_NAMES,
+    AppProtocol,
     AppSpec,
     ControllerSession,
     ControllerSpec,
     IterationRecord,
     OutcomeRecord,
     SessionConfig,
+    SessionProtocol,
     SessionVerdict,
     Ticket,
 )
@@ -126,7 +126,6 @@ from repro.fleet import (
     BudgetTransfer,
     FleetConfig,
     FleetRouter,
-    ShardSpec,
 )
 
 __version__ = "1.5.0"
@@ -152,7 +151,6 @@ __all__ = [
     # The fleet layer — N sessions over a forest behind one router.
     "FleetRouter",
     "FleetConfig",
-    "ShardSpec",
     "BudgetTransfer",
     # The application layer — the Section 5 apps behind one spec.
     "AppSpec",

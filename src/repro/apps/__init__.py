@@ -6,7 +6,7 @@ Two surfaces live here:
 the seven applications from a frozen
 :class:`~repro.service.appspec.AppSpec`; every product is an
 :class:`~repro.apps.base.AppSession` implementing
-:class:`repro.protocol.AppProtocol` — non-blocking ``submit`` ->
+:class:`repro.service.session.AppProtocol` — non-blocking ``submit`` ->
 ``Ticket``, streaming ``drain()`` interleaving outcome records with
 :class:`~repro.service.envelopes.IterationRecord` boundary events, and
 per-iteration controllers owned through

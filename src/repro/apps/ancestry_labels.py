@@ -91,18 +91,21 @@ class AncestryLabelsApp(SizeEstimationApp):
         super().close()
 
 
-class AncestryLabeling(TreeListener):
-    """Interval ancestry labels with estimate-driven relabeling.
+class IntervalLabeling(TreeListener):
+    """Nested interval labels with estimate-paced relabeling.
 
-    ``slack`` controls the gap budget: each node's interval is ``slack``
-    times larger than its subtree strictly needs, so roughly
-    ``log(slack)``-fold growth is absorbed before a relabel.
+    The label upkeep :class:`AncestryLabeling` (Corollary 5.7) and
+    :class:`~repro.apps.routing_labels.RoutingLabeling` (Corollary 5.6)
+    share.  Each node's interval is ``slack`` times wider than its
+    subtree strictly needs, and a fresh leaf takes half of its
+    parent's remaining gap; with no gap left (always so at ``slack``
+    1, tight intervals) the addition relabels.  A relabel is one DFS
+    traversal, 2(n-1) messages, and it also runs whenever the size has
+    halved or doubled since the last one.
     """
 
-    def __init__(self, tree: DynamicTree, slack: int = 4,
+    def __init__(self, tree: DynamicTree, slack: int,
                  counters: Optional[MoveCounters] = None) -> None:
-        if slack < 2:
-            raise ControllerError("slack must be at least 2")
         self.tree = tree
         self.slack = slack
         self.counters = counters if counters is not None else MoveCounters()
@@ -114,40 +117,17 @@ class AncestryLabeling(TreeListener):
         tree.add_listener(self)
         self._relabel()
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
     def label_of(self, node: TreeNode) -> Tuple[int, int]:
         return self.labels[node]
-
-    def query_ancestry(self, ancestor: TreeNode, node: TreeNode) -> bool:
-        """Is ``ancestor`` an ancestor of ``node``?  Pure label lookup."""
-        a_low, a_high = self.labels[ancestor]
-        n_low, n_high = self.labels[node]
-        return a_low <= n_low and n_high <= a_high
 
     def label_bits(self) -> int:
         """Current label size in bits (two endpoints)."""
         top = max(high for _, high in self.labels.values())
         return 2 * max(top.bit_length(), 1)
 
-    def check_correctness(self, sample_pairs:
-                          Iterable[Tuple[TreeNode, TreeNode]]) -> None:
-        """Verify the labels against true ancestry on given node pairs."""
-        for u, v in sample_pairs:
-            expected = is_ancestor(u, v)
-            if self.query_ancestry(u, v) != expected:
-                raise InvariantViolation(
-                    f"ancestry({u}, {v}) mislabeled: expected {expected}"
-                )
-
     # ------------------------------------------------------------------
     # Relabeling.
     # ------------------------------------------------------------------
-    def _interval_need(self, node: TreeNode,
-                       sizes: Dict[TreeNode, int]) -> int:
-        return self.slack * sizes[node]
-
     def _relabel(self) -> None:
         """Assign fresh intervals: one DFS traversal (2(n-1) messages)."""
         self.relabels += 1
@@ -159,20 +139,16 @@ class AncestryLabeling(TreeListener):
         order = list(self.tree.nodes())
         for node in reversed(order):
             sizes[node] = 1 + sum(sizes[c] for c in node.children)
-        self._assign(self.tree.root, 0, sizes)
-
-    def _assign(self, node: TreeNode, low: int,
-                sizes: Dict[TreeNode, int]) -> None:
-        stack = [(node, low)]
+        stack = [(self.tree.root, 0)]
         while stack:
-            current, lo = stack.pop()
-            hi = lo + self._interval_need(current, sizes) - 1
-            self.labels[current] = (lo, hi)
-            child_lo = lo + 1
+            current, low = stack.pop()
+            width = self.slack * sizes[current]
+            self.labels[current] = (low, low + width - 1)
+            child_low = low + 1
             for child in current.children:
-                stack.append((child, child_lo))
-                child_lo += self._interval_need(child, sizes)
-            self._cursor[current] = child_lo
+                stack.append((child, child_low))
+                child_low += self.slack * sizes[child]
+            self._cursor[current] = child_low
 
     def _maybe_relabel(self) -> None:
         n = self.tree.size
@@ -196,7 +172,9 @@ class AncestryLabeling(TreeListener):
         self._cursor[parent] = cursor + width
 
     # ------------------------------------------------------------------
-    # Topology events.
+    # Topology events.  Deletions keep the surviving intervals nested
+    # (an internal deletion's adopted children still nest under the
+    # grandparent), so they only pace the relabel.
     # ------------------------------------------------------------------
     def on_add_leaf(self, node: TreeNode) -> None:
         self._place_new_node(node, node.parent)
@@ -221,3 +199,34 @@ class AncestryLabeling(TreeListener):
 
     def detach(self) -> None:
         self.tree.remove_listener(self)
+
+
+class AncestryLabeling(IntervalLabeling):
+    """Interval ancestry labels with estimate-driven relabeling.
+
+    ``slack`` controls the gap budget: each node's interval is ``slack``
+    times larger than its subtree strictly needs, so roughly
+    ``log(slack)``-fold growth is absorbed before a relabel.
+    """
+
+    def __init__(self, tree: DynamicTree, slack: int = 4,
+                 counters: Optional[MoveCounters] = None) -> None:
+        if slack < 2:
+            raise ControllerError("slack must be at least 2")
+        super().__init__(tree, slack, counters)
+
+    def query_ancestry(self, ancestor: TreeNode, node: TreeNode) -> bool:
+        """Is ``ancestor`` an ancestor of ``node``?  Pure label lookup."""
+        a_low, a_high = self.labels[ancestor]
+        n_low, n_high = self.labels[node]
+        return a_low <= n_low and n_high <= a_high
+
+    def check_correctness(self, sample_pairs:
+                          Iterable[Tuple[TreeNode, TreeNode]]) -> None:
+        """Verify the labels against true ancestry on given node pairs."""
+        for u, v in sample_pairs:
+            expected = is_ancestor(u, v)
+            if self.query_ancestry(u, v) != expected:
+                raise InvariantViolation(
+                    f"ancestry({u}, {v}) mislabeled: expected {expected}"
+                )

@@ -4,9 +4,8 @@
 behind one call, exactly as :func:`repro.registry.make_controller`
 does for the controller flavours.  Every product subclasses
 :class:`repro.apps.base.AppSession` and implements
-:class:`repro.protocol.AppProtocol` (``submit`` / ``submit_many`` /
-``serve`` / ``drain`` / ``settle_all`` / ``introspect`` / ``app_view``
-/ ``close``).
+:class:`repro.service.session.AppProtocol` (the session surface plus
+``iterations_run`` / ``introspect`` / ``app_view``).
 
 Registered apps (the :data:`repro.service.appspec.APP_NAMES` catalogue):
 

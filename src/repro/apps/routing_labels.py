@@ -14,21 +14,22 @@ the current node — the distributed reading.
 
 Deletions keep the scheme correct (surviving intervals keep nesting);
 relabeling is triggered when the size halves/doubles relative to the
-last labeling, piggybacking on the estimate exactly like
-:class:`~repro.apps.ancestry_labels.AncestryLabeling` (the two schemes
-share the relabel policy; this one additionally maintains the per-node
-child tables that routing needs).
+last labeling, piggybacking on the estimate.  The label upkeep is
+:class:`~repro.apps.ancestry_labels.IntervalLabeling` with slack 1
+(tight intervals, so every addition relabels), the one
+:class:`~repro.apps.ancestry_labels.AncestryLabeling` runs with a gap
+budget; this module adds the routing steps over it.
 """
 
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
-from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
 from repro.service.appspec import AppSpec
-from repro.tree.dynamic_tree import DynamicTree, TreeListener
+from repro.tree.dynamic_tree import DynamicTree
 from repro.tree.node import TreeNode
 
+from repro.apps.ancestry_labels import IntervalLabeling
 from repro.apps.size_estimation import SizeEstimationApp
 
 Interval = Tuple[int, int]
@@ -94,24 +95,12 @@ class RoutingLabelsApp(SizeEstimationApp):
         super().close()
 
 
-class RoutingLabeling(TreeListener):
+class RoutingLabeling(IntervalLabeling):
     """Exact (stretch-1) interval routing on a dynamic tree."""
 
     def __init__(self, tree: DynamicTree,
                  counters: Optional[MoveCounters] = None) -> None:
-        self.tree = tree
-        self.counters = counters if counters is not None else MoveCounters()
-        self.labels: Dict[TreeNode, Interval] = {}
-        self.relabels = 0
-        self.labeled_size = 0
-        tree.add_listener(self)
-        self._relabel()
-
-    # ------------------------------------------------------------------
-    # Labels and routing.
-    # ------------------------------------------------------------------
-    def label_of(self, node: TreeNode) -> Interval:
-        return self.labels[node]
+        super().__init__(tree, 1, counters)
 
     def next_hop(self, node: TreeNode, target_label: Interval) -> TreeNode:
         """One routing step from ``node`` toward ``target_label``.
@@ -154,64 +143,3 @@ class RoutingLabeling(TreeListener):
             self.counters.package_moves += 1
             path.append(current)
         return path
-
-    def label_bits(self) -> int:
-        top = max(high for _, high in self.labels.values())
-        return 2 * max(top.bit_length(), 1)
-
-    # ------------------------------------------------------------------
-    # (Re)labeling.
-    # ------------------------------------------------------------------
-    def _relabel(self) -> None:
-        """One DFS traversal: tight intervals, 2(n-1) messages."""
-        self.relabels += 1
-        self.labeled_size = self.tree.size
-        self.counters.reset_moves += waves.dfs_traversal(self.tree.size)
-        self.labels.clear()
-        sizes: Dict[TreeNode, int] = {}
-        order = list(self.tree.nodes())
-        for node in reversed(order):
-            sizes[node] = 1 + sum(sizes[c] for c in node.children)
-        stack = [(self.tree.root, 0)]
-        while stack:
-            node, low = stack.pop()
-            self.labels[node] = (low, low + sizes[node] - 1)
-            child_low = low + 1
-            for child in node.children:
-                stack.append((child, child_low))
-                child_low += sizes[child]
-
-    def _maybe_relabel(self) -> None:
-        n = self.tree.size
-        if n < self.labeled_size // 2 or n > 2 * self.labeled_size:
-            self._relabel()
-
-    # ------------------------------------------------------------------
-    # Topology events.  Deletions of degree-one nodes preserve
-    # correctness (Observation 5.5); anything else relabels.
-    # ------------------------------------------------------------------
-    def on_add_leaf(self, node: TreeNode) -> None:
-        # Tight intervals leave no gaps: additions relabel.  (The
-        # corollary's claim concerns deletions; see AncestryLabeling for
-        # the gap-budget variant that absorbs additions.)
-        self._relabel()
-
-    def on_add_internal(self, node: TreeNode, parent: TreeNode,
-                        child: TreeNode) -> None:
-        self._relabel()
-
-    def on_remove_leaf(self, node: TreeNode, parent: TreeNode) -> None:
-        self.labels.pop(node, None)
-        self._maybe_relabel()
-
-    def on_remove_internal(self, node: TreeNode, parent: TreeNode,
-                           children: List[TreeNode]) -> None:
-        # An internal deletion re-parents whole subtrees: the surviving
-        # intervals still nest under the grandparent, so routing stays
-        # correct — the child-table at the grandparent simply gains the
-        # adopted children's (still-valid) intervals.
-        self.labels.pop(node, None)
-        self._maybe_relabel()
-
-    def detach(self) -> None:
-        self.tree.remove_listener(self)

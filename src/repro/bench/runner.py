@@ -671,7 +671,7 @@ def _app_spec_for(name: str, **knobs: Any):
         params["beta"] = 2.0
     if name == "majority_commit":
         params["total"] = 1 << 20  # the universe bound never binds here
-    return AppSpec(name, params=params, **knobs)
+    return AppSpec.of(name, params=params, **knobs)
 
 
 def _drive_app_complexity(name: str, sizes: List[int],

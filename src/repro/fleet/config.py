@@ -1,6 +1,6 @@
 """Fleet configuration: frozen, validated, serializable.
 
-A fleet runs N controller shards — one tree, one live
+A fleet runs N twin controller shards — one tree, one live
 :class:`~repro.service.session.ControllerSession` each — behind a
 router, with one *global* ``(M_total, W_total)`` contract carved into
 per-shard entitlements.  The carve follows the paper's re-budgeting
@@ -13,48 +13,31 @@ move of budget between shards through an explicit
 (``prior_grants + live_budget == entitlement``) holds per shard at all
 times and Σ granted ≤ ``M_total`` holds globally.
 
-Two frozen values describe a fleet:
-
-* :class:`ShardSpec` names one shard — a stable ``name`` (the
-  consistent-hash ring key), a *budget-less*
-  :class:`~repro.service.config.ControllerSpec` template (``m``/``w``
-  must be 0: the fleet owns the budget), and a ``weight`` that scales
-  both its ring share and its slice of the carve;
-* :class:`FleetConfig` adds the global knobs — ``m_total``/``w_total``,
-  the ``tranche`` that floors each funding stage of a shard's live
-  session, and the fleet-level admission window.
-
-Both validate eagerly in ``__post_init__`` (every mistake raises
-:class:`repro.errors.ConfigError` naming the valid choices) and
-serialize via ``snapshot()`` for bench artifacts.
+Every shard runs the same engine (which one, and with what budget, is
+the router's decision), so :class:`FleetConfig` describes the shards by
+their count, their carve weights and the node bound ``u`` they share,
+next to the global contract, the ``tranche`` that floors each funding
+stage of a shard's live session, and the fleet-level admission window.
+It validates eagerly in ``__post_init__`` (every mistake raises
+:class:`repro.errors.ConfigError` naming the field) and serializes via
+``snapshot()``.
 """
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.service.config import ControllerSpec, _require_int
+from repro.service.config import _require_int, _require_known_knobs
 
 __all__ = [
-    "SHARD_FLAVORS",
     "FleetConfig",
-    "ShardSpec",
     "carve",
 ]
 
-#: Engine flavours a shard template may name.  Shard engines must
-#: surface exhaustion as a *terminating* PENDING (never a client-visible
-#: REJECTED) so the router can intercept it and rebalance; of the
-#: registered flavours only ``terminating`` has that contract.  (The
-#: router spawns its own ``trivial`` mop-up and M = 0 reject-wave
-#: sessions at the end of the budget — fleet-internal, not templates.)
-SHARD_FLAVORS: Tuple[str, ...] = ("terminating",)
-
-
 #: FleetConfig fields that must hold an int (bools excluded), checked
 #: before any range check compares them.
-_INT_FIELDS: Tuple[str, ...] = ("m_total", "w_total", "tranche",
-                                 "max_in_flight", "seed")
+_INT_FIELDS: Tuple[str, ...] = ("shards", "m_total", "w_total", "u",
+                                "tranche", "max_in_flight", "seed")
 
 
 def carve(total: int, weights: Sequence[int]) -> Tuple[int, ...]:
@@ -82,70 +65,27 @@ def carve(total: int, weights: Sequence[int]) -> Tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """One shard of the fleet: name, engine template, carve weight.
-
-    The template is *budget-less* by contract: its ``m`` and ``w`` must
-    be 0 because the fleet owns the global budget and assigns each
-    session its tranche (``m``) and the shard's carved waste allowance
-    (``w``) at spawn time.  ``u`` and ``options`` pass through to every
-    session the shard spawns.
-    """
-
-    name: str
-    template: ControllerSpec
-    weight: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.name or "#" in self.name:
-            raise ConfigError(
-                f"shard name must be non-empty and '#'-free (it keys the "
-                f"hash ring), got {self.name!r}")
-        _require_int(f"shard {self.name!r}: weight", self.weight)
-        if self.weight < 1:
-            raise ConfigError(
-                f"shard {self.name!r}: weight must be >= 1, "
-                f"got {self.weight}")
-        if self.template.flavor not in SHARD_FLAVORS:
-            raise ConfigError(
-                f"shard {self.name!r}: flavour {self.template.flavor!r} "
-                f"cannot shard — the engine must surface exhaustion as a "
-                f"terminating PENDING for the router to rebalance "
-                f"(valid: {', '.join(SHARD_FLAVORS)})")
-        if self.template.m != 0 or self.template.w != 0:
-            raise ConfigError(
-                f"shard {self.name!r}: template must carry m=0/w=0 — the "
-                f"fleet carves M_total/W_total into per-shard budgets "
-                f"(got m={self.template.m}, w={self.template.w})")
-        if self.template.u < 1:
-            raise ConfigError(
-                f"shard {self.name!r}: template needs the node bound u "
-                f"for its tree (got {self.template.u})")
-
-    def session_template(self, m: int, w: int) -> ControllerSpec:
-        """The template with a live budget filled in."""
-        return replace(self.template, m=m, w=w)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable description."""
-        return {"name": self.name, "weight": self.weight,
-                "template": self.template.snapshot()}
-
-
-@dataclass(frozen=True)
 class FleetConfig:
     """Everything a :class:`~repro.fleet.router.FleetRouter` needs.
 
     Parameters
     ----------
     shards:
-        The :class:`ShardSpec` tuple; names must be unique.
+        How many twin shards the fleet runs (at least 1); they are
+        named ``shard-0`` ... ``shard-{N-1}`` on the hash ring and in
+        the transfer ledger.
     m_total / w_total:
         The fleet-wide ``(M, W)`` contract: at most ``m_total`` permits
         are ever granted across all shards, and once the fleet rejects,
         at least ``m_total - w_total`` were granted.  ``w_total`` must
         cover at least 1 per shard (every terminating inner session
         needs ``w >= 1``, the Section 2 packaging floor).
+    u:
+        The node bound every shard session is built with (at least 1).
+    weights:
+        One int ``>= 1`` per shard, scaling both its slice of the carve
+        and its share of the ring; empty (the default) weighs every
+        shard 1.
     tranche:
         The floor of each funding stage (Observation 3.4): a shard's
         first session takes half its carve, and whenever its root runs
@@ -160,36 +100,45 @@ class FleetConfig:
         :attr:`~repro.service.config.SessionConfig.max_in_flight`; the
         gateway's window probe reads it from here).
     seed:
-        Seeds per-shard session configs (schedule/delay determinism).
+        Passed to every shard session's
+        :attr:`~repro.service.config.SessionConfig.seed`.  The shard
+        engines are synchronous and build no scheduler, so nothing
+        draws from it.
     """
 
-    shards: Tuple[ShardSpec, ...]
+    shards: int
     m_total: int
     w_total: int
+    u: int
+    weights: Tuple[int, ...] = ()
     tranche: int = 1
     max_in_flight: int = 1024
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.shards, (tuple, list))
-                or not all(isinstance(spec, ShardSpec)
-                           for spec in self.shards)):
-            raise ConfigError(
-                f"shards must be a sequence of ShardSpec, got "
-                f"{self.shards!r}")
-        object.__setattr__(self, "shards", tuple(self.shards))
-        if not self.shards:
-            raise ConfigError("a fleet needs at least one shard")
         for name in _INT_FIELDS:
             _require_int(name, getattr(self, name))
-        names = [spec.name for spec in self.shards]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"shard names must be unique, got {names!r}")
+        if self.shards < 1:
+            raise ConfigError(f"shards must be >= 1, got {self.shards}")
+        if not isinstance(self.weights, (list, tuple)):
+            raise ConfigError(
+                f"weights must be a sequence of ints, got {self.weights!r}")
+        weights = tuple(self.weights) or (1,) * self.shards
+        if len(weights) != self.shards:
+            raise ConfigError(
+                f"got {len(weights)} weights for {self.shards} shards")
+        for weight in weights:
+            _require_int("weight", weight)
+            if weight < 1:
+                raise ConfigError(f"weight must be >= 1, got {weight}")
+        object.__setattr__(self, "weights", weights)
+        if self.u < 1:
+            raise ConfigError(f"u must be >= 1, got {self.u}")
         if self.m_total < 0:
             raise ConfigError(f"m_total must be >= 0, got {self.m_total}")
-        if self.w_total < len(self.shards):
+        if self.w_total < self.shards:
             raise ConfigError(
-                f"w_total must cover >= 1 per shard ({len(self.shards)} "
+                f"w_total must cover >= 1 per shard ({self.shards} "
                 f"shards; every terminating session needs w >= 1), "
                 f"got {self.w_total}")
         if self.tranche < 1:
@@ -198,13 +147,20 @@ class FleetConfig:
             raise ConfigError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
+    @classmethod
+    def of(cls, **knobs: Any) -> "FleetConfig":
+        """Keyword front door:
+        ``FleetConfig.of(shards=4, m_total=2000, w_total=40, u=4096)``.
+
+        An unknown keyword raises :class:`ConfigError` naming the
+        valid ones (the eight fields).
+        """
+        _require_known_knobs(cls, knobs)
+        return cls(**knobs)
+
     # ------------------------------------------------------------------
     # Budget carve.
     # ------------------------------------------------------------------
-    @property
-    def weights(self) -> Tuple[int, ...]:
-        return tuple(spec.weight for spec in self.shards)
-
     def budget_shares(self) -> Tuple[int, ...]:
         """Per-shard slices of ``m_total`` (sum is exactly ``m_total``)."""
         return carve(self.m_total, self.weights)
@@ -216,59 +172,9 @@ class FleetConfig:
         rest is carved by weight, so the shares still sum to exactly
         ``w_total``.
         """
-        count = len(self.shards)
-        extra = carve(self.w_total - count, self.weights)
+        extra = carve(self.w_total - self.shards, self.weights)
         return tuple(1 + share for share in extra)
 
-    # ------------------------------------------------------------------
-    # Convenience constructor.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def of(*, shards: int, m_total: int, w_total: int, u: int,
-           flavor: str = "terminating",
-           options: Optional[Mapping[str, Any]] = None,
-           weights: Optional[Sequence[int]] = None,
-           **knobs: Any) -> "FleetConfig":
-        """Build a uniform fleet: ``shards`` twins of one template.
-
-        ``u`` is the per-shard node bound; ``weights`` (default: all 1)
-        skews the carve and the ring; remaining keywords pass through
-        to :class:`FleetConfig` (``tranche=``, ``max_in_flight=``,
-        ``seed=``).
-        """
-        _require_int("shards", shards)
-        valid = [field.name for field in fields(FleetConfig)
-                 if field.name not in ("shards", "m_total", "w_total")]
-        unknown = sorted(set(knobs) - set(valid))
-        if unknown:
-            raise ConfigError(
-                f"unknown FleetConfig knob(s) {', '.join(unknown)} "
-                f"(valid: {', '.join(valid)})")
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        if weights is None:
-            weights = [1] * shards
-        if not isinstance(weights, (list, tuple)):
-            raise ConfigError(
-                f"weights must be a sequence of ints, got {weights!r}")
-        if len(weights) != shards:
-            raise ConfigError(
-                f"got {len(weights)} weights for {shards} shards")
-        _require_int("template u", u)
-        template = ControllerSpec(flavor, m=0, w=0, u=u,
-                                  options=dict(options or {}))
-        specs = tuple(
-            ShardSpec(name=f"shard-{index}", template=template,
-                      weight=weight)
-            for index, weight in enumerate(weights))
-        return FleetConfig(shards=specs, m_total=m_total, w_total=w_total,
-                           **knobs)
-
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable description (bench artifact headers)."""
-        return {
-            "shards": [spec.snapshot() for spec in self.shards],
-            "m_total": self.m_total, "w_total": self.w_total,
-            "tranche": self.tranche,
-            "max_in_flight": self.max_in_flight, "seed": self.seed,
-        }
+        """JSON-serializable description: the eight fields."""
+        return asdict(self)

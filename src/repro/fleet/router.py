@@ -61,7 +61,7 @@ from repro.core.centralized import CentralizedController
 from repro.core.requests import Outcome, OutcomeStatus, Request
 from repro.core.terminating import TerminatingController
 from repro.errors import ConfigError, ControllerError, FleetError, ProtocolError
-from repro.fleet.config import FleetConfig, ShardSpec
+from repro.fleet.config import FleetConfig
 from repro.fleet.rebalancer import TransferLedger, plan_greedy
 from repro.metrics import waves
 from repro.metrics.counters import MoveCounters
@@ -120,13 +120,13 @@ class Shard:
     :class:`~repro.protocol.BudgetSplit` contract (:attr:`budget`).
     """
 
-    def __init__(self, index: int, spec: ShardSpec, allocation: int,
-                 waste: int, *, tranche: int, seed: int,
+    def __init__(self, index: int, name: str, allocation: int,
+                 waste: int, *, u: int, tranche: int, seed: int,
                  tree: Optional[DynamicTree] = None,
                  fund: Callable[[int], int]) -> None:
         self.index = index
-        self.spec = spec
-        self.name = spec.name
+        self.name = name
+        self.u = u
         self.tree = tree if tree is not None else DynamicTree()
         #: One counter object threads through every session this shard
         #: spawns (and takes the rebalancing charges), so move totals
@@ -207,16 +207,14 @@ class Shard:
         }
 
     # ------------------------------------------------------------------
-    # Session lifecycle (driven by the router).
+    # Session lifecycle (driven by the router); the spawn_* methods are
+    # the one place a shard's engine flavour and (m, w, u) are chosen.
     # ------------------------------------------------------------------
     def spawn_terminating(self, m_live: int) -> None:
         """Issue ``m_live`` permits from reserve into a fresh session."""
-        template = self.spec.session_template(m_live, self.waste)
-        options = dict(template.options)
-        options["counters"] = self.counters
-        session = self._spawn(ControllerSpec(template.flavor, m=template.m,
-                                             w=template.w, u=template.u,
-                                             options=options), m_live)
+        spec = ControllerSpec("terminating", m=m_live, w=self.waste,
+                              u=self.u, options={"counters": self.counters})
+        session = self._spawn(spec, m_live)
         root = cast(TerminatingController, session.controller).inner
         root._fund = self._fund
         self._root = root
@@ -229,7 +227,7 @@ class Shard:
         node rejects locally, at no move.
         """
         self._spawn(ControllerSpec("centralized", m=0, w=self.waste,
-                                   u=self.spec.template.u,
+                                   u=self.u,
                                    options={"counters": self.counters}),
                     0)
 
@@ -318,7 +316,7 @@ class FleetRouter:
     """Route requests over the shards; rebalance budget between them.
 
     Mirrors the :class:`~repro.service.session.ControllerSession`
-    surface (it satisfies :class:`repro.gateway.gateway.IngestionBackend`),
+    surface (it satisfies :class:`repro.service.session.SessionProtocol`),
     with one addition: ``submit``/``serve`` accept an ``origin=`` —
     any hashable client key — that routes via the consistent-hash ring
     instead of node ownership.  Thread-safe the same way a session is:
@@ -328,26 +326,26 @@ class FleetRouter:
     def __init__(self, config: FleetConfig,
                  trees: Optional[Sequence[DynamicTree]] = None) -> None:
         self.config = config
+        names = [f"shard-{index}" for index in range(config.shards)]
         if trees is not None:
-            if len(trees) != len(config.shards):
+            if len(trees) != config.shards:
                 raise ConfigError(
-                    f"got {len(trees)} trees for {len(config.shards)} "
-                    "shards")
+                    f"got {len(trees)} trees for {config.shards} shards")
             for index, tree in enumerate(trees):
                 first = trees.index(tree)
                 if first != index:
                     raise ConfigError(
-                        f"shards {config.shards[first].name!r} and "
-                        f"{config.shards[index].name!r} were given the "
-                        "same tree; every shard needs its own")
+                        f"shards {names[first]!r} and {names[index]!r} "
+                        "were given the same tree; every shard needs "
+                        "its own")
         m_shares = config.budget_shares()
         w_shares = config.waste_shares()
         self.shards: List[Shard] = [
-            Shard(index, spec, m_shares[index], w_shares[index],
-                  tranche=config.tranche, seed=config.seed,
+            Shard(index, name, m_shares[index], w_shares[index],
+                  u=config.u, tranche=config.tranche, seed=config.seed,
                   tree=None if trees is None else trees[index],
                   fund=_funding_hook(self, index))
-            for index, spec in enumerate(config.shards)]
+            for index, name in enumerate(names)]
         self._by_name = {shard.name: shard for shard in self.shards}
         self.ledger = TransferLedger()
 
@@ -355,9 +353,10 @@ class FleetRouter:
         # unit of shard weight, CRC32-placed (stable across processes,
         # unlike ``hash()``), ties broken by shard index.
         self._ring: List[Tuple[int, int]] = sorted(
-            (crc32(f"{spec.name}#{vnode}".encode("utf-8")), index)
-            for index, spec in enumerate(config.shards)
-            for vnode in range(RING_REPLICAS * spec.weight))
+            (crc32(f"{name}#{vnode}".encode("utf-8")), index)
+            for index, (name, weight) in enumerate(zip(names,
+                                                       config.weights))
+            for vnode in range(RING_REPLICAS * weight))
         #: Every origin ever placed -> its pinned shard index (also
         #: the auditor's replay record).
         self.placements: Dict[str, int] = {}

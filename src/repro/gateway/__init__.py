@@ -29,7 +29,6 @@ from repro.gateway.gateway import (
     Gateway,
     GatewayStats,
     GatewayTicket,
-    IngestionBackend,
 )
 from repro.gateway.health import HealthReport
 from repro.gateway.throttle import TokenBucket
@@ -43,6 +42,5 @@ __all__ = [
     "GatewayStats",
     "GatewayTicket",
     "HealthReport",
-    "IngestionBackend",
     "TokenBucket",
 ]

@@ -27,7 +27,8 @@ from typing import Iterable, List, Optional
 from repro.errors import ConfigError
 from repro.core.requests import Request
 from repro.gateway.config import GatewayConfig
-from repro.gateway.gateway import Gateway, GatewayTicket, IngestionBackend
+from repro.gateway.gateway import Gateway, GatewayTicket
+from repro.service.session import SessionProtocol
 
 
 class AsyncGateway:
@@ -40,7 +41,7 @@ class AsyncGateway:
     awaiters).
     """
 
-    def __init__(self, session: Optional[IngestionBackend] = None,
+    def __init__(self, session: Optional[SessionProtocol] = None,
                  config: Optional[GatewayConfig] = None,
                  gateway: Optional[Gateway] = None) -> None:
         if gateway is None:

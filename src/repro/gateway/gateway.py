@@ -1,8 +1,9 @@
 """The ingestion gateway: a concurrent front door over one session.
 
 ``Gateway`` multiplexes many concurrent client streams into batched
-feeds of a single :class:`~repro.service.session.ControllerSession` (or
-:class:`~repro.apps.base.AppSession`).  The engine stays strictly
+feeds of a single :class:`~repro.service.session.SessionProtocol`
+surface (a ``ControllerSession``, an ``AppSession`` or a
+``FleetRouter``).  The engine stays strictly
 single-caller — only the pump ever touches it — while admission is
 thread-safe and non-blocking.  Three layers, in order:
 
@@ -41,10 +42,8 @@ from typing import (
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
-    Protocol,
 )
 
 from repro.clock import monotonic
@@ -59,28 +58,8 @@ from repro.service.envelopes import (
     IterationRecord,
     OutcomeRecord,
     SessionVerdict,
-    Ticket,
 )
-
-
-class IngestionBackend(Protocol):
-    """What the gateway needs from a session (structurally typed):
-    batch submission, a drain stream, verdict tallies, and the
-    protocol-based audit hook.  Both ``ControllerSession`` and
-    ``AppSession`` satisfy it."""
-
-    def submit_many(self, requests: Iterable[Request]) -> List[Ticket]:
-        ...
-
-    def drain(self) -> Iterator[object]:
-        ...
-
-    def tally(self) -> Dict[str, int]:
-        ...
-
-    def audit(self, report: Optional[InvariantReport] = None
-              ) -> InvariantReport:
-        ...
+from repro.service.session import SessionProtocol
 
 
 def _empty_verdicts() -> Dict[str, int]:
@@ -288,8 +267,8 @@ class Gateway:
     Parameters
     ----------
     session:
-        The backend — a :class:`~repro.service.session.ControllerSession`
-        or :class:`~repro.apps.base.AppSession`.  The gateway becomes
+        The backend — any :class:`~repro.service.session.SessionProtocol`
+        surface (a session, an app or a fleet).  The gateway becomes
         its only caller; its admission window must be at least the
         gateway's ``batch_size`` (the gateway owns admission, the
         session must never answer ``BACKPRESSURE`` underneath it).
@@ -303,7 +282,7 @@ class Gateway:
         returns.
     """
 
-    def __init__(self, session: IngestionBackend,
+    def __init__(self, session: SessionProtocol,
                  config: Optional[GatewayConfig] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
         self.session = session
@@ -335,7 +314,7 @@ class Gateway:
         self._stop_flag = threading.Event()
 
     @staticmethod
-    def _session_window(session: IngestionBackend) -> Optional[int]:
+    def _session_window(session: SessionProtocol) -> Optional[int]:
         for owner in ("config", "spec"):
             holder = getattr(session, owner, None)
             window = getattr(holder, "max_in_flight", None)

@@ -584,8 +584,8 @@ def audit_outcomes(outcomes: Iterable[Any], m: int, w: int,
 class CounterWatch:
     """Asserts a counter set only ever grows.
 
-    Call :meth:`observe` after every request (scenario drivers hook it
-    into ``on_step``); each observation compares the counter snapshot
+    Call :meth:`observe` after every request (the bench grid does, per
+    settled record); each observation compares the counter snapshot
     against the previous one component-wise.
     """
 

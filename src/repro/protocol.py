@@ -22,14 +22,15 @@ one interface, :class:`ControllerProtocol`:
 stores, its live budget split, and its nested controllers, and the
 auditor walks that declaration.  The module is deliberately dependency-
 free (``typing`` only), so :mod:`repro.metrics` can import it without
-pulling in :mod:`repro.core`.
+pulling in :mod:`repro.core`.  The serving surface's structural types
+(``SessionProtocol``, ``AppProtocol``) live in
+:mod:`repro.service.session`, which the gateway may import.
 """
 
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Iterable,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -100,33 +101,6 @@ class ControllerView:
     children: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
 
 
-@runtime_checkable
-class SessionProtocol(Protocol):
-    """The session-layer ingestion interface (PEP 544, structural).
-
-    Implemented by :class:`repro.service.session.ControllerSession`:
-    non-blocking ``submit`` returning a ticket, batched
-    ``submit_many``, a streaming ``drain`` yielding settled outcome
-    records in settlement order, and ``close``.  ``introspect()`` is
-    shared with :class:`ControllerProtocol`, so the invariant auditor
-    accepts sessions and controllers interchangeably.
-    """
-
-    def submit(self, request: Any,
-               delay: Optional[float] = None) -> Any: ...
-
-    def submit_many(self, requests: Iterable[Any],
-                    stagger: float = 0.0) -> List[Any]: ...
-
-    def drain(self) -> Iterator[Any]: ...
-
-    def settle_all(self) -> List[Any]: ...
-
-    def close(self) -> None: ...
-
-    def introspect(self) -> ControllerView: ...
-
-
 @dataclass
 class AppView:
     """Structured snapshot an application returns from ``app_view()``.
@@ -156,42 +130,6 @@ class AppView:
     grants_banked: int = 0
     granted_total: int = 0
     controller: Optional[Any] = None
-
-
-@runtime_checkable
-class AppProtocol(Protocol):
-    """The application-layer session interface (PEP 544, structural).
-
-    Implemented by :class:`repro.apps.base.AppSession` and every
-    Section 5 application built by :func:`repro.apps.make_app`.  The
-    surface mirrors :class:`SessionProtocol` — non-blocking
-    ``submit`` returning a ticket, ``submit_many``, a streaming
-    ``drain`` — with two app-level additions: the drain stream carries
-    *iteration boundary events* (``IterationRecord``) interleaved with
-    the settled outcome records, and ``iterations_run`` exposes the
-    Observation 2.1 iteration lifecycle (requests still pending when an
-    iteration's controller terminates are resubmitted to the next
-    iteration's controller automatically).  ``app_view()`` returns the
-    :class:`AppView` declaration the invariant auditor walks.
-    """
-
-    iterations_run: int
-
-    def submit(self, request: Any) -> Any: ...
-
-    def submit_many(self, requests: Iterable[Any]) -> List[Any]: ...
-
-    def serve(self, request: Any) -> Any: ...
-
-    def drain(self) -> Iterator[Any]: ...
-
-    def settle_all(self) -> List[Any]: ...
-
-    def introspect(self) -> ControllerView: ...
-
-    def app_view(self) -> AppView: ...
-
-    def close(self) -> None: ...
 
 
 @runtime_checkable

@@ -31,10 +31,16 @@ from repro.service.envelopes import (
     SessionVerdict,
     Ticket,
 )
-from repro.service.session import ControllerSession
+from repro.service.session import (
+    AppProtocol,
+    ControllerSession,
+    SessionProtocol,
+)
 
 __all__ = [
     "ControllerSession",
+    "SessionProtocol",
+    "AppProtocol",
     "ControllerSpec",
     "SessionConfig",
     "AppSpec",

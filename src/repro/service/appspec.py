@@ -11,16 +11,17 @@ iteration start.  An :class:`AppSpec` therefore cannot carry one fixed
 * the **engine template**: everything a per-iteration
   :class:`~repro.service.config.SessionConfig` needs *except* the
   (M, W, U) contract — engine flavour, schedule policy, delay model,
-  fault plan, seed, admission window, and extra controller options.
+  fault plan, seed and admission window.
 
 :meth:`AppSpec.config_for` stamps one iteration's contract into a full
 ``SessionConfig``; :func:`repro.apps.make_app` builds the app itself.
 The spec is frozen and eagerly validated: unknown app names, unknown
-app parameters, unknown policies/delay models/controller options, and
-fault plans on a synchronous flavour all raise
-:class:`repro.errors.ConfigError` before any engine state exists.  The
-engine knobs are checked once, by building the first iteration's
-``SessionConfig``.
+app parameters, unknown policies/delay models, and fault plans on a
+synchronous flavour all raise :class:`repro.errors.ConfigError` before
+any engine state exists.  The engine knobs are checked once, by
+building the first iteration's ``SessionConfig``.
+:meth:`AppSpec.of` is the keyword front door: a keyword that is no
+field raises :class:`~repro.errors.ConfigError` naming the fields.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,12 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.distributed.faults import FaultPlan
 from repro.errors import ConfigError
-from repro.service.config import ControllerSpec, SessionConfig, _require_int
+from repro.service.config import (
+    ControllerSpec,
+    SessionConfig,
+    _require_int,
+    _require_known_knobs,
+)
 
 #: The registered Section 5 applications, by spec name.  The class
 #: registry lives in :mod:`repro.apps.registry` (which asserts it stays
@@ -101,10 +107,6 @@ class AppSpec:
         tickets settle as ``BACKPRESSURE``.  The per-iteration engine
         session runs with its window wide open — saturation is answered
         once, at the app boundary, and never interacts with rollover.
-    options:
-        Extra controller constructor options forwarded to every
-        iteration's :class:`~repro.service.config.ControllerSpec`
-        (``permit_flow_observer=``, ...).
     """
 
     app: str
@@ -115,7 +117,6 @@ class AppSpec:
     faults: Optional[Union[FaultPlan, str]] = None
     seed: int = 0
     max_in_flight: int = 1024
-    options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "app", resolve_app(self.app))
@@ -143,6 +144,17 @@ class AppSpec:
         # which also parses a fault spec string.
         object.__setattr__(self, "faults", self.config_for(0, 0, 0).faults)
 
+    @classmethod
+    def of(cls, app: str, **knobs: Any) -> "AppSpec":
+        """Keyword front door:
+        ``AppSpec.of("size_estimation", flavor="distributed")``.
+
+        Every keyword is an :class:`AppSpec` field; anything else
+        raises :class:`ConfigError` naming the valid ones.
+        """
+        _require_known_knobs(cls, knobs, "app")
+        return cls(app, **knobs)
+
     @property
     def event_driven(self) -> bool:
         """True when iterations run on the event-driven engine."""
@@ -168,13 +180,11 @@ class AppSpec:
         ``(m, w, u)`` is the iteration contract the app derived from
         the tree size; ``options`` are the app's per-iteration
         controller wirings (shared counters, interval mode, the permit
-        flow observer) merged over the spec's own ``options``.  The
-        event-driven flavour always runs ``terminate_on_exhaustion``:
-        apps consume PENDING, never a reject wave.
+        flow observer).  The event-driven flavour always runs
+        ``terminate_on_exhaustion``: apps consume PENDING, never a
+        reject wave.
         """
-        merged: Dict[str, Any] = dict(self.options)
-        if options:
-            merged.update(options)
+        merged: Dict[str, Any] = dict(options or {})
         if self.event_driven:
             merged.setdefault("terminate_on_exhaustion", True)
         return SessionConfig(
@@ -200,6 +210,4 @@ class AppSpec:
             "faults": plan.snapshot(),
             "seed": self.seed,
             "max_in_flight": self.max_in_flight,
-            "options": {key: repr(value)
-                        for key, value in sorted(self.options.items())},
         }

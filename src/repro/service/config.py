@@ -48,6 +48,19 @@ def _require_int(name: str, value: Any) -> None:
         raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
+def _require_known_knobs(cls: Any, knobs: Mapping[str, Any],
+                         *taken: str) -> None:
+    """Raise :class:`ConfigError` naming the valid keywords unless every
+    key of ``knobs`` is a field of the dataclass ``cls`` (the fields in
+    ``taken`` are passed another way and are not valid knobs)."""
+    valid = [knob.name for knob in fields(cls) if knob.name not in taken]
+    unknown = sorted(set(knobs) - set(valid))
+    if unknown:
+        raise ConfigError(
+            f"unknown {cls.__name__} knob(s) {', '.join(unknown)} "
+            f"(valid: {', '.join(valid)})")
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     """Which controller to build: flavour + (M, W, U) + extra options.
@@ -170,13 +183,7 @@ class SessionConfig:
         keyword is a :class:`SessionConfig` field (anything else raises
         :class:`ConfigError` naming the valid ones).
         """
-        valid = [knob.name for knob in fields(cls)
-                 if knob.name != "controller"]
-        unknown = sorted(set(knobs) - set(valid))
-        if unknown:
-            raise ConfigError(
-                f"unknown SessionConfig knob(s) {', '.join(unknown)} "
-                f"(valid: {', '.join(valid)})")
+        _require_known_knobs(cls, knobs, "controller")
         spec = ControllerSpec(flavor=flavor, m=m, w=w, u=u,
                               options=dict(options or {}))
         return cls(controller=spec, **knobs)

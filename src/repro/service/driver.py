@@ -12,9 +12,9 @@ equivalence property tests assert for every catalogue scenario.
 """
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from repro.core.requests import Outcome, RequestKind
+from repro.core.requests import RequestKind
 from repro.errors import ConfigError, ProtocolError
 from repro.service.session import ControllerSession
 from repro.workloads.scenarios import (
@@ -26,19 +26,16 @@ from repro.workloads.scenarios import (
 
 def drive_scenario(session: ControllerSession, steps: int, seed: int = 0,
                    mix: Optional[Dict[RequestKind, float]] = None,
-                   keep_outcomes: bool = False,
-                   on_step: Optional[Callable[[int, Outcome], None]] = None,
-                   stop_when: Optional[Callable[[], bool]] = None,
                    batch_size: int = 1) -> ScenarioResult:
     """Generate ``steps`` random requests and serve them via ``session``.
 
     The contract mirrors the legacy driver exactly: requests are
     generated ``batch_size`` at a time against the tree state at batch
-    start, every outcome of a submitted batch is recorded (the
-    controller already served it), and ``stop_when`` ends the scenario
-    at the batch boundary.  The admission window must cover the batch —
-    a drive never wants to observe its own backpressure, so an
-    undersized window raises instead of silently skewing the tallies.
+    start, and every outcome of a submitted batch is tallied (the
+    controller already served it).  The admission window must cover
+    the batch — a drive never wants to observe its own backpressure,
+    so an undersized window raises instead of silently skewing the
+    tallies.
     """
     if batch_size < 1:
         raise ConfigError(
@@ -62,26 +59,19 @@ def drive_scenario(session: ControllerSession, steps: int, seed: int = 0,
     try:
         step = 0
         while step < steps:
-            count = 1 if batch_size == 1 else min(batch_size, steps - step)
+            count = min(batch_size, steps - step)
             batch = [random_request(session.tree, rng, mix=mix,
                                     picker=picker)
                      for _ in range(count)]
             session.submit_many(batch)
-            stop = False
             for record in session.drain():
                 outcome = record.outcome
                 if outcome is None:  # backpressure cannot happen here
                     raise ProtocolError(
                         "drive_scenario observed backpressure despite "
                         "the window pre-check")
-                result.record(outcome, keep_outcomes)
-                if on_step is not None:
-                    on_step(step, outcome)
+                result.record(outcome, False)
                 step += 1
-                if stop_when is not None and stop_when():
-                    stop = True
-            if stop:
-                break
     finally:
         picker.detach()
     return result

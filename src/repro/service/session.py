@@ -27,19 +27,35 @@ The session implements the controller protocol's ``introspect()`` by
 delegation, so :func:`repro.metrics.invariants.audit_controller`
 accepts a session wherever it accepts a controller (:meth:`audit` is
 the shorthand).
+
+:class:`SessionProtocol` is the serving surface the session, the app
+session and the fleet router share (the gateway fronts any of them);
+:class:`AppProtocol` adds the application layer's iteration lifecycle.
 """
 
 import math
 import numbers
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, cast
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    cast,
+    runtime_checkable,
+)
 
 from repro.core.requests import Request
 from repro.distributed.faults import FaultInjector
 from repro.errors import ConfigError, ControllerError, ProtocolError
 from repro.metrics.invariants import InvariantReport, audit_controller
-from repro.protocol import ControllerProtocol, ControllerView
+from repro.protocol import AppView, ControllerProtocol, ControllerView
 from repro.registry import make_controller
 from repro.service.config import SCHEDULED_FLAVORS, SessionConfig
 from repro.service.envelopes import OutcomeRecord, SessionVerdict, Ticket
@@ -47,6 +63,64 @@ from repro.service.outbox import Outbox
 from repro.sim.delays import make_delay_model
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
+
+
+@runtime_checkable
+class SessionProtocol(Protocol):
+    """The serving surface (PEP 544, structural).
+
+    What :class:`ControllerSession`, :class:`~repro.apps.base.AppSession`
+    and :class:`~repro.fleet.router.FleetRouter` all take, and what the
+    gateway calls: non-blocking ``submit`` returning a ticket, batched
+    ``submit_many``, synchronous ``serve``/``serve_stream``, a streaming
+    ``drain`` (``settle_all`` collects it) in settlement order, verdict
+    ``tally``, the invariant ``audit`` and ``close``.  A surface may add
+    keywords of its own (a session's ``delay``/``stagger``, a fleet's
+    ``origin``); the protocol declares none of them.
+    """
+
+    def submit(self, request: Request) -> Ticket: ...
+
+    def submit_many(self, requests: Iterable[Request]) -> List[Ticket]: ...
+
+    def serve(self, request: Request) -> OutcomeRecord: ...
+
+    def serve_stream(self, requests: Iterable[Request]
+                     ) -> List[OutcomeRecord]: ...
+
+    def drain(self) -> Iterator[object]: ...
+
+    def settle_all(self) -> Sequence[object]: ...
+
+    def tally(self) -> Dict[str, int]: ...
+
+    def audit(self, report: Optional[InvariantReport] = None
+              ) -> InvariantReport: ...
+
+    def close(self) -> None: ...
+
+
+@runtime_checkable
+class AppProtocol(SessionProtocol, Protocol):
+    """The application-layer serving surface (PEP 544, structural).
+
+    Implemented by :class:`repro.apps.base.AppSession` and every
+    Section 5 application built by :func:`repro.apps.make_app`: the
+    :class:`SessionProtocol` surface, whose drain stream also carries
+    *iteration boundary events* (``IterationRecord``) interleaved with
+    the settled outcome records, plus ``iterations_run`` (the
+    Observation 2.1 iteration lifecycle: requests still pending when an
+    iteration's controller terminates are resubmitted to the next
+    iteration's controller automatically), ``introspect()`` and
+    ``app_view()``, the :class:`~repro.protocol.AppView` declaration
+    the invariant auditor walks.
+    """
+
+    iterations_run: int
+
+    def introspect(self) -> ControllerView: ...
+
+    def app_view(self) -> AppView: ...
 
 
 class ControllerSession:

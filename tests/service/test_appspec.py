@@ -1,6 +1,7 @@
 """AppSpec: eager validation, normalization, per-iteration configs."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -56,10 +57,23 @@ def test_session_knob_validation():
         AppSpec("size_estimation", delay_model="psychic")
     with pytest.raises(ConfigError, match="max_in_flight"):
         AppSpec("size_estimation", max_in_flight=0)
-    # Controller options are checked when the spec is built, not first
-    # when an iteration is wired.
-    with pytest.raises(ConfigError, match="unknown option 'bogus'"):
-        AppSpec("size_estimation", options={"bogus": 1})
+    with pytest.raises(ConfigError, match="stagger"):
+        AppSpec.of("size_estimation", stagger=-1.0)
+
+
+def test_of_refuses_unknown_knobs_naming_the_fields():
+    """A misspelt or removed knob (``options``, ``stagger``) is a
+    ConfigError naming the valid fields, not a raw TypeError."""
+    valid = ("params, flavor, schedule_policy, delay_model, faults, "
+             "seed, max_in_flight")
+    for knob in ("options", "stagger", "bogus"):
+        with pytest.raises(ConfigError, match=f"unknown AppSpec "
+                           f"knob.*{knob}") as info:
+            AppSpec.of("size_estimation", **{knob: {"bogus": 1}})
+        assert str(info.value).endswith(f"(valid: {valid})")
+    spec = AppSpec.of("size-estimation", flavor="distributed", seed=3)
+    assert spec == AppSpec("size_estimation", flavor="distributed", seed=3)
+    assert len(fields(AppSpec)) == 8
 
 
 @pytest.mark.parametrize("field, value", [
@@ -68,13 +82,17 @@ def test_session_knob_validation():
     ("seed", "x"),
     ("seed", 1.5),
     ("seed", True),
+    ("stagger", float("nan")),
+    ("stagger", float("inf")),
+    ("stagger", "1"),
+    ("stagger", False),
 ])
 def test_app_knobs_take_the_types_they_document(field, value):
     """The app-level window and seed are ints, checked when the spec is
     built (a bad seed used to surface as a raw TypeError when the first
-    iteration was wired)."""
+    iteration was wired); ``stagger`` is no knob at all."""
     with pytest.raises(ConfigError, match=field):
-        AppSpec("size_estimation", **{field: value})
+        AppSpec.of("size_estimation", **{field: value})
 
 
 def test_faults_need_the_event_driven_engine():

@@ -1,17 +1,23 @@
 """ControllerSession behaviour: envelopes, admission, drain, lifecycle."""
 
+import inspect
+
 import pytest
 
 from repro import (
+    AppSpec,
     ControllerSession,
+    FleetConfig,
+    FleetRouter,
     Request,
     RequestKind,
     SessionConfig,
     SessionVerdict,
+    make_app,
 )
 from repro.core.kernel import KernelTrace
 from repro.errors import ConfigError, ControllerError
-from repro.protocol import SessionProtocol
+from repro.service import AppProtocol, SessionProtocol
 from repro.tree import paths
 from repro.workloads import build_random_tree
 
@@ -42,6 +48,40 @@ def test_submit_is_non_blocking_and_result_settles():
 
 def test_session_satisfies_session_protocol():
     assert isinstance(_session(), SessionProtocol)
+
+
+def _surface(kind):
+    if kind == "session":
+        return _session(), SessionProtocol
+    if kind == "app":
+        return make_app(AppSpec("size_estimation")), AppProtocol
+    config = FleetConfig.of(shards=2, m_total=10, w_total=2, u=64)
+    return FleetRouter(config), SessionProtocol
+
+
+@pytest.mark.parametrize("kind", ["session", "app", "fleet"])
+def test_every_surface_takes_the_protocol_signatures(kind):
+    """``isinstance`` against a runtime-checkable protocol compares
+    method names only, so a parameter one surface lacks went unseen;
+    every protocol method's parameters must bind on every surface, by
+    position and by name."""
+    surface, protocol = _surface(kind)
+    assert isinstance(surface, protocol)
+    names = [name for name in dir(protocol)
+             if not name.startswith("_")
+             and callable(getattr(protocol, name))]
+    assert {"submit", "submit_many", "serve", "serve_stream", "drain",
+            "settle_all", "tally", "audit", "close"} <= set(names)
+    for name in names:
+        declared = list(inspect.signature(
+            getattr(protocol, name)).parameters.values())[1:]
+        taken = inspect.signature(getattr(surface, name))
+        required = [p for p in declared if p.default is p.empty]
+        optional = {p.name: p.default for p in declared
+                    if p.default is not p.empty}
+        taken.bind(*[object() for _ in required], **optional)
+        taken.bind(**{p.name: object() for p in declared})
+    surface.close()
 
 
 def test_drain_yields_in_settlement_order_with_monotone_ids():

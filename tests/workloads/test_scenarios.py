@@ -85,23 +85,9 @@ def test_drive_scenario_records_outcomes():
     tree = build_random_tree(10, seed=7)
     session = ControllerSession(SessionConfig.of("trivial", m=50),
                                 tree=tree)
-    result = drive_scenario(session, steps=80, seed=8,
-                            keep_outcomes=True)
+    result = drive_scenario(session, steps=80, seed=8)
     assert result.granted == 50
     assert result.rejected + result.cancelled == 30
-    assert len(result.outcomes) == 80
-    session.close()
-
-
-def test_drive_scenario_stop_when():
-    tree = build_random_tree(10, seed=9)
-    session = ControllerSession(SessionConfig.of("trivial", m=5),
-                                tree=tree)
-    result = drive_scenario(
-        session, steps=500, seed=10,
-        stop_when=lambda: session.controller.rejected > 0)
-    assert result.granted == 5
-    assert result.rejected == 1  # stopped right after the first reject
     session.close()
 
 
